@@ -240,16 +240,6 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
             expect_num(row, key).map_err(ctx)?;
         }
         expect_str(row, "metrics_level").map_err(ctx)?;
-        // Durability rows (loadgen phase 2) carry the WAL column set:
-        // which fsync policy ran, how big the persisted log was, the
-        // throughput cost vs `--wal-sync never`, and cold-start
-        // recovery time.
-        if row.get("wal_sync").is_some() {
-            expect_str(row, "wal_sync").map_err(ctx)?;
-            for key in ["wal_bytes", "wal_overhead_pct", "recovery_ms", "sessions_recovered"] {
-                expect_num(row, key).map_err(ctx)?;
-            }
-        }
         let top = row
             .get("top_rules")
             .and_then(|v| v.as_arr())
@@ -323,48 +313,6 @@ mod tests {
             .set("rows", vec![Json::obj().set("workload", "w").set("matcher", "rete")]);
         let err = validate_bench_json(&doc).unwrap_err();
         assert!(err.contains("row 0") && err.contains("shards"), "{err}");
-    }
-
-    #[test]
-    fn wal_rows_require_the_durability_columns() {
-        // A full measured row plus the WAL markers, as loadgen's
-        // durability phase emits.
-        let wal_row = |complete: bool| {
-            let mut row = Json::obj()
-                .set("workload", "closure")
-                .set("matcher", "rete")
-                .set("shards", 1usize)
-                .set("cycles", 4usize)
-                .set("firings", 9usize)
-                .set("wall_ms", 1.0)
-                .set("match_ms", 0.5)
-                .set("redact_ms", 0.1)
-                .set("fire_ms", 0.1)
-                .set("apply_ms", 0.1)
-                .set("peak_wm", 30usize)
-                .set("peak_conflict_set", 8usize)
-                .set("metrics_level", "full")
-                .set("top_rules", Vec::<Json>::new())
-                .set("wal_sync", "always")
-                .set("wal_bytes", 4096usize)
-                .set("wal_overhead_pct", 12.5)
-                .set("sessions_recovered", 8usize);
-            if complete {
-                row = row.set("recovery_ms", 0.8);
-            }
-            row
-        };
-        let doc = |row: Json| {
-            Json::obj()
-                .set("schema", BENCH_SCHEMA)
-                .set("id", "serve")
-                .set("title", "serve")
-                .set("host_threads", 1usize)
-                .set("rows", vec![row])
-        };
-        validate_bench_json(&doc(wal_row(true))).unwrap();
-        let err = validate_bench_json(&doc(wal_row(false))).unwrap_err();
-        assert!(err.contains("recovery_ms"), "{err}");
     }
 
     #[test]

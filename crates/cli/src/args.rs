@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing for the `parulel` binary.
 
-use parulel_engine::{AutoCcc, Budgets, EvalMode, GuardMode, MatcherKind, MetricsLevel, Strategy};
+use parulel_engine::{AutoCcc, Budgets, GuardMode, MatcherKind, MetricsLevel, Strategy};
 use std::time::Duration;
 
 /// Usage text shown by `--help` and on argument errors.
@@ -18,9 +18,6 @@ RUN OPTIONS:
   --engine parallel|lex|mea     firing policy: PARULEL fire-all, or
                                 OPS5 select-one LEX/MEA    [parallel]
   --matcher rete|treat|naive|prete:N|ptreat:N  (N >= 1)    [rete]
-  --eval bytecode|tree          evaluate rules via compiled stack
-                                bytecode or by walking the IR
-                                (identical results)        [bytecode]
   --auto-ccc [N]                metrics-driven copy-and-constrain: after
                                 N cycles (default 3), split the hottest
                                 rule across workers if shard work is
@@ -89,8 +86,6 @@ pub struct RunOpts {
     pub engine: EngineChoice,
     /// Matcher selection.
     pub matcher: MatcherKind,
-    /// Rule-evaluation backend (`--eval`).
-    pub eval: EvalMode,
     /// Metrics-driven copy-and-constrain (`--auto-ccc [N]`).
     pub auto_ccc: Option<AutoCcc>,
     /// Guard mode.
@@ -230,7 +225,6 @@ impl Command {
                     file,
                     engine: EngineChoice::Parallel,
                     matcher: MatcherKind::Rete,
-                    eval: EvalMode::default(),
                     auto_ccc: None,
                     guard: GuardMode::Off,
                     max_cycles: 1_000_000,
@@ -256,12 +250,6 @@ impl Command {
                             }
                         }
                         "--matcher" => opts.matcher = parse_matcher(&next_val(&mut it, flag)?)?,
-                        "--eval" => {
-                            let mode = next_val(&mut it, flag)?;
-                            opts.eval = EvalMode::parse(&mode).ok_or_else(|| {
-                                format!("unknown eval mode '{mode}' (want bytecode|tree)")
-                            })?;
-                        }
                         // `--auto-ccc` is bare (defaults) or takes an
                         // optional cycle count, like `--trace [FILE]`.
                         "--auto-ccc" => match it.clone().next() {
@@ -498,22 +486,7 @@ mod tests {
         assert_eq!(o.file, "prog.pll");
         assert_eq!(o.engine, EngineChoice::Parallel);
         assert_eq!(o.matcher, MatcherKind::Rete);
-        assert_eq!(o.eval, EvalMode::Bytecode);
         assert!(!o.trace && !o.stats && !o.dump_wm && !o.no_log);
-    }
-
-    #[test]
-    fn eval_flag_parses() {
-        let Ok(Command::Run(o)) = parse(&["run", "x", "--eval", "tree"]) else {
-            panic!()
-        };
-        assert_eq!(o.eval, EvalMode::Tree);
-        let Ok(Command::Run(o)) = parse(&["run", "x", "--eval", "bytecode"]) else {
-            panic!()
-        };
-        assert_eq!(o.eval, EvalMode::Bytecode);
-        assert!(parse(&["run", "x", "--eval"]).is_err());
-        assert!(parse(&["run", "x", "--eval", "jit"]).is_err());
     }
 
     #[test]

@@ -90,7 +90,6 @@ pub fn run(opts: &RunOpts, out: &mut dyn Write) -> i32 {
     }
     let engine_opts = EngineOptions {
         matcher: opts.matcher,
-        eval: opts.eval,
         auto_ccc: opts.auto_ccc,
         max_cycles: opts.max_cycles,
         collect_log: !opts.no_log,
@@ -410,14 +409,13 @@ pub fn serve(opts: &ServeOpts, out: &mut dyn Write) -> i32 {
                 opts.max_sessions
             );
             let server = servers.into_iter().next().expect("one stdio server");
-            parulel_server::serve_stdio_with(std::sync::Arc::new(std::sync::Mutex::new(server)))
+            parulel_server::serve_stdio(server)
         }
         ServeTransport::Tcp(addr) => parulel_server::spawn_sched_tcp(
             servers,
             opts.run_quantum,
             SHARD_INBOX,
             addr,
-            parulel_server::EventLoopOpts::default(),
         )
         .map(|(bound, dispatcher)| {
             let _ = writeln!(out, "listening on tcp {bound}");
@@ -425,13 +423,7 @@ pub fn serve(opts: &ServeOpts, out: &mut dyn Write) -> i32 {
         }),
         ServeTransport::Unix(path) => {
             let _ = writeln!(out, "listening on unix {path}");
-            parulel_server::serve_sched_unix(
-                servers,
-                opts.run_quantum,
-                SHARD_INBOX,
-                path,
-                parulel_server::EventLoopOpts::default(),
-            )
+            parulel_server::serve_sched_unix(servers, opts.run_quantum, SHARD_INBOX, path)
         }
     };
     match result {

@@ -297,7 +297,7 @@ fn cartesian<'a>(lists: &[&'a [Symbol]]) -> Vec<Vec<&'a Symbol>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineOptions, ParallelEngine};
+    use crate::{Engine, EngineOptions};
     use parulel_core::{Value, WorkingMemory};
     use parulel_lang::compile;
 
@@ -322,14 +322,14 @@ mod tests {
     #[test]
     fn split_preserves_semantics() {
         let p = compile(CLOSURE).unwrap();
-        let mut base = ParallelEngine::new(&p, closure_wm(&p), EngineOptions::default());
+        let mut base = Engine::new(&p, closure_wm(&p), EngineOptions::default());
         base.run().unwrap();
         let want = base.wm().canonical_facts();
 
         for k in [1, 2, 4] {
             let split = copy_and_constrain(&p, "close", k).unwrap();
             assert_eq!(split.rules().len(), 1 + k as usize);
-            let mut e = ParallelEngine::new(&split, closure_wm(&split), EngineOptions::default());
+            let mut e = Engine::new(&split, closure_wm(&split), EngineOptions::default());
             e.run().unwrap();
             assert_eq!(e.wm().canonical_facts(), want, "k={k}");
         }
@@ -341,7 +341,7 @@ mod tests {
         let split = copy_and_constrain(&p, "seed", 3).unwrap();
         // Run only one cycle: the seeds fired must equal the edge count,
         // i.e. no edge is matched by two copies and none is dropped.
-        let mut e = ParallelEngine::new(&split, closure_wm(&split), EngineOptions::default());
+        let mut e = Engine::new(&split, closure_wm(&split), EngineOptions::default());
         e.step().unwrap();
         let reach = split.classes.id_of(split.interner.intern("reach")).unwrap();
         assert_eq!(e.wm().iter_class(reach).count(), 5);
@@ -368,7 +368,7 @@ mod tests {
         for (i, prio) in [(1, 30), (2, 10), (3, 20)] {
             wm.insert(req, vec![Value::Int(i), Value::Int(prio)]);
         }
-        let mut e = ParallelEngine::new(&split, wm, EngineOptions::default());
+        let mut e = Engine::new(&split, wm, EngineOptions::default());
         let out = e.run().unwrap();
         assert_eq!(out.cycles, 3, "min-prio serialization survives the split");
     }
@@ -395,9 +395,9 @@ mod tests {
         }
 
         // Same fixpoint as the id-shifting variant.
-        let mut base = ParallelEngine::new(&p, closure_wm(&p), EngineOptions::default());
+        let mut base = Engine::new(&p, closure_wm(&p), EngineOptions::default());
         base.run().unwrap();
-        let mut e = ParallelEngine::new(&split, closure_wm(&split), EngineOptions::default());
+        let mut e = Engine::new(&split, closure_wm(&split), EngineOptions::default());
         e.run().unwrap();
         assert_eq!(e.wm().canonical_facts(), base.wm().canonical_facts());
     }
@@ -423,7 +423,7 @@ mod tests {
     fn auto_ccc_splits_preserving_semantics_and_determinism() {
         use crate::{AutoCcc, MatcherKind};
         let p = compile(CLOSURE).unwrap();
-        let mut base = ParallelEngine::new(&p, closure_wm(&p), EngineOptions::default());
+        let mut base = Engine::new(&p, closure_wm(&p), EngineOptions::default());
         base.run().unwrap();
         let want = base.wm().canonical_facts();
 
@@ -437,7 +437,7 @@ mod tests {
                 }),
                 ..EngineOptions::default()
             };
-            let mut e = ParallelEngine::new(&p, closure_wm(&p), opts);
+            let mut e = Engine::new(&p, closure_wm(&p), opts);
             let out = e.run().unwrap();
             (
                 out.cycles,
@@ -481,11 +481,11 @@ mod tests {
             ..EngineOptions::default()
         };
         // The uninterrupted reference run.
-        let mut full = ParallelEngine::new(&p, closure_wm(&p), opts());
+        let mut full = Engine::new(&p, closure_wm(&p), opts());
         full.run().unwrap();
 
         // Stop mid-run, after the split has been applied.
-        let mut part = ParallelEngine::new(&p, closure_wm(&p), opts());
+        let mut part = Engine::new(&p, closure_wm(&p), opts());
         for _ in 0..3 {
             part.step().unwrap();
         }
@@ -505,7 +505,7 @@ mod tests {
         // Resume against the ORIGINAL program: the recorded split is
         // re-applied before the `name~k` refraction keys are bound, and
         // the continuation must not split again.
-        let mut resumed = ParallelEngine::resume(&p, &snap, opts()).unwrap();
+        let mut resumed = Engine::resume(&p, &snap, opts()).unwrap();
         assert_eq!(resumed.program().rules().len(), 3, "split re-applied");
         resumed.run().unwrap();
         assert!(
@@ -534,7 +534,7 @@ mod tests {
         // Restoring onto an engine whose program is ALREADY split (the
         // serve rewind path) skips the re-application instead of
         // double-splitting.
-        let mut rewound = ParallelEngine::resume(&p, &snap, opts()).unwrap();
+        let mut rewound = Engine::resume(&p, &snap, opts()).unwrap();
         rewound.restore(&snap).unwrap();
         assert_eq!(rewound.program().rules().len(), 3);
         rewound.run().unwrap();
@@ -553,7 +553,7 @@ mod tests {
             }),
             ..EngineOptions::default()
         };
-        let mut e = ParallelEngine::new(&p, closure_wm(&p), opts);
+        let mut e = Engine::new(&p, closure_wm(&p), opts);
         e.run().unwrap();
         assert!(e.log().iter().all(|l| !l.starts_with("auto-ccc")));
         assert_eq!(e.program().rules().len(), 2, "program untouched");

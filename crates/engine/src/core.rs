@@ -6,8 +6,7 @@
 //! metrics, trace events, and run statistics. The one phase where OPS5
 //! and PARULEL differ — *which eligible instantiations fire* — is
 //! delegated to a [`FiringPolicy`]. There is exactly one cycle loop in
-//! this crate; `ParallelEngine` and `SerialEngine` are thin constructors
-//! over it.
+//! this crate, and one engine type over it.
 //!
 //! Every cycle: take the eligible (unrefracted) conflict set, ask the
 //! policy which instantiations fire (PARULEL: meta-rule redaction plus
@@ -1037,3 +1036,6 @@ impl std::fmt::Display for ReloadError {
 }
 
 impl std::error::Error for ReloadError {}
+
+#[cfg(test)]
+mod tests;

@@ -26,7 +26,7 @@ const MAX_NAMED_RULES: usize = 3;
 /// unlimited — zero overhead beyond a few branch checks per cycle.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Budgets {
-    /// Wall-clock budget for one [`run`](crate::ParallelEngine::run)
+    /// Wall-clock budget for one [`run`](crate::Engine::run)
     /// call, checked before each cycle starts.
     pub timeout: Option<Duration>,
     /// Maximum live WMEs after a cycle commits.

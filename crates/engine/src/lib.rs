@@ -31,8 +31,8 @@
 //! * [`FiringPolicy::SelectOne`] — the OPS5 baseline every speedup
 //!   table compares against: one LEX/MEA winner per cycle.
 //!
-//! [`ParallelEngine`] (an alias) and [`SerialEngine`] (a thin wrapper)
-//! are the policy-flavoured constructors over the same kernel.
+//! [`Engine::new`] builds the fire-all engine; [`Engine::with_policy`]
+//! takes any policy.
 //!
 //! ## Copy-and-constrain ([`ccc`])
 //!
@@ -53,10 +53,8 @@ pub mod interference;
 pub mod json;
 pub mod meta;
 pub mod metrics;
-pub mod parallel;
 pub mod policy;
 pub mod refraction;
-pub mod serial;
 pub mod snapshot;
 pub mod stats;
 
@@ -67,9 +65,7 @@ pub use guard::Budgets;
 pub use interference::GuardMode;
 pub use json::Json;
 pub use metrics::{EngineMetrics, MetricsLevel, RuleMetrics, TraceBuffer, TraceEvent};
-pub use parallel::ParallelEngine;
 pub use policy::{FiringPolicy, Strategy};
-pub use serial::SerialEngine;
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{CycleStats, CycleTrace, Outcome, RunStats};
 

@@ -1,7 +1,7 @@
 //! Checkpoint/resume: a versioned, self-contained capture of engine
 //! state.
 //!
-//! A [`Snapshot`] holds everything [`crate::ParallelEngine`] needs to
+//! A [`Snapshot`] holds everything [`crate::Engine`] needs to
 //! continue a run exactly where it stopped: the working memory (with the
 //! original WME ids and the id counter), the refraction table, the cycle
 //! counter and aggregate statistics, and the collected log/traces. The
@@ -25,24 +25,17 @@ use crate::stats::{CycleTrace, RunStats};
 use std::fmt;
 use std::time::Duration;
 
-/// Current snapshot wire-format version.
+/// The snapshot wire-format version: the only one this build writes
+/// *and* reads ([`Snapshot::from_bytes`] refuses every other value).
 ///
-/// * v1 — the original format (PR 1): no policy tag.
-/// * v2 — adds the firing-policy tag right after the version field.
-///   v1 files still decode; the policy migrates to `"fire-all"`, the
-///   only policy that could have produced them.
-/// * v3 — appends the applied copy-and-constrain splits at the end of
-///   the stream, so a checkpoint taken after a metrics-driven split
-///   round-trips: resume re-applies the transform and the `name~k`
-///   refraction keys bind. v1/v2 files decode with no splits (none
-///   could have been recorded).
-/// * v4 — appends the evaluation-mode tag and the content-addressed
-///   rule store (rule name → canonical-bytecode content hash) at the
-///   very end. Informational on resume — the captured state is
-///   mode-agnostic, and resume recompiles the target program — but it
-///   lets tools detect which rules changed between a capture and the
-///   program resuming it. v1–v3 files decode as `"tree"` (the only
-///   evaluator that existed) with an empty store.
+/// The layout after the version field is: firing-policy tag, cycle
+/// state, working memory, refraction table, statistics, log, traces,
+/// the applied copy-and-constrain splits (so a checkpoint taken after a
+/// metrics-driven split round-trips: resume re-applies the transform
+/// and the `name~k` refraction keys bind), the evaluation-mode tag, and
+/// the content-addressed rule store (rule name → canonical-bytecode
+/// content hash; lets tools detect which rules changed between a
+/// capture and the program resuming it).
 pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The 4-byte magic prefix of every snapshot file.
@@ -88,7 +81,7 @@ pub struct Snapshot {
     /// (`"fire-all"`, `"select-one-lex"`, `"select-one-mea"`). Purely
     /// informational on resume — the captured state is policy-agnostic,
     /// so a continuation may run any policy — but lets tools and the
-    /// CLI report a policy switch. v1 snapshots migrate to `"fire-all"`.
+    /// CLI report a policy switch.
     pub policy: String,
     /// Cycles executed when the snapshot was taken.
     pub cycle: u64,
@@ -110,17 +103,17 @@ pub struct Snapshot {
     /// application order: `(original rule name, factor)`. Resume replays
     /// the transform against the target program so the split copies (and
     /// the `name~k` refraction keys above) exist again. Empty for runs
-    /// that never split (and for v1/v2 files).
+    /// that never split.
     pub splits: Vec<(String, u32)>,
     /// Evaluation mode that produced the capture (`"tree"` or
     /// `"bytecode"`). Informational: the captured state is identical in
     /// both modes (the differential suite proves it), so a continuation
-    /// may run either. v1–v3 files migrate to `"tree"`.
+    /// may run either.
     pub eval: String,
     /// The content-addressed rule store at capture time: `(rule name,
     /// canonical-bytecode content hash)`, sorted by name. Lets tools
     /// diff a capture against the program resuming it without either
-    /// source text. Empty for v1–v3 files.
+    /// source text.
     pub rule_hashes: Vec<(String, u64)>,
 }
 
@@ -156,7 +149,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads 1..={SNAPSHOT_VERSION})"
+                    "unsupported snapshot version {v} (this build reads {SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
@@ -249,8 +242,6 @@ impl Snapshot {
                 e.u64(*count as u64);
             }
         }
-        // v3: applied splits; v4: eval mode + rule store. Strictly
-        // appended so older segments keep their offsets.
         e.u64(self.splits.len() as u64);
         for (name, k) in &self.splits {
             e.str(name);
@@ -272,11 +263,10 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = d.u32()?;
-        if !(1..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        // v1 predates firing policies; only fire-all existed.
-        let policy = if version >= 2 { d.str()? } else { "fire-all".to_string() };
+        let policy = d.str()?;
         let cycle = d.u64()?;
         let halted = d.bool()?;
         let next_wme_id = d.u64()?;
@@ -285,7 +275,7 @@ impl Snapshot {
         for _ in 0..n_wmes {
             let id = d.u64()?;
             let class = d.str()?;
-            let n_fields = d.u32()? as usize;
+            let n_fields = d.len32()?;
             let mut fields = Vec::with_capacity(n_fields);
             for _ in 0..n_fields {
                 fields.push(match d.u8()? {
@@ -301,7 +291,7 @@ impl Snapshot {
         let mut refraction = Vec::with_capacity(n_keys);
         for _ in 0..n_keys {
             let rule = d.str()?;
-            let n = d.u32()? as usize;
+            let n = d.len32()?;
             let mut ids = Vec::with_capacity(n);
             for _ in 0..n {
                 ids.push(d.u64()?);
@@ -337,7 +327,7 @@ impl Snapshot {
             let redacted_guard = d.u64()? as usize;
             let adds = d.u64()? as usize;
             let removes = d.u64()? as usize;
-            let n_fired = d.u32()? as usize;
+            let n_fired = d.len32()?;
             let mut fired_rules = Vec::with_capacity(n_fired);
             for _ in 0..n_fired {
                 let rule = d.str()?;
@@ -353,25 +343,18 @@ impl Snapshot {
                 removes,
             });
         }
-        // v1/v2 predate recorded splits; none could have been applied.
-        let mut splits = Vec::new();
-        if version >= 3 {
-            let n_splits = d.len()?;
-            for _ in 0..n_splits {
-                let name = d.str()?;
-                splits.push((name, d.u32()?));
-            }
+        let n_splits = d.len()?;
+        let mut splits = Vec::with_capacity(n_splits);
+        for _ in 0..n_splits {
+            let name = d.str()?;
+            splits.push((name, d.u32()?));
         }
-        // v1–v3 predate the bytecode evaluator and the rule store.
-        let mut eval = String::from("tree");
-        let mut rule_hashes = Vec::new();
-        if version >= 4 {
-            eval = d.str()?;
-            let n = d.len()?;
-            for _ in 0..n {
-                let name = d.str()?;
-                rule_hashes.push((name, d.u64()?));
-            }
+        let eval = d.str()?;
+        let n_hashes = d.len()?;
+        let mut rule_hashes = Vec::with_capacity(n_hashes);
+        for _ in 0..n_hashes {
+            let name = d.str()?;
+            rule_hashes.push((name, d.u64()?));
         }
         if !d.done() {
             return Err(SnapshotError::Malformed("trailing bytes"));
@@ -459,14 +442,22 @@ impl<'a> Dec<'a> {
     fn duration(&mut self) -> Result<Duration, SnapshotError> {
         Ok(Duration::from_nanos(self.u64()?))
     }
-    /// A u64 count, sanity-capped against the remaining input so a
-    /// corrupt length cannot trigger a huge allocation.
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
+    /// An element count, capped against the remaining input (every
+    /// element encodes to at least one byte) so a corrupt length cannot
+    /// trigger a huge allocation.
+    fn capped(&self, n: u64) -> Result<usize, SnapshotError> {
         if n > (self.bytes.len() - self.pos) as u64 {
             return Err(SnapshotError::Truncated);
         }
         Ok(n as usize)
+    }
+    fn len(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.u64()?;
+        self.capped(n)
+    }
+    fn len32(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.u32()?;
+        self.capped(n as u64)
     }
     fn str(&mut self) -> Result<String, SnapshotError> {
         let n = self.u32()? as usize;
@@ -531,18 +522,6 @@ mod tests {
         }
     }
 
-    /// The byte length of `snap`'s trailing splits segment (v3).
-    fn splits_tail_len(snap: &Snapshot) -> usize {
-        8 + snap.splits.iter().map(|(n, _)| 4 + n.len() + 4).sum::<usize>()
-    }
-
-    /// The byte length of `snap`'s trailing eval + rule-store segment (v4).
-    fn eval_tail_len(snap: &Snapshot) -> usize {
-        4 + snap.eval.len()
-            + 8
-            + snap.rule_hashes.iter().map(|(n, _)| 4 + n.len() + 8).sum::<usize>()
-    }
-
     #[test]
     fn roundtrip_is_identity() {
         let snap = sample();
@@ -560,11 +539,15 @@ mod tests {
             Snapshot::from_bytes(b"nope").unwrap_err(),
             SnapshotError::BadMagic
         );
-        bytes[4] = 0xFF; // version field
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion(_)
-        ));
+        // Exactly one version decodes: older ones are refused like
+        // future ones, not migrated.
+        for version in [SNAPSHOT_VERSION - 1, 0xFF] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                SnapshotError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]
@@ -600,70 +583,49 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_decode_with_fire_all_policy() {
-        // Rebuild the exact v1 byte stream from a v3 one: drop the
-        // policy segment and the splits tail, patch the version field
-        // back to 1. v1 files predate policies, so decoding migrates to
-        // "fire-all" (and no splits).
-        let snap = sample();
-        let v4 = snap.to_bytes();
-        let tail = splits_tail_len(&snap) + eval_tail_len(&snap);
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&v4[..4]);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&v4[8 + 4 + snap.policy.len()..v4.len() - tail]);
-        let back = Snapshot::from_bytes(&v1).unwrap();
-        assert_eq!(back.policy, "fire-all");
-        let expect = Snapshot {
-            policy: "fire-all".into(),
-            splits: Vec::new(),
-            eval: "tree".into(),
-            rule_hashes: Vec::new(),
-            ..snap
-        };
-        assert_eq!(back, expect);
-        // Re-encoding a migrated snapshot writes the current version.
-        assert_eq!(
-            Snapshot::from_bytes(&back.to_bytes()).unwrap().policy,
-            "fire-all"
-        );
-    }
-
-    #[test]
-    fn v2_snapshots_decode_with_no_splits() {
-        // A v2 stream is the current stream minus the v3 and v4 tails,
-        // with the version field patched back. Decoding yields the same
-        // capture with an empty split list and the migration defaults.
-        let snap = sample();
-        let v4 = snap.to_bytes();
-        let tail = splits_tail_len(&snap) + eval_tail_len(&snap);
-        let mut v2 = v4[..v4.len() - tail].to_vec();
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let back = Snapshot::from_bytes(&v2).unwrap();
-        let expect = Snapshot {
-            splits: Vec::new(),
-            eval: "tree".into(),
-            rule_hashes: Vec::new(),
-            ..snap
-        };
-        assert_eq!(back, expect);
-    }
-
-    #[test]
-    fn v3_snapshots_decode_with_tree_eval_and_no_rule_store() {
-        // A v3 stream is the current stream minus the v4 tail. Splits
-        // survive; the eval tag and rule store take migration defaults.
-        let snap = sample();
-        let v4 = snap.to_bytes();
-        let mut v3 = v4[..v4.len() - eval_tail_len(&snap)].to_vec();
-        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-        let back = Snapshot::from_bytes(&v3).unwrap();
-        let expect = Snapshot {
-            eval: "tree".into(),
-            rule_hashes: Vec::new(),
-            ..snap
-        };
-        assert_eq!(back, expect);
+    fn corrupt_u32_counts_cannot_demand_huge_allocation() {
+        // The three u32 element counts (a WME's fields, a refraction
+        // key's ids, a trace's fired rules) patched to u32::MAX: each
+        // would reserve tens of gigabytes if it reached
+        // `Vec::with_capacity` unchecked, and a failed reservation
+        // aborts the process rather than unwinding.
+        let base = sample();
+        // Offset of the WME count; earlier sections are emptied per case
+        // so every offset below is a sum of fixed-width fields.
+        let wmes_at = 4 + 4 + (4 + base.policy.len()) + 8 + 1 + 8;
+        let stats_len = 13 * 8;
+        let cases = [
+            (
+                base.clone(),
+                wmes_at + 8 + 8 + (4 + base.wmes[0].class.len()),
+                base.wmes[0].fields.len(),
+            ),
+            (
+                Snapshot { wmes: Vec::new(), ..base.clone() },
+                wmes_at + 8 + 8 + (4 + base.refraction[0].rule.len()),
+                base.refraction[0].wmes.len(),
+            ),
+            (
+                Snapshot {
+                    wmes: Vec::new(),
+                    refraction: Vec::new(),
+                    log: Vec::new(),
+                    ..base.clone()
+                },
+                wmes_at + 8 + 8 + stats_len + 8 + 8 + 6 * 8,
+                base.traces[0].fired_rules.len(),
+            ),
+        ];
+        for (snap, count_at, count) in cases {
+            let mut bytes = snap.to_bytes();
+            assert_eq!(bytes[count_at..count_at + 4], (count as u32).to_le_bytes());
+            bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                SnapshotError::Truncated,
+                "count at {count_at}"
+            );
+        }
     }
 
     #[test]

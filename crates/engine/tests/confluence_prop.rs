@@ -11,7 +11,7 @@ use parulel_core::ir::{
 };
 use parulel_core::{ClassRegistry, Expr, Interner, PredOp, Program, Value, WorkingMemory};
 use parulel_engine::{
-    Engine, EngineOptions, FiringPolicy, GuardMode, MatcherKind, SerialEngine, Strategy as Ops5,
+    Engine, EngineOptions, FiringPolicy, GuardMode, MatcherKind, Strategy as Ops5,
 };
 use proptest::prelude::*;
 
@@ -189,10 +189,10 @@ proptest! {
             }
         }
         for strategy in [Ops5::Lex, Ops5::Mea] {
-            let mut e = SerialEngine::new(
+            let mut e = Engine::with_policy(
                 &program,
                 make_wm(),
-                strategy,
+                FiringPolicy::SelectOne(strategy),
                 EngineOptions::default(),
             );
             let out = e.run().unwrap();

@@ -58,15 +58,10 @@ extern "C" {
 const F_SETFL: i32 = 4;
 const O_NONBLOCK: i32 = 0x800;
 
-/// Event-loop knobs.
-#[derive(Clone, Debug, Default)]
-pub struct EventLoopOpts {
-    /// Fallback poll timeout. `None` (the default) blocks indefinitely —
-    /// the self-pipe covers every wake source, so no periodic wakeup is
-    /// needed; tests set a short interval to pin down shutdown-latency
-    /// bounds without relying on signal delivery.
-    pub poll_interval: Option<Duration>,
-}
+/// `poll(2)` timeout: block indefinitely. The self-pipe covers every
+/// wake source (worker completions, signals), so no periodic wakeup is
+/// needed.
+const POLL_FOREVER: i32 = -1;
 
 /// Worker→dispatcher completion channel: finished responses plus the
 /// self-pipe poke that wakes `poll(2)`.
@@ -229,7 +224,7 @@ fn make_pipe() -> io::Result<(i32, i32)> {
 /// Serves `listener` through `sched` until a `shutdown` frame or
 /// SIGTERM/SIGINT. The scheduler is consumed: its workers are joined
 /// before this returns.
-fn event_loop(mut sched: Sched, listener: Listener, opts: EventLoopOpts) -> io::Result<()> {
+fn event_loop(mut sched: Sched, listener: Listener) -> io::Result<()> {
     install_signal_handlers();
     let (pipe_r, pipe_w) = make_pipe()?;
     register_signal_wake(pipe_w);
@@ -237,10 +232,6 @@ fn event_loop(mut sched: Sched, listener: Listener, opts: EventLoopOpts) -> io::
         queue: Mutex::new(Vec::new()),
         wake_fd: pipe_w,
     });
-    let timeout = opts
-        .poll_interval
-        .map(|d| d.as_millis().clamp(1, i32::MAX as u128) as i32)
-        .unwrap_or(-1);
     let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
     let mut next_conn = 0u64;
     let mut down = false;
@@ -274,9 +265,9 @@ fn event_loop(mut sched: Sched, listener: Listener, opts: EventLoopOpts) -> io::
             });
             ids.push(id);
         }
-        // EINTR and timeouts both fall through to the same recheck.
+        // EINTR falls through to the same recheck as a wake.
         unsafe {
-            poll(fds.as_mut_ptr(), fds.len() as u64, timeout);
+            poll(fds.as_mut_ptr(), fds.len() as u64, POLL_FOREVER);
         }
 
         drain_pipe(pipe_r);
@@ -473,38 +464,22 @@ fn read_frames(
     }
 }
 
-/// Binds `addr` and serves TCP through the sharded scheduler until a
-/// `shutdown` frame or SIGTERM/SIGINT. Blocks the caller.
-pub fn serve_sched_tcp(
-    servers: Vec<Server>,
-    quantum: u64,
-    inbox_cap: usize,
-    addr: &str,
-    opts: EventLoopOpts,
-) -> io::Result<SocketAddr> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let sched = Sched::start(servers, quantum, inbox_cap);
-    event_loop(sched, Listener::Tcp(listener), opts)?;
-    Ok(bound)
-}
-
-/// [`serve_sched_tcp`] on a background thread; returns the bound
-/// address and the dispatcher thread's handle (tests and benches).
+/// Binds `addr` and serves TCP through the sharded scheduler on a
+/// background thread until a `shutdown` frame or SIGTERM/SIGINT.
+/// Returns the bound address (resolving port 0) and the dispatcher
+/// thread's handle.
 pub fn spawn_sched_tcp(
     servers: Vec<Server>,
     quantum: u64,
     inbox_cap: usize,
     addr: &str,
-    opts: EventLoopOpts,
 ) -> io::Result<(SocketAddr, thread::JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let handle = thread::spawn(move || {
         let sched = Sched::start(servers, quantum, inbox_cap);
-        let _ = event_loop(sched, Listener::Tcp(listener), opts);
+        let _ = event_loop(sched, Listener::Tcp(listener));
     });
     Ok((bound, handle))
 }
@@ -516,11 +491,10 @@ pub fn serve_sched_unix(
     quantum: u64,
     inbox_cap: usize,
     path: &str,
-    opts: EventLoopOpts,
 ) -> io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
     let sched = Sched::start(servers, quantum, inbox_cap);
-    event_loop(sched, Listener::Unix(listener, path.to_string()), opts)
+    event_loop(sched, Listener::Unix(listener, path.to_string()))
 }

@@ -26,10 +26,9 @@
 //!   self-pipe): one dispatcher thread parses frames off every
 //!   connection, routes them to shard inboxes, and writes responses
 //!   back in per-connection request order.
-//! * [`transport`] — stdin/stdout line pump plus the legacy
-//!   thread-per-connection TCP/Unix transports over a `Mutex<Server>`
-//!   (kept as the single-lock baseline BENCH_serve compares against),
-//!   with graceful SIGTERM/SIGINT shutdown for the socket transports.
+//! * [`transport`] — the stdin/stdout line pump over one owned
+//!   [`Server`], plus the SIGTERM/SIGINT handlers the dispatcher uses
+//!   for graceful shutdown.
 //! * [`wal`] — the durability layer: a per-session write-ahead log of
 //!   accepted mutating frames (length-prefixed, CRC-checksummed,
 //!   log-before-apply) with configurable fsync policy and atomic
@@ -42,11 +41,11 @@
 //!
 //! `open` (program + policy + matcher + budgets), `inject` (batched WME
 //! deltas), `step`, `run`/`run-to-fixpoint`, `query` (per-class WM
-//! scan), `snapshot`/`restore` (snapshot v2 over hex), `metrics`
-//! (per-session counters, optionally the full parulel-metrics/v1
-//! report; without a session, server totals), `trace` (the session's
-//! structured event ring as JSONL), `close`, `ping`, `shutdown`. See
-//! `DESIGN.md` for the full frame reference.
+//! scan), `snapshot`/`restore` (the engine's snapshot bytes, hex
+//! encoded), `metrics` (per-session counters, optionally the full
+//! parulel-metrics/v1 report; without a session, server totals),
+//! `trace` (the session's structured event ring as JSONL), `close`,
+//! `ping`, `shutdown`. See `DESIGN.md` for the full frame reference.
 
 #![warn(missing_docs)]
 
@@ -59,14 +58,11 @@ pub mod session;
 pub mod transport;
 pub mod wal;
 
-pub use dispatch::{serve_sched_tcp, serve_sched_unix, spawn_sched_tcp, EventLoopOpts};
+pub use dispatch::{serve_sched_unix, spawn_sched_tcp};
 pub use protocol::{fingerprint_hex, wm_fingerprint, Failure};
 pub use recovery::{recover, recover_shard, RecoveryReport};
 pub use sched::{shard_of, Sched};
 pub use server::{Handled, Server, ServerConfig};
 pub use session::Session;
-pub use transport::{
-    serve_lines, serve_stdio, serve_stdio_with, serve_tcp, serve_tcp_with, serve_unix,
-    serve_unix_with, set_read_poll_interval, spawn_tcp,
-};
+pub use transport::{serve_lines, serve_stdio};
 pub use wal::{SyncPolicy, WalConfig};

@@ -1,10 +1,9 @@
 //! The sharded session scheduler: shared-nothing workers plus
 //! step-quantum time-slicing of long runs.
 //!
-//! The pre-scheduler daemon funneled every frame through one
-//! `Mutex<Server>`, so a single session's long `run` blocked every
-//! other connection. This module replaces that with PARULEL-shaped
-//! parallelism at the serving layer:
+//! A single session's long `run` must not block every other
+//! connection, so the serving layer is parallel in the same shape
+//! PARULEL is:
 //!
 //! * **Sharding** — sessions are distributed across N worker threads by
 //!   an FNV-1a hash of the session name ([`shard_of`]). Each worker

@@ -1,8 +1,8 @@
 //! The daemon core: a session table and a synchronous frame handler.
 //!
-//! [`Server::handle_line`] is the whole protocol — transports
-//! (stdin/stdout, TCP, Unix socket) are thin line pumps around it, and
-//! tests drive it directly. One request frame in, one response frame
+//! [`Server::handle_line`] is the whole protocol — the stdio pump and
+//! the scheduler's shard workers are thin loops around it, and tests
+//! drive it directly. One request frame in, one response frame
 //! out; the server never blocks inside a handler (injects queue, runs
 //! are bounded by the session's budgets/cycle limit).
 //!
@@ -25,7 +25,7 @@ use crate::session::{engine_failure, Session};
 use crate::wal::{SessionWal, SnapshotRecord, WalConfig};
 use parulel_core::Delta;
 use parulel_engine::{
-    Budgets, Engine, EngineOptions, EvalMode, FiringPolicy, GuardMode, Json, MatcherKind,
+    Budgets, Engine, EngineOptions, FiringPolicy, GuardMode, Json, MatcherKind,
     MetricsLevel, Snapshot, Strategy,
 };
 use std::collections::BTreeMap;
@@ -128,8 +128,8 @@ pub struct Server {
     peak_sessions: usize,
     frames: u64,
     errors: u64,
-    /// Shared so transports can check for shutdown without taking a
-    /// lock around the whole server.
+    /// One flag for the whole daemon: every shard's server holds the
+    /// same `Arc` (see [`Server::share_admission`]).
     shutdown: Arc<AtomicBool>,
     /// Durability configuration; `None` means the daemon runs exactly as
     /// before and nothing below touches disk.
@@ -207,15 +207,14 @@ impl Server {
         self.recovered += 1;
     }
 
-    /// True once a `shutdown` frame has been accepted; transports stop
-    /// pumping when they see it.
+    /// True once a `shutdown` frame has been accepted; the stdio pump
+    /// stops when it sees it.
     pub fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// A shared handle on the shutdown flag: transports clone it once
-    /// per connection and poll it lock-free instead of locking the
-    /// server just to check for shutdown.
+    /// A shared handle on the shutdown flag, for
+    /// [`share_admission`](Self::share_admission).
     pub fn shutdown_signal(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
@@ -227,7 +226,7 @@ impl Server {
 
     /// Makes this server admit sessions against `gauge` instead of its
     /// private one. The scheduler shares one gauge (and one shutdown
-    /// flag, for symmetric transports) across every shard's server so
+    /// flag) across every shard's server so
     /// `max_sessions` bounds the *daemon*, not each shard. Call before
     /// any session is opened or recovered.
     pub fn share_admission(&mut self, gauge: Arc<AtomicUsize>, shutdown: Arc<AtomicBool>) {
@@ -575,20 +574,6 @@ impl Server {
         persisted
     }
 
-    /// Signal-initiated graceful shutdown: marks the server down and,
-    /// when durability is on, compacts and fsyncs every live session's
-    /// WAL so the sessions recover at restart. Returns the number of
-    /// sessions persisted.
-    pub fn graceful_shutdown(&mut self) -> usize {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.drain_runs();
-        if self.wal.is_some() {
-            self.persist_all()
-        } else {
-            0
-        }
-    }
-
     /// The `sync` verb: fsync one session's log, or every log when no
     /// session is named. A protocol error when durability is off.
     fn sync_wal(&mut self, session: Option<&str>) -> Result<Json, Failure> {
@@ -742,15 +727,6 @@ impl Server {
             None => MatcherKind::Rete,
             Some(s) => parse_matcher(s)?,
         };
-        let eval = match frame.get("eval").and_then(|v| v.as_str()) {
-            None => EvalMode::default(),
-            Some(s) => EvalMode::parse(s).ok_or_else(|| {
-                Failure::new(
-                    kind::PROTOCOL,
-                    format!("unknown eval mode {s:?} (want bytecode|tree)"),
-                )
-            })?,
-        };
         let metrics = match frame.get("metrics").and_then(|v| v.as_str()) {
             None => self.config.metrics,
             Some("off") => MetricsLevel::Off,
@@ -765,7 +741,6 @@ impl Server {
         };
         Ok(EngineOptions {
             matcher,
-            eval,
             metrics,
             budgets,
             max_cycles: protocol::opt_u64(frame, "max_cycles")?.unwrap_or(self.config.max_cycles),

@@ -1,36 +1,28 @@
-//! Line pumps: stdio, TCP, and Unix-socket transports over one shared
-//! [`Server`].
+//! The stdio line pump, plus the SIGTERM/SIGINT plumbing the socket
+//! dispatcher ([`crate::dispatch`]) imports.
 //!
-//! Every transport is the same loop — read a line, hand it to
-//! [`Server::handle_line`], write the one-line response — so the
-//! protocol behaves identically everywhere and the synchronous core
-//! stays the single tested implementation. Socket transports serve each
-//! connection on its own thread against a `Mutex`-shared server: frames
-//! from concurrent clients interleave at frame granularity, which is
-//! exactly the protocol's unit of atomicity.
+//! The pump is the protocol at its plainest — read a line, hand it to
+//! [`Server::handle_line`], write the one-line response — over a single
+//! [`Server`] the caller owns outright. Sockets are served by the
+//! sharded scheduler's `poll(2)` dispatcher instead; both paths end in
+//! the same synchronous core, so the protocol behaves identically
+//! everywhere.
 //!
 //! ## Graceful shutdown
 //!
-//! The socket transports install SIGTERM/SIGINT handlers that only set
-//! an atomic flag; the accept loop (which already wakes every 10ms) and
-//! the per-connection pumps (which read with a short timeout) poll it.
-//! On a signal the server's [`Server::persist_all`] runs — every live
-//! session's WAL is compacted to a snapshot record and fsynced — before
-//! the process exits, so a politely-killed daemon recovers exactly like
-//! a `kill -9`'d one, just without replay. The stdio transport does
-//! *not* install handlers: its natural shutdown is EOF, and Ctrl-C
-//! should keep killing an interactive pipe immediately.
+//! The dispatcher installs SIGTERM/SIGINT handlers that set an atomic
+//! flag and poke its self-pipe, so a sleeping `poll(2)` wakes at once.
+//! On a signal every live session's WAL is compacted to a snapshot
+//! record and fsynced before the process exits, so a politely-killed
+//! daemon recovers exactly like a `kill -9`'d one, just without replay.
+//! The stdio pump does *not* install handlers: its natural shutdown is
+//! EOF, and Ctrl-C should keep killing an interactive pipe immediately.
 
-use crate::server::{Server, ServerConfig};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
+use crate::server::Server;
+use std::io::{self, BufRead, Write};
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 
-/// Set by the SIGTERM/SIGINT handler; polled by accept loops and pumps.
+/// Set by the SIGTERM/SIGINT handler; polled by the dispatcher.
 static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// A pipe write-end the signal handler pokes so a `poll(2)`-based
@@ -81,217 +73,30 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// How long a socket read blocks before the pump rechecks the shutdown
-/// flags, in milliseconds. Bounds graceful-shutdown latency for idle
-/// connections on the legacy thread-per-connection transports (the
-/// scheduler's dispatcher has no per-connection timeouts at all — it
-/// sleeps in `poll(2)` and is woken by the signal handler's self-pipe).
-static READ_POLL_MS: AtomicU64 = AtomicU64::new(250);
-
-/// Overrides the legacy transports' read-poll interval (tests shrink it
-/// to keep shutdown-latency assertions fast; operators can stretch it —
-/// each wake is now just two atomic loads, never a server lock).
-pub fn set_read_poll_interval(interval: Duration) {
-    READ_POLL_MS.store(interval.as_millis().max(1) as u64, Ordering::SeqCst);
-}
-
-fn read_poll_interval() -> Duration {
-    Duration::from_millis(READ_POLL_MS.load(Ordering::SeqCst))
-}
-
-/// Pumps one line-delimited stream through `server` until EOF or
-/// shutdown. The stdio transport, and the building block the socket
-/// transports run per connection.
-///
-/// Tolerates timed-out reads (sockets with a read timeout use them to
-/// poll for shutdown): a timeout mid-line keeps the partial line and
-/// resumes reading it.
+/// Pumps one line-delimited stream through `server` until EOF or a
+/// `shutdown` frame.
 pub fn serve_lines<R: BufRead, W: Write>(
-    server: &Arc<Mutex<Server>>,
+    server: &mut Server,
     mut input: R,
     output: &mut W,
 ) -> io::Result<()> {
-    // The shared shutdown signal: timed-out reads check it lock-free,
-    // so an idle connection's periodic wake never contends on the
-    // server mutex (the old behavior locked the whole server 4×/s per
-    // idle connection just to read one flag).
-    let down = server.lock().expect("server lock poisoned").shutdown_signal();
     let mut line = String::new();
-    loop {
-        match input.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let mut locked = server.lock().expect("server lock poisoned");
-                let response = locked.handle_line(&line);
-                let done = locked.shutting_down();
-                drop(locked);
-                line.clear();
-                if let Some(response) = response {
-                    output.write_all(response.as_bytes())?;
-                    output.write_all(b"\n")?;
-                    output.flush()?;
-                }
-                if done {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if down.load(Ordering::SeqCst) || signal_requested() {
-                    break;
-                }
-            }
-            Err(e) => return Err(e),
+    while input.read_line(&mut line)? != 0 {
+        if let Some(response) = server.handle_line(&line) {
+            output.write_all(response.as_bytes())?;
+            output.write_all(b"\n")?;
+            output.flush()?;
+        }
+        line.clear();
+        if server.shutting_down() {
+            break;
         }
     }
     Ok(())
 }
 
-/// Serves the process's stdin/stdout until EOF or a `shutdown` frame.
-pub fn serve_stdio(config: ServerConfig) -> io::Result<()> {
-    serve_stdio_with(Arc::new(Mutex::new(Server::new(config))))
-}
-
-/// [`serve_stdio`] over a prebuilt (possibly recovered) server.
-pub fn serve_stdio_with(server: Arc<Mutex<Server>>) -> io::Result<()> {
-    let stdin = io::stdin();
-    let mut stdout = io::stdout();
-    serve_lines(&server, stdin.lock(), &mut stdout)
-}
-
-/// Binds `addr` (e.g. `127.0.0.1:7466` or `127.0.0.1:0`) and serves TCP
-/// connections until a `shutdown` frame or SIGTERM/SIGINT arrives.
-/// Blocks the caller.
-pub fn serve_tcp(config: ServerConfig, addr: &str) -> io::Result<SocketAddr> {
-    serve_tcp_with(Arc::new(Mutex::new(Server::new(config))), addr)
-}
-
-/// [`serve_tcp`] over a prebuilt (possibly recovered) server. Installs
-/// the graceful-shutdown signal handlers.
-pub fn serve_tcp_with(server: Arc<Mutex<Server>>, addr: &str) -> io::Result<SocketAddr> {
-    install_signal_handlers();
-    let (bound, handle) = spawn_tcp(server, addr)?;
-    handle.join().expect("tcp accept thread panicked");
-    Ok(bound)
-}
-
-/// Binds `addr` and serves TCP connections on a background accept
-/// thread. Returns the bound address (resolving port 0) and the accept
-/// thread's handle, which finishes once a `shutdown` frame is served or
-/// a handled signal arrives.
-pub fn spawn_tcp(
-    server: Arc<Mutex<Server>>,
-    addr: &str,
-) -> io::Result<(SocketAddr, thread::JoinHandle<()>)> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    // Non-blocking accept so the loop can notice shutdown between
-    // connections (the daemon has no other wake-up source).
-    listener.set_nonblocking(true)?;
-    let handle = thread::spawn(move || {
-        let down = server.lock().expect("server lock poisoned").shutdown_signal();
-        let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let server = Arc::clone(&server);
-                    connections.push(thread::spawn(move || serve_tcp_conn(server, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if poll_shutdown(&server, &down) {
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => break,
-            }
-        }
-        for conn in connections {
-            let _ = conn.join();
-        }
-    });
-    Ok((bound, handle))
-}
-
-/// One accept-loop tick: reacts to a handled signal by persisting every
-/// session's WAL and marking the server down; reports whether the loop
-/// should exit.
-fn poll_shutdown(server: &Arc<Mutex<Server>>, down: &AtomicBool) -> bool {
-    // Steady state is lock-free: the accept loop only takes the server
-    // lock once a signal actually arrives.
-    if signal_requested() && !down.load(Ordering::SeqCst) {
-        let persisted = server
-            .lock()
-            .expect("server lock poisoned")
-            .graceful_shutdown();
-        if persisted > 0 {
-            eprintln!("parulel serve: signal received; persisted {persisted} session(s)");
-        }
-    }
-    down.load(Ordering::SeqCst)
-}
-
-fn serve_tcp_conn(server: Arc<Mutex<Server>>, stream: TcpStream) {
-    // One-line request/response frames: Nagle's algorithm only adds
-    // delayed-ACK stalls here.
-    let _ = stream.set_nodelay(true);
-    // Bounded reads so idle connections notice shutdown.
-    let _ = stream.set_read_timeout(Some(read_poll_interval()));
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    let _ = serve_lines(&server, reader, &mut writer);
-}
-
-/// Binds a Unix socket at `path` (removing a stale socket file first)
-/// and serves connections until a `shutdown` frame or SIGTERM/SIGINT
-/// arrives.
-pub fn serve_unix(config: ServerConfig, path: &str) -> io::Result<()> {
-    serve_unix_with(Arc::new(Mutex::new(Server::new(config))), path)
-}
-
-/// [`serve_unix`] over a prebuilt (possibly recovered) server. Installs
-/// the graceful-shutdown signal handlers.
-pub fn serve_unix_with(server: Arc<Mutex<Server>>, path: &str) -> io::Result<()> {
-    install_signal_handlers();
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let down = server.lock().expect("server lock poisoned").shutdown_signal();
-    let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let server = Arc::clone(&server);
-                connections.push(thread::spawn(move || serve_unix_conn(server, stream)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if poll_shutdown(&server, &down) {
-                    break;
-                }
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-    }
-    for conn in connections {
-        let _ = conn.join();
-    }
-    let _ = std::fs::remove_file(path);
-    Ok(())
-}
-
-fn serve_unix_conn(server: Arc<Mutex<Server>>, stream: UnixStream) {
-    let _ = stream.set_read_timeout(Some(read_poll_interval()));
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    let _ = serve_lines(&server, reader, &mut writer);
+/// Serves the process's stdin/stdout through a prebuilt (possibly
+/// recovered) server until EOF or a `shutdown` frame.
+pub fn serve_stdio(mut server: Server) -> io::Result<()> {
+    serve_lines(&mut server, io::stdin().lock(), &mut io::stdout())
 }

@@ -1,18 +1,20 @@
-//! The acceptance test for `parulel serve`: many concurrent sessions of
-//! the closure workload over the real TCP transport, to fixpoint, with
-//! one session budget-tripped mid-run — its structured `engine` error
-//! frame must not disturb any other session's final working memory.
+//! The acceptance tests for `parulel serve`: many concurrent sessions of
+//! the closure workload over the transport the product ships — the
+//! sharded scheduler behind real TCP sockets, at `--workers` 1 and 4.
 //!
 //! Every client drives its own socket from its own thread, so frames
-//! from all sessions interleave arbitrarily at the server; the per-
+//! from all sessions interleave arbitrarily at the daemon; the per-
 //! session fingerprints must nevertheless equal the one a solo run
-//! produces.
+//! produces, whatever a neighbor does meanwhile — trips a budget, is
+//! hot-swapped, or sends a hostile `restore`.
 
-use parulel_server::{Server, ServerConfig};
+use parulel_engine::Json;
+use parulel_server::{spawn_sched_tcp, Server, ServerConfig};
 use parulel_workloads::{closure::Closure, Scenario};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
+use std::thread::JoinHandle;
 
 const SESSIONS: usize = 8;
 const BATCH: usize = 8;
@@ -44,6 +46,14 @@ fn session_frames(name: &str, source: &str, edges: &[(i64, i64)], extra_open: &s
     frames
 }
 
+fn fingerprint_of(response: &str) -> Option<String> {
+    Json::parse(response)
+        .expect("response is JSON")
+        .get("fingerprint")
+        .and_then(|f| f.as_str())
+        .map(str::to_string)
+}
+
 /// Runs frames against a fresh solo server; returns the run frame's
 /// fingerprint.
 fn solo_fingerprint(source: &str, edges: &[(i64, i64)]) -> String {
@@ -53,15 +63,62 @@ fn solo_fingerprint(source: &str, edges: &[(i64, i64)]) -> String {
         let response = server.handle_line(&frame).expect("response");
         assert!(response.starts_with(r#"{"ok":true"#), "{response}");
         if response.contains(r#""op":"run""#) {
-            let doc = parulel_engine::Json::parse(&response).unwrap();
-            assert_eq!(doc.get("status").and_then(|s| s.as_str()), Some("quiescent"));
-            fingerprint = doc
-                .get("fingerprint")
-                .and_then(|f| f.as_str())
-                .map(str::to_string);
+            assert!(response.contains(r#""status":"quiescent""#), "{response}");
+            fingerprint = fingerprint_of(&response);
         }
     }
     fingerprint.expect("run frame carried a fingerprint")
+}
+
+/// A sharded daemon on an ephemeral port, wired the way the CLI wires
+/// it: `workers` servers sharing one admission gauge and shutdown flag.
+fn start(config: ServerConfig, workers: usize) -> (SocketAddr, JoinHandle<()>) {
+    let mut servers: Vec<Server> = Vec::with_capacity(workers);
+    for _ in 0..workers {
+        let mut server = Server::new(config.clone());
+        if let Some(first) = servers.first() {
+            server.share_admission(first.admission_gauge(), first.shutdown_signal());
+        }
+        servers.push(server);
+    }
+    spawn_sched_tcp(servers, 32, 256, "127.0.0.1:0").expect("bind scheduler")
+}
+
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).ok();
+        Client {
+            reader: BufReader::new(stream.try_clone().expect("clone")),
+            writer: stream,
+        }
+    }
+
+    fn roundtrip(&mut self, frame: &str) -> String {
+        self.writer.write_all(frame.as_bytes()).expect("write");
+        self.writer.write_all(b"\n").expect("write");
+        let mut response = String::new();
+        self.reader.read_line(&mut response).expect("read");
+        assert!(!response.is_empty(), "daemon closed the connection on {frame}");
+        response.trim_end().to_string()
+    }
+
+    fn send_ok(&mut self, frame: &str) -> String {
+        let response = self.roundtrip(frame);
+        assert!(response.starts_with(r#"{"ok":true"#), "{frame} -> {response}");
+        response
+    }
+}
+
+/// Stops the daemon the way a client does: a `shutdown` frame over TCP.
+fn shutdown(addr: SocketAddr, daemon: JoinHandle<()>) {
+    Client::connect(addr).send_ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon exits");
 }
 
 #[test]
@@ -71,92 +128,85 @@ fn eight_concurrent_closure_sessions_survive_a_neighbors_budget_trip() {
     let edges: Vec<(i64, i64)> = scenario.edges().to_vec();
     let expected = solo_fingerprint(&source, &edges);
 
-    let server = Arc::new(Mutex::new(Server::new(ServerConfig {
-        max_sessions: SESSIONS + 1,
-        ..ServerConfig::default()
-    })));
-    let (addr, accept_thread) =
-        parulel_server::spawn_tcp(Arc::clone(&server), "127.0.0.1:0").expect("bind");
-
-    let mut clients = Vec::new();
-    // 8 healthy sessions…
-    for i in 0..SESSIONS {
-        let (source, edges) = (source.clone(), edges.clone());
-        clients.push(std::thread::spawn(move || -> (String, Option<String>) {
-            let name = format!("closure-{i}");
-            let stream = TcpStream::connect(addr).expect("connect");
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            let mut fingerprint = None;
-            for frame in session_frames(&name, &source, &edges, "") {
-                writer.write_all(frame.as_bytes()).unwrap();
-                writer.write_all(b"\n").unwrap();
-                let mut response = String::new();
-                reader.read_line(&mut response).unwrap();
-                assert!(response.starts_with(r#"{"ok":true"#), "{name}: {response}");
-                if response.contains(r#""op":"run""#) {
-                    fingerprint = parulel_engine::Json::parse(&response)
-                        .unwrap()
-                        .get("fingerprint")
-                        .and_then(|f| f.as_str())
-                        .map(str::to_string);
-                }
-            }
-            (name, fingerprint)
-        }));
-    }
-    // …and one doomed one: a WM budget that must trip on cycle 1.
-    let doomed = {
-        let (source, edges) = (source.clone(), edges.clone());
-        std::thread::spawn(move || -> String {
-            let stream = TcpStream::connect(addr).expect("connect");
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            let mut error_frame = String::new();
-            for frame in session_frames("doomed", &source, &edges, r#","max_wm":45"#) {
-                writer.write_all(frame.as_bytes()).unwrap();
-                writer.write_all(b"\n").unwrap();
-                let mut response = String::new();
-                reader.read_line(&mut response).unwrap();
-                if frame.contains(r#""op":"run""#) {
-                    error_frame = response.trim().to_string();
-                    break; // the close would only see unknown-session
-                }
-                assert!(response.starts_with(r#"{"ok":true"#), "doomed: {response}");
-            }
-            error_frame
-        })
-    };
-
-    let error_frame = doomed.join().expect("doomed client");
-    let doc = parulel_engine::Json::parse(&error_frame).expect("error frame is JSON");
-    assert_eq!(doc.get("ok"), Some(&parulel_engine::Json::Bool(false)));
-    let err = doc.get("error").expect("structured error");
-    assert_eq!(err.get("kind").and_then(|k| k.as_str()), Some("engine"));
-    assert_eq!(err.get("engine_kind").and_then(|k| k.as_str()), Some("wm"));
-    assert_eq!(doc.get("closed"), Some(&parulel_engine::Json::Bool(true)));
-
-    for client in clients {
-        let (name, fingerprint) = client.join().expect("client thread");
-        assert_eq!(
-            fingerprint.as_deref(),
-            Some(expected.as_str()),
-            "{name}: final WM diverged from the solo run"
+    for workers in [1, 4] {
+        let (addr, daemon) = start(
+            ServerConfig {
+                max_sessions: SESSIONS + 1,
+                ..ServerConfig::default()
+            },
+            workers,
         );
-    }
+        // Every session is open before any proceeds, so all nine are
+        // resident at once no matter how the client threads are scheduled.
+        let all_open = Arc::new(Barrier::new(SESSIONS + 1));
 
-    // All sessions closed (the doomed one by its trip); the daemon is
-    // still serving, and it saw all nine resident at peak.
-    {
-        let mut locked = server.lock().unwrap();
-        let metrics = locked.handle_line(r#"{"op":"metrics"}"#).unwrap();
-        let doc = parulel_engine::Json::parse(&metrics).unwrap();
+        let mut clients = Vec::new();
+        // 8 healthy sessions…
+        for i in 0..SESSIONS {
+            let (source, edges, all_open) = (source.clone(), edges.clone(), Arc::clone(&all_open));
+            clients.push(std::thread::spawn(move || -> (String, Option<String>) {
+                let name = format!("closure-{i}");
+                let mut client = Client::connect(addr);
+                let mut fingerprint = None;
+                for (k, frame) in session_frames(&name, &source, &edges, "").iter().enumerate() {
+                    let response = client.send_ok(frame);
+                    if k == 0 {
+                        all_open.wait();
+                    }
+                    if response.contains(r#""op":"run""#) {
+                        fingerprint = fingerprint_of(&response);
+                    }
+                }
+                (name, fingerprint)
+            }));
+        }
+        // …and one doomed one: a WM budget that must trip on cycle 1.
+        let doomed = {
+            let (source, edges, all_open) = (source.clone(), edges.clone(), Arc::clone(&all_open));
+            std::thread::spawn(move || -> String {
+                let mut client = Client::connect(addr);
+                let frames = session_frames("doomed", &source, &edges, r#","max_wm":45"#);
+                // Everything up to the run succeeds; the close after it
+                // would only see unknown-session.
+                let (run, before_run) = frames[..frames.len() - 1].split_last().unwrap();
+                for (k, frame) in before_run.iter().enumerate() {
+                    client.send_ok(frame);
+                    if k == 0 {
+                        all_open.wait();
+                    }
+                }
+                client.roundtrip(run)
+            })
+        };
+
+        let error_frame = doomed.join().expect("doomed client");
+        let doc = Json::parse(&error_frame).expect("error frame is JSON");
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
+        let err = doc.get("error").expect("structured error");
+        assert_eq!(err.get("kind").and_then(|k| k.as_str()), Some("engine"));
+        assert_eq!(err.get("engine_kind").and_then(|k| k.as_str()), Some("wm"));
+        assert_eq!(doc.get("closed"), Some(&Json::Bool(true)));
+
+        for client in clients {
+            let (name, fingerprint) = client.join().expect("client thread");
+            assert_eq!(
+                fingerprint.as_deref(),
+                Some(expected.as_str()),
+                "{name} (workers={workers}): final WM diverged from the solo run"
+            );
+        }
+
+        // All sessions closed (the doomed one by its trip); the daemon is
+        // still serving, and it saw all nine resident at peak.
+        let metrics = Client::connect(addr).send_ok(r#"{"op":"metrics"}"#);
+        let doc = Json::parse(&metrics).unwrap();
         assert_eq!(doc.get("sessions").unwrap().as_f64(), Some(0.0));
-        let peak = doc.get("peak_sessions").unwrap().as_f64().unwrap();
-        assert!(peak >= SESSIONS as f64, "peak {peak} < {SESSIONS}");
-        locked.handle_line(r#"{"op":"shutdown"}"#).unwrap();
+        assert_eq!(
+            doc.get("peak_sessions").unwrap().as_f64(),
+            Some((SESSIONS + 1) as f64)
+        );
+        shutdown(addr, daemon);
     }
-    accept_thread.join().expect("accept thread");
 }
 
 /// Live hot-swap under concurrency: eight TCP sessions run the closure
@@ -175,67 +225,112 @@ fn reloading_one_session_leaves_seven_neighbors_undisturbed() {
     // the reachability fixpoint (and thus the fingerprint) is identical.
     let source_v2 = format!("{source}\n(p audit (reach ^from <a> ^to <b>) --> (write audit <a> <b>))");
 
-    let server = Arc::new(Mutex::new(Server::new(ServerConfig {
-        max_sessions: SESSIONS,
-        ..ServerConfig::default()
-    })));
-    let (addr, accept_thread) =
-        parulel_server::spawn_tcp(Arc::clone(&server), "127.0.0.1:0").expect("bind");
+    for workers in [1, 4] {
+        let (addr, daemon) = start(
+            ServerConfig {
+                max_sessions: SESSIONS,
+                ..ServerConfig::default()
+            },
+            workers,
+        );
 
-    let mut clients = Vec::new();
-    for i in 0..SESSIONS {
-        let (source, source_v2, edges) = (source.clone(), source_v2.clone(), edges.clone());
-        clients.push(std::thread::spawn(move || -> (String, Option<String>) {
-            let name = format!("closure-{i}");
-            let stream = TcpStream::connect(addr).expect("connect");
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            let mut send = |frame: &str| -> String {
-                writer.write_all(frame.as_bytes()).unwrap();
-                writer.write_all(b"\n").unwrap();
-                let mut response = String::new();
-                reader.read_line(&mut response).unwrap();
-                response
-            };
-            let mut fingerprint = None;
-            let frames = session_frames(&name, &source, &edges, "");
-            let midpoint = frames.len() / 2;
-            for (k, frame) in frames.iter().enumerate() {
-                // Session 0 gets hot-swapped between inject batches:
-                // identity first, then the audit variant.
-                if i == 0 && k == midpoint {
-                    for (swap, want) in
-                        [(&source, r#""changed":[]"#), (&source_v2, r#""added":["audit"]"#)]
-                    {
-                        let r = send(&format!(
-                            r#"{{"op":"reload","session":"{name}","program":"{}"}}"#,
-                            escape(swap)
-                        ));
-                        assert!(r.starts_with(r#"{"ok":true"#), "{name}: {r}");
-                        assert!(r.contains(want), "{name}: {r}");
+        let mut clients = Vec::new();
+        for i in 0..SESSIONS {
+            let (source, source_v2, edges) = (source.clone(), source_v2.clone(), edges.clone());
+            clients.push(std::thread::spawn(move || -> (String, Option<String>) {
+                let name = format!("closure-{i}");
+                let mut client = Client::connect(addr);
+                let mut fingerprint = None;
+                let frames = session_frames(&name, &source, &edges, "");
+                let midpoint = frames.len() / 2;
+                for (k, frame) in frames.iter().enumerate() {
+                    // Session 0 gets hot-swapped between inject batches:
+                    // identity first, then the audit variant.
+                    if i == 0 && k == midpoint {
+                        for (swap, want) in
+                            [(&source, r#""changed":[]"#), (&source_v2, r#""added":["audit"]"#)]
+                        {
+                            let r = client.send_ok(&format!(
+                                r#"{{"op":"reload","session":"{name}","program":"{}"}}"#,
+                                escape(swap)
+                            ));
+                            assert!(r.contains(want), "{name}: {r}");
+                        }
+                    }
+                    let response = client.send_ok(frame);
+                    if response.contains(r#""op":"run""#) {
+                        fingerprint = fingerprint_of(&response);
                     }
                 }
-                let response = send(frame);
-                assert!(response.starts_with(r#"{"ok":true"#), "{name}: {response}");
-                if response.contains(r#""op":"run""#) {
-                    fingerprint = parulel_engine::Json::parse(&response)
-                        .unwrap()
-                        .get("fingerprint")
-                        .and_then(|f| f.as_str())
-                        .map(str::to_string);
-                }
+                (name, fingerprint)
+            }));
+        }
+        for client in clients {
+            let (name, fingerprint) = client.join().expect("client thread");
+            assert_eq!(
+                fingerprint.as_deref(),
+                Some(expected.as_str()),
+                "{name} (workers={workers}): final WM diverged from the solo run"
+            );
+        }
+        shutdown(addr, daemon);
+    }
+}
+
+/// A `restore` whose snapshot claims 2^32-1 fields on its first WME (65
+/// bytes of input) must come back as a structured refusal. Unchecked,
+/// that count reaches `Vec::with_capacity` as a >100 GB reservation,
+/// and a failed reservation *aborts the process* — `catch_unwind`
+/// cannot contain it, so one frame would take every session down.
+#[test]
+fn hostile_restore_is_refused_and_the_daemon_keeps_serving() {
+    let mut snapshot = Vec::new();
+    let put_str = |buf: &mut Vec<u8>, s: &str| {
+        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        buf.extend_from_slice(s.as_bytes());
+    };
+    snapshot.extend_from_slice(b"PLSN");
+    snapshot.extend_from_slice(&4u32.to_le_bytes());
+    put_str(&mut snapshot, "fire-all");
+    snapshot.extend_from_slice(&0u64.to_le_bytes()); // cycle
+    snapshot.push(0); // halted
+    snapshot.extend_from_slice(&1u64.to_le_bytes()); // next WME id
+    snapshot.extend_from_slice(&1u64.to_le_bytes()); // one WME…
+    snapshot.extend_from_slice(&0u64.to_le_bytes()); // …with id 0,
+    put_str(&mut snapshot, "edge"); // class `edge`,
+    snapshot.extend_from_slice(&u32::MAX.to_le_bytes()); // and 4 billion fields
+    let restore = format!(
+        r#"{{"op":"restore","session":"target","snapshot":"{}"}}"#,
+        parulel_server::protocol::to_hex(&snapshot)
+    );
+
+    let scenario = Closure::new(8, 12, 3);
+    let edges = scenario.edges().to_vec();
+    for workers in [1, 4] {
+        let (addr, daemon) = start(ServerConfig::default(), workers);
+        let mut client = Client::connect(addr);
+        for name in ["target", "neighbor"] {
+            let frames = session_frames(name, scenario.source(), &edges, "");
+            // Everything but the trailing close: both sessions stay open.
+            for frame in &frames[..frames.len() - 1] {
+                client.send_ok(frame);
             }
-            (name, fingerprint)
-        }));
+        }
+        let metrics = r#"{"op":"metrics","session":"target"}"#;
+        let before = fingerprint_of(&client.send_ok(metrics));
+
+        let refusal = Json::parse(&client.roundtrip(&restore)).expect("refusal is JSON");
+        assert_eq!(refusal.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(refusal.get("op").and_then(|o| o.as_str()), Some("restore"));
+        let err = refusal.get("error").expect("structured error");
+        assert_eq!(err.get("kind").and_then(|k| k.as_str()), Some("snapshot"));
+        assert_eq!(refusal.get("closed"), None, "a refused restore keeps the session");
+
+        // The target is exactly as it was, and its neighbor still answers.
+        assert_eq!(fingerprint_of(&client.send_ok(metrics)), before);
+        client.send_ok(r#"{"op":"ping"}"#);
+        let reach = client.send_ok(r#"{"op":"query","session":"neighbor","class":"reach"}"#);
+        assert!(!reach.contains(r#""count":0"#), "{reach}");
+        shutdown(addr, daemon);
     }
-    for client in clients {
-        let (name, fingerprint) = client.join().expect("client thread");
-        assert_eq!(
-            fingerprint.as_deref(),
-            Some(expected.as_str()),
-            "{name}: final WM diverged from the solo run"
-        );
-    }
-    server.lock().unwrap().handle_line(r#"{"op":"shutdown"}"#).unwrap();
-    accept_thread.join().expect("accept thread");
 }

@@ -24,13 +24,12 @@ fn open_frame(session: &str) -> String {
     )
 }
 
-#[test]
-fn golden_session_transcript() {
-    let mut server = Server::new(ServerConfig::default());
-    let open = open_frame("s1");
-    let transcript: Vec<(&str, &str)> = vec![
+/// The recorded session: `(request, expected response)` pairs, `open`
+/// being [`open_frame`]`("s1")`.
+fn session_transcript(open: &str) -> Vec<(&str, &'static str)> {
+    vec![
         (
-            open.as_str(),
+            open,
             r#"{"ok":true,"op":"open","session":"s1","policy":"fire-all","rules":2,"wm":2}"#,
         ),
         (
@@ -61,12 +60,42 @@ fn golden_session_transcript() {
             r#"{"op":"shutdown"}"#,
             r#"{"ok":true,"op":"shutdown","sessions_closed":0}"#,
         ),
-    ];
-    for (request, expected) in transcript {
+    ]
+}
+
+#[test]
+fn golden_session_transcript() {
+    let mut server = Server::new(ServerConfig::default());
+    let open = open_frame("s1");
+    for (request, expected) in session_transcript(&open) {
         let response = server.handle_line(request).expect("non-blank line");
         assert_eq!(response, expected, "request: {request}");
     }
     assert!(server.shutting_down());
+}
+
+/// The stdio pump over in-memory pipes answers the same transcript with
+/// the same bytes, one line per frame, and stops at the `shutdown`
+/// frame without reading what follows it.
+#[test]
+fn serve_lines_pumps_the_golden_transcript() {
+    let open = open_frame("s1");
+    let transcript = session_transcript(&open);
+    let mut input = String::new();
+    let mut expected = String::new();
+    for (request, response) in &transcript {
+        input.push_str(request);
+        input.push('\n');
+        expected.push_str(response);
+        expected.push('\n');
+    }
+    input.push_str("{\"op\":\"ping\"}\n");
+    let mut server = Server::new(ServerConfig::default());
+    let mut reader = input.as_bytes();
+    let mut output = Vec::new();
+    parulel_server::serve_lines(&mut server, &mut reader, &mut output).expect("in-memory io");
+    assert_eq!(String::from_utf8(output).unwrap(), expected);
+    assert_eq!(reader, b"{\"op\":\"ping\"}\n", "frames after shutdown stay unread");
 }
 
 /// `PROGRAM` with one rule body changed (`close` gains a `write`) and

@@ -4,7 +4,7 @@
 //! What is pinned here:
 //!
 //! * **Byte compatibility** — at `--workers 1` the scheduler answers
-//!   the exact golden transcript the single-lock server answers, byte
+//!   the exact golden transcript a bare `Server` answers, byte
 //!   for byte, even though `run` frames now execute in step-quantum
 //!   slices.
 //! * **Shard equivalence** — at `--workers 4` the same workload gives
@@ -21,9 +21,7 @@
 //!   admission slots immediately, standalone and across shards sharing
 //!   one gauge.
 
-use parulel_server::{
-    recover, spawn_sched_tcp, EventLoopOpts, Server, ServerConfig, WalConfig,
-};
+use parulel_server::{recover, spawn_sched_tcp, Server, ServerConfig, WalConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -66,8 +64,7 @@ fn field<'a>(response: &'a str, key: &str) -> &'a str {
 /// Starts a sharded daemon on an ephemeral port. `servers` must already
 /// share one admission gauge when `len > 1` (see `shard_servers`).
 fn start(servers: Vec<Server>, quantum: u64) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    spawn_sched_tcp(servers, quantum, 256, "127.0.0.1:0", EventLoopOpts::default())
-        .expect("bind scheduler")
+    spawn_sched_tcp(servers, quantum, 256, "127.0.0.1:0").expect("bind scheduler")
 }
 
 /// `workers` servers wired the way the CLI wires them: one shared

@@ -47,9 +47,10 @@ pub use exec::{Evaluator, FireOutput, RhsError};
 /// Which evaluation path the engine and matchers run: the tree-walking
 /// IR interpreter or the compiled stack bytecode.
 ///
-/// The differential suite proves the two paths equivalent, so `Bytecode`
-/// is the default; `Tree` remains selectable (CLI `--eval tree`, server
-/// `"eval":"tree"`) as the oracle and for debugging.
+/// `Bytecode` is what every run uses. `Tree` is the reference the
+/// differential suite (`tests/eval_differential.rs`,
+/// `tests/determinism.rs`) compares it against; the only door to it is
+/// `EngineOptions.eval` — no CLI flag or protocol field selects it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EvalMode {
     /// Walk the IR enums directly (the original path).
@@ -60,15 +61,6 @@ pub enum EvalMode {
 }
 
 impl EvalMode {
-    /// Parses `"tree"` / `"bytecode"`.
-    pub fn parse(s: &str) -> Option<EvalMode> {
-        match s {
-            "tree" => Some(EvalMode::Tree),
-            "bytecode" => Some(EvalMode::Bytecode),
-            _ => None,
-        }
-    }
-
     /// The canonical name (`"tree"` / `"bytecode"`).
     pub fn name(self) -> &'static str {
         match self {

@@ -157,12 +157,12 @@ impl Scenario for Closure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_engine::{EngineOptions, ParallelEngine, SerialEngine, Strategy};
+    use parulel_engine::{Engine, EngineOptions, FiringPolicy, Strategy};
 
     #[test]
     fn parallel_engine_computes_the_closure() {
         let s = Closure::new(12, 18, 42);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert!(out.quiescent);
         s.validate(e.wm()).unwrap();
@@ -173,10 +173,10 @@ mod tests {
     #[test]
     fn serial_engine_agrees_with_reference() {
         let s = Closure::new(8, 12, 1);
-        let mut e = SerialEngine::new(
+        let mut e = Engine::with_policy(
             s.program(),
             s.initial_wm(),
-            Strategy::Lex,
+            FiringPolicy::SelectOne(Strategy::Lex),
             EngineOptions::default(),
         );
         let out = e.run().unwrap();

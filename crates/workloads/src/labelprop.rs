@@ -178,12 +178,12 @@ impl Scenario for LabelProp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_engine::{EngineOptions, GuardMode, ParallelEngine};
+    use parulel_engine::{Engine, EngineOptions, GuardMode};
 
     #[test]
     fn meta_rules_alone_keep_updates_conflict_free() {
         let s = LabelProp::new(20, 24, 3);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert!(out.quiescent);
         s.validate(e.wm()).unwrap();
@@ -215,7 +215,7 @@ mod tests {
         s.nodes = 6;
         s.arcs = (1..6).map(|i| (0i64, i as i64)).collect();
         s.expected = reference_components(6, &s.arcs);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert_eq!(out.cycles, 1);
         assert_eq!(out.firings, 5);

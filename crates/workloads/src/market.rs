@@ -218,12 +218,12 @@ impl Scenario for Market {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_engine::{EngineOptions, GuardMode, ParallelEngine};
+    use parulel_engine::{Engine, EngineOptions, GuardMode};
 
     #[test]
     fn book_clears_without_double_fills() {
         let s = Market::new(20, 4, 8);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert!(out.quiescent);
         s.validate(e.wm()).unwrap();
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn symbols_trade_in_parallel() {
         let s = Market::new(24, 8, 2);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         s.validate(e.wm()).unwrap();
         assert!(
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn single_symbol_is_price_priority_sequential() {
         let s = Market::new(10, 1, 3);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         s.validate(e.wm()).unwrap();
         // mutual-best within one symbol = exactly one trade per cycle
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn empty_side_is_quiescent_immediately() {
         let s = Market::new(0, 1, 1);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert!(out.quiescent);
         assert_eq!(out.cycles, 0);

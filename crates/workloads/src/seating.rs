@@ -160,12 +160,12 @@ impl Scenario for Seating {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_engine::{EngineOptions, ParallelEngine, SerialEngine, Strategy};
+    use parulel_engine::{Engine, EngineOptions, FiringPolicy, Strategy};
 
     #[test]
     fn tables_fill_in_parallel() {
         let s = Seating::new(3, 6, 1);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert!(out.quiescent);
         s.validate(e.wm()).unwrap();
@@ -179,10 +179,10 @@ mod tests {
     #[test]
     fn serial_baseline_also_valid_but_many_cycles() {
         let s = Seating::new(2, 4, 2);
-        let mut e = SerialEngine::new(
+        let mut e = Engine::with_policy(
             s.program(),
             s.initial_wm(),
-            Strategy::Mea,
+            FiringPolicy::SelectOne(Strategy::Mea),
             EngineOptions::default(),
         );
         let out = e.run().unwrap();
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn single_table_is_fully_sequential() {
         let s = Seating::new(1, 8, 3);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert_eq!(out.cycles, 8, "no intra-table parallelism by design");
         s.validate(e.wm()).unwrap();

@@ -232,13 +232,13 @@ impl Scenario for Waltz {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_engine::{EngineOptions, ParallelEngine};
+    use parulel_engine::{Engine, EngineOptions};
 
     #[test]
     fn pruning_reaches_the_ac_fixpoint() {
         let s = Waltz::new(12, 4, 17);
         assert!(s.initial_candidates() > s.expected_candidates());
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert!(out.quiescent);
         s.validate(e.wm()).unwrap();
@@ -255,7 +255,7 @@ mod tests {
         s.cands = vec![vec![(2, 1)]; 3];
         s.expected = reference_ac(&s.cands);
         assert_eq!(s.expected_candidates(), 3, "reference finds all supported");
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert_eq!(out.firings, 0);
         s.validate(e.wm()).unwrap();
@@ -268,7 +268,7 @@ mod tests {
         s.cands = vec![vec![(2, 1)], vec![(0, 0)], vec![(2, 1)]];
         s.expected = reference_ac(&s.cands);
         assert_eq!(s.expected_candidates(), 0);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         e.run().unwrap();
         s.validate(e.wm()).unwrap();
     }

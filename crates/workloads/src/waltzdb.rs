@@ -290,13 +290,13 @@ impl Scenario for WaltzDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_engine::{EngineOptions, ParallelEngine, SerialEngine, Strategy};
+    use parulel_engine::{Engine, EngineOptions, FiringPolicy, Strategy};
 
     #[test]
     fn grid_pruning_reaches_the_ac_fixpoint() {
         let s = WaltzDb::new(4, 4, 4, 31);
         assert!(s.initial_candidates() > 0);
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = e.run().unwrap();
         assert!(out.quiescent);
         s.validate(e.wm()).unwrap();
@@ -309,7 +309,7 @@ mod tests {
         assert_eq!(s.cands[0].first().unwrap().len(), 2); // corner
         assert_eq!(s.cands[1].first().unwrap().len(), 3); // edge
         assert_eq!(s.cands[4].first().unwrap().len(), 4); // center
-        let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         e.run().unwrap();
         s.validate(e.wm()).unwrap();
     }
@@ -317,10 +317,10 @@ mod tests {
     #[test]
     fn serial_engine_agrees() {
         let s = WaltzDb::new(3, 3, 3, 5);
-        let mut e = SerialEngine::new(
+        let mut e = Engine::with_policy(
             s.program(),
             s.initial_wm(),
-            Strategy::Lex,
+            FiringPolicy::SelectOne(Strategy::Lex),
             EngineOptions::default(),
         );
         e.run().unwrap();
@@ -331,7 +331,7 @@ mod tests {
     fn reference_ac_and_engine_agree_across_seeds() {
         for seed in [1, 2, 3, 4, 5] {
             let s = WaltzDb::new(3, 4, 3, seed);
-            let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+            let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
             e.run().unwrap();
             s.validate(e.wm())
                 .unwrap_or_else(|err| panic!("seed {seed}: {err}"));

@@ -21,7 +21,7 @@ fn main() {
     let buy = program.classes.id_of(interner.intern("buy")).unwrap();
     let sell = program.classes.id_of(interner.intern("sell")).unwrap();
 
-    let mut engine = ParallelEngine::new(&program, scenario.initial_wm(), EngineOptions::default());
+    let mut engine = Engine::new(&program, scenario.initial_wm(), EngineOptions::default());
 
     // Phase 1: clear the opening book.
     let out = engine.run().expect("run succeeds");

@@ -53,7 +53,7 @@ fn main() {
         wm.insert(agent, vec![Value::Int(a + 1), Value::Int(a)]);
     }
 
-    // `ParallelEngine::new(..)` is shorthand for the fire-all policy on
+    // `Engine::new(..)` is shorthand for the fire-all policy on
     // the unified cycle kernel; the OPS5 baseline is the same kernel
     // under `FiringPolicy::SelectOne(Strategy::Lex)`.
     let mut engine = Engine::with_policy(

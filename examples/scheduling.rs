@@ -79,7 +79,7 @@ fn main() {
     let program = parulel::lang::compile(SOURCE).expect("program compiles");
 
     println!("════ PARULEL: set-oriented firing, SJF policy via meta-rules ════");
-    let mut engine = ParallelEngine::new(&program, build_wm(&program), EngineOptions::default());
+    let mut engine = Engine::new(&program, build_wm(&program), EngineOptions::default());
     let out = engine.run().expect("run succeeds");
     for line in engine.log() {
         println!("  {line}");
@@ -93,10 +93,10 @@ fn main() {
 
     for (name, strategy) in [("LEX", Strategy::Lex), ("MEA", Strategy::Mea)] {
         println!("════ OPS5 baseline ({name}): one firing per cycle, hard-wired policy ════");
-        let mut serial = SerialEngine::new(
+        let mut serial = Engine::with_policy(
             &program,
             build_wm(&program),
-            strategy,
+            FiringPolicy::SelectOne(strategy),
             EngineOptions::default(),
         );
         let out = serial.run().expect("run succeeds");

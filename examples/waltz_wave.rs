@@ -13,7 +13,7 @@
 use parulel::prelude::*;
 use parulel::workloads::{Scenario, Waltz};
 
-fn candidates_left(engine: &ParallelEngine, scenario: &Waltz) -> usize {
+fn candidates_left(engine: &Engine, scenario: &Waltz) -> usize {
     let program = scenario.program();
     let jslot = program
         .classes
@@ -31,7 +31,7 @@ fn main() {
         scenario.expected_candidates()
     );
 
-    let mut engine = ParallelEngine::new(
+    let mut engine = Engine::new(
         scenario.program(),
         scenario.initial_wm(),
         EngineOptions::default(),

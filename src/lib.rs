@@ -46,7 +46,7 @@
 //! let count = program.classes.id_of(program.interner.intern("count")).unwrap();
 //! wm.insert(count, vec![Value::Int(0)]);
 //!
-//! let mut engine = ParallelEngine::new(&program, wm, EngineOptions::default());
+//! let mut engine = Engine::new(&program, wm, EngineOptions::default());
 //! let outcome = engine.run().unwrap();
 //! assert_eq!(outcome.cycles, 3);
 //! let final_n = engine.wm().iter_class(count).next().unwrap().field(0);
@@ -70,8 +70,7 @@ pub mod prelude {
     };
     pub use parulel_engine::{
         AutoCcc, Budgets, Engine, EngineError, EngineOptions, EvalMode, FiringPolicy, MatcherKind,
-        MetricsLevel, Outcome, ParallelEngine, ReloadReport, SerialEngine, Snapshot, SnapshotError,
-        Strategy,
+        MetricsLevel, Outcome, ReloadReport, Snapshot, SnapshotError, Strategy,
     };
     pub use parulel_lang::compile;
     pub use parulel_match::{Matcher, NaiveMatcher, Rete, Treat};

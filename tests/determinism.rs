@@ -20,7 +20,7 @@ fn scenarios() -> Vec<Box<dyn Scenario>> {
 fn identical_runs_are_byte_identical() {
     for s in scenarios() {
         let run = || {
-            let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+            let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
             let out = e.run().unwrap();
             (
                 out.cycles,
@@ -46,7 +46,7 @@ fn identical_runs_are_byte_identical() {
 fn metrics_collection_does_not_perturb_the_run() {
     for s in scenarios() {
         let run = |level: MetricsLevel| {
-            let mut e = ParallelEngine::new(
+            let mut e = Engine::new(
                 s.program(),
                 s.initial_wm(),
                 EngineOptions {
@@ -76,7 +76,7 @@ fn metrics_collection_does_not_perturb_the_run() {
 #[test]
 fn metrics_counters_are_consistent_with_run_totals() {
     for s in scenarios() {
-        let mut e = ParallelEngine::new(
+        let mut e = Engine::new(
             s.program(),
             s.initial_wm(),
             EngineOptions {
@@ -103,7 +103,7 @@ fn metrics_counters_are_consistent_with_run_totals() {
 fn parallel_and_sequential_fire_agree() {
     for s in scenarios() {
         let run = |parallel_fire: bool| {
-            let mut e = ParallelEngine::new(
+            let mut e = Engine::new(
                 s.program(),
                 s.initial_wm(),
                 EngineOptions {
@@ -122,7 +122,7 @@ fn parallel_and_sequential_fire_agree() {
 fn worker_count_does_not_change_results() {
     for s in scenarios() {
         let run = |n: usize| {
-            let mut e = ParallelEngine::new(
+            let mut e = Engine::new(
                 s.program(),
                 s.initial_wm(),
                 EngineOptions {
@@ -147,13 +147,13 @@ fn worker_count_does_not_change_results() {
 #[test]
 fn checkpoint_and_resume_match_uninterrupted_run() {
     for s in scenarios() {
-        let mut full = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut full = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = full.run().unwrap();
         let reference = (out.cycles, full.log().to_vec(), full.wm().sorted_snapshot());
 
         for k in 0..=out.cycles {
             let mut head =
-                ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+                Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
             for _ in 0..k {
                 assert!(head.step().unwrap(), "{} stopped before cycle {k}", s.name());
             }
@@ -162,7 +162,7 @@ fn checkpoint_and_resume_match_uninterrupted_run() {
             let bytes = head.checkpoint().to_bytes();
             let snap = Snapshot::from_bytes(&bytes).unwrap();
             let mut tail =
-                ParallelEngine::resume(s.program(), &snap, EngineOptions::default()).unwrap();
+                Engine::resume(s.program(), &snap, EngineOptions::default()).unwrap();
             let rest = tail.run().unwrap();
             assert_eq!(
                 snap.cycle + rest.cycles,
@@ -191,18 +191,18 @@ fn checkpoint_and_resume_match_uninterrupted_run() {
 #[test]
 fn chained_checkpoints_stay_deterministic() {
     for s in scenarios() {
-        let mut full = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut full = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         full.run().unwrap();
         let want = full.wm().sorted_snapshot();
 
         let mut head =
-            ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+            Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         head.step().unwrap();
         let mut mid =
-            ParallelEngine::resume(s.program(), &head.checkpoint(), Default::default()).unwrap();
+            Engine::resume(s.program(), &head.checkpoint(), Default::default()).unwrap();
         mid.step().unwrap();
         let mut tail =
-            ParallelEngine::resume(s.program(), &mid.checkpoint(), Default::default()).unwrap();
+            Engine::resume(s.program(), &mid.checkpoint(), Default::default()).unwrap();
         tail.run().unwrap();
         assert_eq!(tail.wm().sorted_snapshot(), want, "{}", s.name());
     }
@@ -211,7 +211,7 @@ fn chained_checkpoints_stay_deterministic() {
 /// Pre-refactor behavioral lock-in for the engine-unification refactor.
 ///
 /// These constants were captured from the two hand-written engines
-/// *before* `SerialEngine`/`ParallelEngine` were folded into the single
+/// (one serial, one parallel) *before* they were folded into the single
 /// `Engine` cycle kernel with pluggable firing policies. Every arm —
 /// OPS5 select-one under LEX and MEA, and PARULEL fire-all — must
 /// reproduce the exact `RunStats`, `Outcome` flags, and final working
@@ -288,65 +288,39 @@ fn golden_scenario(name: &str) -> Box<dyn Scenario> {
     }
 }
 
+fn golden_policy(arm: &str) -> FiringPolicy {
+    FiringPolicy::from_tag(match arm {
+        "lex" => "select-one-lex",
+        "mea" => "select-one-mea",
+        _ => "fire-all",
+    })
+    .unwrap()
+}
+
 #[test]
-fn golden_lock_in_both_engines_and_all_strategies() {
+fn golden_lock_in_all_policies() {
     for (name, arm, want) in goldens() {
         let s = golden_scenario(name);
-        let got = match arm {
-            "lex" | "mea" => {
-                let strategy = if arm == "lex" { Strategy::Lex } else { Strategy::Mea };
-                let mut e = SerialEngine::new(
-                    s.program(),
-                    s.initial_wm(),
-                    strategy,
-                    EngineOptions::default(),
-                );
-                let out = e.run().unwrap();
-                observe(&out, e.stats(), e.wm())
-            }
-            "fire-all" => {
-                let mut e =
-                    ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
-                let out = e.run().unwrap();
-                observe(&out, e.stats(), e.wm())
-            }
-            other => panic!("unknown arm {other}"),
-        };
-        assert_eq!(got, want, "{name}/{arm} drifted from pre-refactor behavior");
-
-        // The compat constructors above are thin shims over the unified
-        // core; driving it directly by policy must land on the same golden.
-        let policy = parulel::engine::FiringPolicy::from_tag(match arm {
-            "lex" => "select-one-lex",
-            "mea" => "select-one-mea",
-            _ => "fire-all",
-        })
-        .unwrap();
-        let mut e = parulel::engine::Engine::with_policy(
+        let mut e = Engine::with_policy(
             s.program(),
             s.initial_wm(),
-            policy,
+            golden_policy(arm),
             EngineOptions::default(),
         );
         let out = e.run().unwrap();
-        let direct = observe(&out, e.stats(), e.wm());
-        assert_eq!(direct, want, "{name}/{arm} via Engine::with_policy drifted");
+        let got = observe(&out, e.stats(), e.wm());
+        assert_eq!(got, want, "{name}/{arm} drifted from pre-refactor behavior");
     }
 }
 
 /// The goldens above were locked in by the tree-walking interpreter;
 /// the compiled-bytecode evaluator (today's default) must land on the
 /// exact same numbers, and so must an explicit `EvalMode::Tree` run —
-/// the `--eval` flag changes the execution strategy, never the answer.
+/// the evaluation mode changes the execution strategy, never the answer.
 #[test]
 fn goldens_hold_under_both_eval_modes() {
     for (name, arm, want) in goldens() {
-        let policy = FiringPolicy::from_tag(match arm {
-            "lex" => "select-one-lex",
-            "mea" => "select-one-mea",
-            _ => "fire-all",
-        })
-        .unwrap();
+        let policy = golden_policy(arm);
         for eval in [EvalMode::Tree, EvalMode::Bytecode] {
             let s = golden_scenario(name);
             let mut e = Engine::with_policy(
@@ -365,7 +339,7 @@ fn goldens_hold_under_both_eval_modes() {
 /// Auto copy-and-constrain lock-in, both directions:
 ///
 /// * **Off by default**: `EngineOptions::default().auto_ccc` is `None`,
-///   so `golden_lock_in_both_engines_and_all_strategies` above — whose
+///   so `golden_lock_in_all_policies` above — whose
 ///   constants predate the feature — already proves the default path is
 ///   bit-identical to pre-flag behavior. The assert here keeps the
 ///   default from silently flipping.
@@ -384,7 +358,7 @@ fn auto_ccc_runs_are_bit_identical_and_semantics_locked() {
 
     let s = golden_scenario("closure(n=12,e=20)");
     let run = || {
-        let mut e = ParallelEngine::new(
+        let mut e = Engine::new(
             s.program(),
             s.initial_wm(),
             EngineOptions {
@@ -428,12 +402,12 @@ fn auto_ccc_runs_are_bit_identical_and_semantics_locked() {
 fn stepping_equals_running() {
     for s in scenarios() {
         let mut stepped =
-            ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+            Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let mut steps = 0u64;
         while stepped.step().unwrap() {
             steps += 1;
         }
-        let mut ran = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut ran = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let out = ran.run().unwrap();
         assert_eq!(steps, out.cycles, "{}", s.name());
         assert_eq!(

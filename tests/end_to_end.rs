@@ -37,7 +37,7 @@ fn every_workload_validates_under_every_matcher() {
                 matcher: kind,
                 ..Default::default()
             };
-            let mut e = ParallelEngine::new(s.program(), s.initial_wm(), opts);
+            let mut e = Engine::new(s.program(), s.initial_wm(), opts);
             let out = e.run().unwrap_or_else(|err| panic!("{}: {err}", s.name()));
             assert!(
                 out.quiescent || out.halted,
@@ -66,10 +66,10 @@ fn every_workload_validates_under_every_matcher() {
 fn serial_baselines_also_validate() {
     for s in scenarios() {
         for strategy in [Strategy::Lex, Strategy::Mea] {
-            let mut e = SerialEngine::new(
+            let mut e = Engine::with_policy(
                 s.program(),
                 s.initial_wm(),
-                strategy,
+                FiringPolicy::SelectOne(strategy),
                 EngineOptions::default(),
             );
             let out = e.run().unwrap();
@@ -83,12 +83,12 @@ fn serial_baselines_also_validate() {
 #[test]
 fn parallel_engine_never_fires_more_cycles_than_serial() {
     for s in scenarios() {
-        let mut par = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+        let mut par = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
         let p = par.run().unwrap();
-        let mut ser = SerialEngine::new(
+        let mut ser = Engine::with_policy(
             s.program(),
             s.initial_wm(),
-            Strategy::Lex,
+            FiringPolicy::SelectOne(Strategy::Lex),
             EngineOptions::default(),
         );
         let q = ser.run().unwrap();
@@ -133,7 +133,7 @@ fn copy_and_constrain_preserves_every_workload() {
         let name = s.program().rule_name(parulel::core::RuleId(0));
         let split = copy_and_constrain(s.program(), &name, 3)
             .unwrap_or_else(|e| panic!("{}: {e}", s.name()));
-        let mut e = ParallelEngine::new(&split, s.initial_wm(), EngineOptions::default());
+        let mut e = Engine::new(&split, s.initial_wm(), EngineOptions::default());
         e.run().unwrap();
         s.validate(e.wm())
             .unwrap_or_else(|err| panic!("{} split 3-way: {err}", s.name()));

@@ -61,7 +61,7 @@ fn seed_wm(program: &Program, adds: &[(u8, Vec<i64>)]) -> WorkingMemory {
 /// budget at the same point.
 fn observe(program: &Program, adds: &[(u8, Vec<i64>)], policy: &str, o: EngineOptions) -> String {
     let policy = FiringPolicy::from_tag(policy).unwrap();
-    let mut engine = ParallelEngine::with_policy(program, seed_wm(program, adds), policy, o);
+    let mut engine = Engine::with_policy(program, seed_wm(program, adds), policy, o);
     let mut out = String::new();
     match engine.run() {
         Ok(outcome) => {
@@ -135,7 +135,7 @@ proptest! {
         let (matcher, policy) = (MATCHERS[which.0], POLICIES[which.1]);
         let program = build_program(&specs);
         let run = |reload: bool| {
-            let mut e = ParallelEngine::with_policy(
+            let mut e = Engine::with_policy(
                 &program,
                 seed_wm(&program, &adds),
                 FiringPolicy::from_tag(policy).unwrap(),
@@ -174,7 +174,7 @@ proptest! {
         // Same symbol space, so WME class/field symbols line up.
         let new = build_program_in(&old.interner, &after);
 
-        let observe_run = |e: &mut ParallelEngine| {
+        let observe_run = |e: &mut Engine| {
             let res = e.run().map(|o| o.status()).map_err(|err| err.to_string());
             let log: Vec<&String> = e
                 .log()
@@ -189,7 +189,7 @@ proptest! {
             )
         };
 
-        let mut swapped = ParallelEngine::with_policy(
+        let mut swapped = Engine::with_policy(
             &old,
             seed_wm(&old, &adds),
             FiringPolicy::from_tag(policy).unwrap(),
@@ -197,7 +197,7 @@ proptest! {
         );
         swapped.reload(&new).expect("same class table: reload must be accepted");
 
-        let mut fresh = ParallelEngine::with_policy(
+        let mut fresh = Engine::with_policy(
             &new,
             seed_wm(&new, &adds),
             FiringPolicy::from_tag(policy).unwrap(),

@@ -16,7 +16,7 @@ const COUNTER: &str = "
 (p step (count ^n <n>) (test (< <n> 10)) --> (modify 1 ^n (+ <n> 1)))
 ";
 
-fn counter_engine(plan: FaultPlan) -> ParallelEngine {
+fn counter_engine(plan: FaultPlan) -> Engine {
     counter_engine_with(FiringPolicy::fire_all(), plan)
 }
 
@@ -82,9 +82,9 @@ fn resuming_past_an_injected_fault_completes_the_run() {
         max_cycles: 50,
         ..Default::default()
     };
-    let mut resumed = ParallelEngine::resume(&p, &snap, opts.clone()).unwrap();
+    let mut resumed = Engine::resume(&p, &snap, opts.clone()).unwrap();
     resumed.run().unwrap();
-    let mut undisturbed = ParallelEngine::new(&p, wm, opts);
+    let mut undisturbed = Engine::new(&p, wm, opts);
     undisturbed.run().unwrap();
     assert_eq!(
         resumed.wm().sorted_snapshot(),

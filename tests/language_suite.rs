@@ -5,7 +5,7 @@
 use parulel::prelude::*;
 
 /// Compiles, loads `(class, fields)` facts, runs, returns the engine.
-fn run(src: &str, facts: &[(&str, Vec<Value>)]) -> ParallelEngine {
+fn run(src: &str, facts: &[(&str, Vec<Value>)]) -> Engine {
     let program = compile(src).unwrap_or_else(|e| panic!("compile error: {e}"));
     let mut wm = WorkingMemory::new(&program.classes);
     for (class, fields) in facts {
@@ -15,12 +15,12 @@ fn run(src: &str, facts: &[(&str, Vec<Value>)]) -> ParallelEngine {
             .unwrap_or_else(|| panic!("unknown class {class}"));
         wm.insert(cid, fields.clone());
     }
-    let mut e = ParallelEngine::new(&program, wm, EngineOptions::default());
+    let mut e = Engine::new(&program, wm, EngineOptions::default());
     e.run().unwrap_or_else(|err| panic!("run error: {err}"));
     e
 }
 
-fn ints(e: &ParallelEngine, class: &str) -> Vec<Vec<i64>> {
+fn ints(e: &Engine, class: &str) -> Vec<Vec<i64>> {
     let p = e.program();
     let cid = p.classes.id_of(p.interner.intern(class)).unwrap();
     let mut rows: Vec<Vec<i64>> = e
@@ -62,7 +62,7 @@ fn disjunction_restrictions() {
     for c in ["red", "blue", "yellow", "green"] {
         wm.insert(color, vec![Value::Sym(i.intern(c))]);
     }
-    let mut eng = ParallelEngine::new(&p, wm, EngineOptions::default());
+    let mut eng = Engine::new(&p, wm, EngineOptions::default());
     eng.run().unwrap();
     assert_eq!(eng.wm().iter_class(hit).count(), 2); // red + yellow
     assert_eq!(eng.wm().iter_class(color).count(), 2); // blue + green left
@@ -221,7 +221,7 @@ fn write_formats_all_value_kinds() {
             Value::Float(2.5),
         ],
     );
-    let mut eng = ParallelEngine::new(&p, wm, EngineOptions::default());
+    let mut eng = Engine::new(&p, wm, EngineOptions::default());
     eng.run().unwrap();
     assert_eq!(eng.log(), &["hello -3 2.5 done".to_string()]);
 }

@@ -9,7 +9,7 @@ use parulel::workloads::{Closure, Scenario};
 #[test]
 fn profiles_cover_every_cycle_and_all_fired_work() {
     let s = Closure::new(14, 24, 7);
-    let mut e = ParallelEngine::new(s.program(), s.initial_wm(), EngineOptions::default());
+    let mut e = Engine::new(s.program(), s.initial_wm(), EngineOptions::default());
     let out = e.run().unwrap();
     let profiles =
         profile_run(s.program(), s.initial_wm(), EngineOptions::default()).unwrap();
