@@ -1,6 +1,6 @@
 //! joinbench — the match hot path under a hot-rule-skewed workload.
 //!
-//! Three questions, three sections:
+//! Two questions, two sections:
 //!
 //! 1. **Join throughput** — adds/sec and removes/sec through each match
 //!    engine (RETE, TREAT, and their rule-partitioned forms at 1/2/4/8
@@ -8,34 +8,20 @@
 //!    batch. The workload is a two-class equality join whose key
 //!    distribution is skewed onto a few hot keys, so one rule dominates
 //!    match cost — the regime copy-and-constrain exists for.
-//! 2. **Merge ablation** — the partitioned matcher's incremental
-//!    conflict-set union (journal replay) against its predecessor, the
-//!    full per-worker re-union, on the same stream. The merged set here
-//!    is tens of thousands of instantiations while each batch changes only
-//!    a sliver; rebuilding the union per read is the hidden rebuild cost
-//!    this ablation prices.
-//! 3. **Auto copy-and-constrain** — full engine runs of the closure
+//! 2. **Auto copy-and-constrain** — full engine runs of the closure
 //!    workload (hot `close` rule) on a partitioned matcher with
 //!    `--auto-ccc` off vs on: the engine detects the shard imbalance from
 //!    its own matcher metrics and splits the hot rule mid-run. Rows carry
 //!    the end-of-run `imbalance()` so the rebalancing is visible next to
 //!    the wall-clock.
-//! 4. **Alpha-sharing ablation** — a shared-heavy program (many rules
-//!    whose condition elements are structurally identical) streamed
-//!    through RETE and TREAT with the shared alpha network's dedup on
-//!    vs off. With dedup off every (rule, CE) endpoint keeps its own
-//!    alpha node, so each WME pays membership + index maintenance once
-//!    per subscription; with dedup on, once per distinct node. Rows
-//!    carry `alpha_nodes` / `alpha_subscriptions` / `alpha_share_hits`
-//!    so the structural sharing is visible next to the throughput.
 //!
 //! Timing bin: metrics stay OFF so measured walls are on the
 //! uninstrumented hot path.
 
 use parulel_bench::{ms, run_parallel, BenchReport, Table};
-use parulel_core::{Program, RuleId, Value, Wme, WmeId};
+use parulel_core::{Program, Value, Wme, WmeId};
 use parulel_engine::{AutoCcc, EngineOptions, Json, MatcherKind};
-use parulel_match::{Matcher, Partitioned, Rete, Treat};
+use parulel_match::Matcher;
 use parulel_workloads::{Closure, Scenario};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,56 +53,6 @@ fn hotjoin_program() -> Arc<Program> {
         ));
     }
     Arc::new(parulel_lang::compile(&src).expect("hotjoin program compiles"))
-}
-
-/// Rules in the alpha-sharing ablation program. All of them match the
-/// same two classes with the same alpha-level shape, so the shared
-/// network collapses their per-rule memories into two nodes.
-const SHARED_RULES: usize = 16;
-/// Join-key universe for the ablation stream: uniform and sparse, so
-/// beta work (index probes, token builds) stays small and the measured
-/// difference is the alpha layer's.
-const SPARSE_KEYS: u64 = 256;
-
-/// `SHARED_RULES` rules whose positive CEs are structurally identical —
-/// only the trailing filter test (a beta-level predicate) differs, and
-/// it almost never passes, so the stream prices alpha maintenance:
-/// membership and index upkeep per WME, per alpha memory.
-fn sharedalpha_program() -> Arc<Program> {
-    let mut src = String::from(
-        "(literalize item k v)\n\
-         (literalize probe k v)\n",
-    );
-    for i in 0..SHARED_RULES {
-        src.push_str(&format!(
-            "(p share{i} (item ^k <k> ^v <v>) (probe ^k <k> ^v <w>) \
-             (test (< <w> {i})) --> (halt))\n"
-        ));
-    }
-    Arc::new(parulel_lang::compile(&src).expect("shared-alpha program compiles"))
-}
-
-/// Same stream shape as [`workload`], but keys uniform over
-/// [`SPARSE_KEYS`] so joins stay sparse.
-fn sparse_workload(program: &Program) -> Vec<Wme> {
-    let class_of = |name: &str| {
-        program
-            .classes
-            .id_of(program.interner.intern(name))
-            .expect("workload class")
-    };
-    let (item, probe) = (class_of("item"), class_of("probe"));
-    let mut rng = Lcg(0x2545f4914f6cdd1d);
-    (0..WMES)
-        .map(|i| {
-            let key = rng.next() % SPARSE_KEYS;
-            Wme::new(
-                WmeId(i as u64),
-                if i % 2 == 0 { item } else { probe },
-                vec![Value::Int(key as i64), Value::Int(i as i64)],
-            )
-        })
-        .collect()
 }
 
 /// Deterministic 64-bit LCG (Knuth constants) — the bench must not pull a
@@ -226,10 +162,7 @@ fn main() {
         "joinbench: hot-rule-skewed join micro-bench\n\
          ({WMES} WMEs, batch {BATCH}, {HOT_SHARE}% of keys in {HOT_KEYS}/{KEYS})\n"
     );
-    let mut rep = BenchReport::new(
-        "joinbench",
-        "join throughput, incremental vs rebuilt conflict-set union, auto copy-and-constrain",
-    );
+    let mut rep = BenchReport::new("joinbench", "join throughput, auto copy-and-constrain");
 
     // 1. Join throughput across engines and shard counts.
     let mut t = Table::new(&["matcher", "shards", "mode", "adds/s", "removes/s", "peak CS"]);
@@ -250,51 +183,7 @@ fn main() {
     t.print();
     println!();
 
-    // 2. Incremental union vs full re-union, same matcher, same stream.
-    let mut t = Table::new(&[
-        "mode",
-        "adds/s",
-        "removes/s",
-        "merge rebuilds",
-        "patch events",
-        "add speedup",
-    ]);
-    let mut base_add = None;
-    for force_full in [true, false] {
-        let mode = if force_full { "rebuild" } else { "incremental" };
-        let mut m = Partitioned::rete(program.clone(), 4);
-        m.set_force_full_merge(force_full);
-        let d = drive(&mut m, &wmes);
-        let (rebuilds, patched) = m.merge_stats();
-        let add_rate = per_sec(WMES, d.add);
-        let b = *base_add.get_or_insert(add_rate);
-        t.row(vec![
-            mode.to_string(),
-            format!("{add_rate:.0}"),
-            format!("{:.0}", per_sec(WMES, d.remove)),
-            rebuilds.to_string(),
-            patched.to_string(),
-            format!("{:.2}x", add_rate / b),
-        ]);
-        rep.push(
-            Json::obj()
-                .set("workload", "hotjoin")
-                .set("matcher", "partitioned-rete")
-                .set("shards", 4usize)
-                .set("mode", mode)
-                .set("adds_per_sec", add_rate)
-                .set("removes_per_sec", per_sec(WMES, d.remove))
-                .set("wmes", WMES)
-                .set("cs_peak", d.cs_peak)
-                .set("merge_rebuilds", rebuilds)
-                .set("merge_patch_events", patched),
-        );
-    }
-    println!("## conflict-set merge ablation (partitioned-rete, 4 shards)");
-    t.print();
-    println!();
-
-    // 3. Auto copy-and-constrain on the closure workload's hot rule.
+    // 2. Auto copy-and-constrain on the closure workload's hot rule.
     // Best-of-5 per configuration: these runs are tens of milliseconds,
     // where scheduler noise would otherwise swamp the wall column. The
     // structural effect shows in `imbalance` and `max shard` (work on the
@@ -367,70 +256,6 @@ fn main() {
         );
     }
     println!("## auto copy-and-constrain (closure, prete:{workers})");
-    t.print();
-    println!();
-
-    // 4. Alpha-sharing ablation: dedup off = every (rule, CE) endpoint
-    // owns a private alpha memory (the pre-sharing design); dedup on =
-    // structurally identical CEs share one node. Same matcher code
-    // either way — only the network's dedup switch differs.
-    let sprog = sharedalpha_program();
-    let swmes = sparse_workload(&sprog);
-    let rules: Vec<RuleId> = (0..sprog.rules().len() as u32).map(RuleId).collect();
-    let mut t = Table::new(&[
-        "matcher",
-        "alpha",
-        "adds/s",
-        "removes/s",
-        "nodes",
-        "subs",
-        "share hits",
-        "speedup",
-    ]);
-    type Build = fn(Arc<Program>, Vec<RuleId>, bool) -> Box<dyn Matcher>;
-    let kinds: [(&str, Build); 2] = [
-        ("rete", |p, r, d| Box::new(Rete::with_rules_sharing(p, r, d))),
-        ("treat", |p, r, d| {
-            Box::new(Treat::with_rules_sharing(p, r, d))
-        }),
-    ];
-    for (kind, build) in kinds {
-        let mut base = None;
-        for dedup in [false, true] {
-            let mode = if dedup { "shared" } else { "per-rule" };
-            let mut m = build(sprog.clone(), rules.clone(), dedup);
-            let d = drive(m.as_mut(), &swmes);
-            let meta = m.metrics();
-            let add_rate = per_sec(WMES, d.add);
-            let b = *base.get_or_insert(add_rate);
-            t.row(vec![
-                kind.to_string(),
-                mode.to_string(),
-                format!("{add_rate:.0}"),
-                format!("{:.0}", per_sec(WMES, d.remove)),
-                meta.alpha_nodes.to_string(),
-                meta.alpha_subscriptions.to_string(),
-                meta.alpha_share_hits.to_string(),
-                format!("{:.2}x", add_rate / b),
-            ]);
-            rep.push(
-                Json::obj()
-                    .set("workload", "sharedjoin")
-                    .set("matcher", kind)
-                    .set("shards", 1usize)
-                    .set("mode", format!("{mode}-alpha"))
-                    .set("adds_per_sec", add_rate)
-                    .set("removes_per_sec", per_sec(WMES, d.remove))
-                    .set("wmes", WMES)
-                    .set("cs_peak", d.cs_peak)
-                    .set("alpha_nodes", meta.alpha_nodes)
-                    .set("alpha_subscriptions", meta.alpha_subscriptions)
-                    .set("alpha_share_hits", meta.alpha_share_hits)
-                    .set("speedup", add_rate / b),
-            );
-        }
-    }
-    println!("## alpha-sharing ablation ({SHARED_RULES} structurally identical rules)");
     t.print();
     rep.emit();
 }

@@ -206,22 +206,11 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
         }
         // Match-layer micro-bench rows (joinbench) drive matchers
         // directly — no engine run, so no cycle/firing/phase columns.
-        // `mode` names the conflict-set merge path that was measured.
+        // `mode` says whether the matcher was monolithic or partitioned.
         if row.get("adds_per_sec").is_some() {
             expect_str(row, "mode").map_err(ctx)?;
             for key in ["shards", "adds_per_sec", "removes_per_sec", "wmes", "cs_peak"] {
                 expect_num(row, key).map_err(ctx)?;
-            }
-            // Alpha-sharing ablation rows carry the shared-network
-            // counters as a set: a row with any of them must have all
-            // three, so plots never mix counted and uncounted runs.
-            if ["alpha_nodes", "alpha_subscriptions", "alpha_share_hits"]
-                .iter()
-                .any(|k| row.get(k).is_some())
-            {
-                for key in ["alpha_nodes", "alpha_subscriptions", "alpha_share_hits"] {
-                    expect_num(row, key).map_err(ctx)?;
-                }
             }
             continue;
         }
@@ -342,17 +331,6 @@ mod tests {
         validate_bench_json(&doc(row(true))).unwrap();
         let err = validate_bench_json(&doc(row(false))).unwrap_err();
         assert!(err.contains("cs_peak"), "{err}");
-
-        // alpha counters travel as a full set: one without the others
-        // is rejected
-        let partial = row(true).set("alpha_share_hits", 42usize);
-        let err = validate_bench_json(&doc(partial)).unwrap_err();
-        assert!(err.contains("alpha_nodes"), "{err}");
-        let full = row(true)
-            .set("alpha_nodes", 2usize)
-            .set("alpha_subscriptions", 32usize)
-            .set("alpha_share_hits", 18000usize);
-        validate_bench_json(&doc(full)).unwrap();
     }
 
     #[test]

@@ -439,6 +439,7 @@ pub fn serve(opts: &ServeOpts, out: &mut dyn Write) -> i32 {
 mod tests {
     use crate::args::Command;
     use crate::run_cli;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const PROGRAM: &str = "
         (literalize count n)
@@ -446,17 +447,15 @@ mod tests {
         (p step (count ^n <n>) (test (< <n> 3)) --> (modify 1 ^n (+ <n> 1)))
     ";
 
+    /// A fresh file per call: the tests run in parallel and each removes
+    /// its own input when done, so no two may share a path.
     fn temp_file(contents: &str) -> std::path::PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let mut path = std::env::temp_dir();
         path.push(format!(
-            "parulel-cli-test-{}-{:x}.pll",
+            "parulel-cli-test-{}-{}.pll",
             std::process::id(),
-            contents.len() * 31
-                + contents
-                    .as_bytes()
-                    .iter()
-                    .map(|&b| b as usize)
-                    .sum::<usize>()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&path, contents).unwrap();
         path

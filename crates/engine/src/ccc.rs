@@ -17,12 +17,18 @@ use parulel_core::ir::{FieldCheck, FieldTest, MetaCe, MetaRule, Polarity, Rule};
 use parulel_core::{Program, RuleId, Symbol};
 use std::fmt;
 
+/// The largest split factor the transform accepts. A split spreads one
+/// rule across match workers, so no useful factor comes near this; the
+/// cap stops a hostile snapshot (whose recorded splits are re-applied on
+/// restore) from asking for billions of copies.
+pub const MAX_FACTOR: u32 = 1024;
+
 /// Errors from the transform.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CccError {
     /// The named rule does not exist.
     UnknownRule(String),
-    /// `k` must be at least 1.
+    /// `k` must be in `1..=MAX_FACTOR`.
     BadFactor,
     /// The rule's first positive CE has no field to constrain on
     /// (zero-arity class).
@@ -36,7 +42,7 @@ impl fmt::Display for CccError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CccError::UnknownRule(r) => write!(f, "copy-and-constrain: unknown rule '{r}'"),
-            CccError::BadFactor => write!(f, "copy-and-constrain: factor must be >= 1"),
+            CccError::BadFactor => write!(f, "copy-and-constrain: factor must be in 1..={MAX_FACTOR}"),
             CccError::NoSplitField(r) => {
                 write!(f, "copy-and-constrain: rule '{r}' has no field to split on")
             }
@@ -54,7 +60,7 @@ impl std::error::Error for CccError {}
 /// CE *binds a variable from* (a field whose values vary, so the hash
 /// spreads), falling back to slot 0.
 pub fn copy_and_constrain(program: &Program, rule_name: &str, k: u32) -> Result<Program, CccError> {
-    if k == 0 {
+    if !(1..=MAX_FACTOR).contains(&k) {
         return Err(CccError::BadFactor);
     }
     let target_id = program
@@ -164,7 +170,7 @@ pub fn copy_and_constrain_appending(
     rule_name: &str,
     k: u32,
 ) -> Result<(Program, Vec<RuleId>), CccError> {
-    if k == 0 {
+    if !(1..=MAX_FACTOR).contains(&k) {
         return Err(CccError::BadFactor);
     }
     let target_id = program
@@ -570,5 +576,10 @@ mod tests {
             copy_and_constrain(&p, "close", 0).unwrap_err(),
             CccError::BadFactor
         );
+        assert_eq!(
+            copy_and_constrain(&p, "close", MAX_FACTOR + 1).unwrap_err(),
+            CccError::BadFactor
+        );
+        assert!(copy_and_constrain(&p, "close", MAX_FACTOR).is_ok());
     }
 }

@@ -82,7 +82,7 @@ impl Engine {
     ) -> Self {
         let program = Arc::new(program.clone());
         let eval = Evaluator::new(program.clone(), opts.eval);
-        let mut matcher = opts.matcher.build_with(program.clone(), eval.clone());
+        let mut matcher = opts.matcher.build_with(eval.clone());
         matcher.seed(&wm);
         let metrics = EngineMetrics::new(opts.metrics, program.rules().len());
         let trace_buf = opts.trace_events.map(TraceBuffer::new);
@@ -196,7 +196,7 @@ impl Engine {
             });
         }
         let eval = Evaluator::new(program.clone(), opts.eval);
-        let mut matcher = opts.matcher.build_with(program.clone(), eval.clone());
+        let mut matcher = opts.matcher.build_with(eval.clone());
         matcher.seed(&wm);
         // Observability state is not part of the snapshot wire format:
         // a resumed engine starts fresh counters.
@@ -243,10 +243,7 @@ impl Engine {
     /// policy, and options are kept — the other session-serving entry
     /// point, for reusing a compiled program across runs.
     pub fn reset(&mut self, wm: WorkingMemory) {
-        let mut matcher = self
-            .opts
-            .matcher
-            .build_with(self.program.clone(), self.eval.clone());
+        let mut matcher = self.opts.matcher.build_with(self.eval.clone());
         matcher.seed(&wm);
         self.wm = wm;
         self.matcher = matcher;
@@ -372,7 +369,7 @@ impl Engine {
                     .matcher
                     .replace_rules(&new_program, &remove_ids, &add_ids, &self.wm));
         if !report.incremental {
-            let mut m = self.opts.matcher.build_with(new_program.clone(), eval.clone());
+            let mut m = self.opts.matcher.build_with(eval.clone());
             m.seed(&self.wm);
             self.matcher = m;
         }
@@ -639,10 +636,7 @@ impl Engine {
                     .matcher
                     .replace_rules(&new_program, &[old_id], &add, &self.wm)
                 {
-                    let mut m = self
-                        .opts
-                        .matcher
-                        .build_with(new_program.clone(), self.eval.clone());
+                    let mut m = self.opts.matcher.build_with(self.eval.clone());
                     m.seed(&self.wm);
                     self.matcher = m;
                 }

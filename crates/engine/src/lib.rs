@@ -96,30 +96,25 @@ pub enum MatcherKind {
 impl MatcherKind {
     /// Instantiates the matcher in the default evaluation mode.
     pub fn build(self, program: Arc<Program>) -> Box<dyn Matcher> {
-        let eval = Evaluator::new(program.clone(), EvalMode::default());
-        self.build_with(program, eval)
+        self.build_with(Evaluator::new(program, EvalMode::default()))
     }
 
-    /// Instantiates the matcher around a caller-built [`Evaluator`]: the
-    /// program is compiled to bytecode exactly once and every worker of a
-    /// partitioned matcher shares the same `Arc`'d code objects.
-    pub fn build_with(self, program: Arc<Program>, eval: Evaluator) -> Box<dyn Matcher> {
-        let all = || (0..program.rules().len() as u32).map(RuleId).collect();
+    /// Instantiates the matcher over the evaluator's program around that
+    /// caller-built [`Evaluator`]: the program is compiled to bytecode
+    /// exactly once and every worker of a partitioned matcher shares the
+    /// same `Arc`'d code objects.
+    pub fn build_with(self, eval: Evaluator) -> Box<dyn Matcher> {
+        let all = (0..eval.program().rules().len() as u32).map(RuleId).collect();
         match self {
-            MatcherKind::Naive => {
-                let rules = all();
-                Box::new(NaiveMatcher::with_rules_eval(program, rules, eval))
+            MatcherKind::Naive => Box::new(NaiveMatcher::with_rules_eval(all, eval)),
+            MatcherKind::Rete => Box::new(Rete::with_rules_eval(all, eval)),
+            MatcherKind::Treat => Box::new(Treat::with_rules_eval(all, eval)),
+            MatcherKind::PartitionedRete(n) => {
+                Box::new(Partitioned::new_with(&eval, n, Rete::with_rules_eval))
             }
-            MatcherKind::Rete => {
-                let rules = all();
-                Box::new(Rete::with_rules_eval(program, rules, true, eval))
+            MatcherKind::PartitionedTreat(n) => {
+                Box::new(Partitioned::new_with(&eval, n, Treat::with_rules_eval))
             }
-            MatcherKind::Treat => {
-                let rules = all();
-                Box::new(Treat::with_rules_eval(program, rules, true, eval))
-            }
-            MatcherKind::PartitionedRete(n) => Box::new(Partitioned::rete_eval(program, n, eval)),
-            MatcherKind::PartitionedTreat(n) => Box::new(Partitioned::treat_eval(program, n, eval)),
         }
     }
 }

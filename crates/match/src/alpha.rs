@@ -2,12 +2,7 @@
 //!
 //! Forgy's RETE derives much of its win from running each distinct alpha
 //! (constant) test *once* per WME change and fanning the result out to
-//! every production that uses it. The per-rule matchers in this crate
-//! historically skipped that sharing — every (rule, CE) pair owned a
-//! private alpha memory, so a WME add re-ran identical class/constant
-//! tests and re-stored the same payload once per subscriber.
-//!
-//! [`AlphaNetwork`] centralizes that layer:
+//! every production that uses it. [`AlphaNetwork`] is that layer:
 //!
 //! * WME payloads live once, in a flat generational [`Arena`] (the
 //!   [`WmeRef`] handles are what tokens and index buckets store).
@@ -25,10 +20,6 @@
 //! nodes it entered; `share_hits` counts the evaluations that fanned out
 //! to more than one subscriber — the work the old per-rule layout would
 //! have repeated.
-//!
-//! Deduplication can be disabled (`dedup = false`) to reproduce the
-//! per-rule baseline for the joinbench ablation: same API, one node per
-//! subscription.
 
 use crate::arena::{Arena, WmeRef};
 use parulel_core::{
@@ -118,28 +109,21 @@ pub struct AlphaNetwork {
     /// Node slab (`None` = freed slot).
     nodes: Vec<Option<AlphaNode>>,
     free_nodes: Vec<u32>,
-    /// Sharing key → node, when `dedup` is on.
+    /// Sharing key → node.
     by_key: FxHashMap<(ClassId, Vec<FieldTest>), NodeId>,
     /// Class → nodes of that class (the add-side routing table).
     by_class: Vec<Vec<NodeId>>,
     /// Lifetime count of test evaluations that served more than one
     /// subscriber (the per-rule layout would have re-run each of these).
     share_hits: u64,
-    dedup: bool,
     /// Whether nodes run their tests as compiled bytecode or via the IR.
     mode: EvalMode,
 }
 
 impl AlphaNetwork {
-    /// An empty network over `num_classes` classes, in the default
-    /// [`EvalMode`]. `dedup = false` keeps one node per subscription (the
-    /// ablation baseline).
-    pub fn new(num_classes: usize, dedup: bool) -> Self {
-        Self::new_with_eval(num_classes, dedup, EvalMode::default())
-    }
-
-    /// Like [`new`](Self::new) with an explicit evaluation mode.
-    pub fn new_with_eval(num_classes: usize, dedup: bool, mode: EvalMode) -> Self {
+    /// An empty network over `num_classes` classes whose nodes run their
+    /// tests in `mode`.
+    pub fn new(num_classes: usize, mode: EvalMode) -> Self {
         AlphaNetwork {
             store: Arena::new(),
             by_id: FxHashMap::default(),
@@ -148,7 +132,6 @@ impl AlphaNetwork {
             by_key: FxHashMap::default(),
             by_class: vec![Vec::new(); num_classes],
             share_hits: 0,
-            dedup,
             mode,
         }
     }
@@ -170,11 +153,9 @@ impl AlphaNetwork {
             ce: ce_idx as u32,
         };
         let tests: Vec<FieldTest> = ce.alpha_tests().cloned().collect();
-        if self.dedup {
-            if let Some(&nid) = self.by_key.get(&(ce.class, tests.clone())) {
-                self.node_mut(nid).endpoints.push(ep);
-                return nid;
-            }
+        if let Some(&nid) = self.by_key.get(&(ce.class, tests.clone())) {
+            self.node_mut(nid).endpoints.push(ep);
+            return nid;
         }
         let code = match self.mode {
             EvalMode::Bytecode => Some(compile_field_tests(&tests)),
@@ -206,10 +187,8 @@ impl AlphaNetwork {
             }
         };
         let class = self.node(nid).class;
-        if self.dedup {
-            self.by_key
-                .insert((class, self.node(nid).tests.clone()), nid);
-        }
+        self.by_key
+            .insert((class, self.node(nid).tests.clone()), nid);
         if class.index() >= self.by_class.len() {
             self.by_class.resize(class.index() + 1, Vec::new());
         }
@@ -233,9 +212,7 @@ impl AlphaNetwork {
         n.endpoints.swap_remove(pos);
         if n.endpoints.is_empty() {
             let freed = self.nodes[node.index()].take().expect("freed alpha node");
-            if self.dedup {
-                self.by_key.remove(&(freed.class, freed.tests));
-            }
+            self.by_key.remove(&(freed.class, freed.tests));
             self.by_class[freed.class.index()].retain(|&x| x != node);
             self.free_nodes.push(node.0);
         }
@@ -461,13 +438,11 @@ impl AlphaNetwork {
                 1,
                 "node {i}: class bucket entry missing or duplicated"
             );
-            if self.dedup {
-                assert_eq!(
-                    self.by_key.get(&(node.class, node.tests.clone())),
-                    Some(&nid),
-                    "node {i}: sharing key does not resolve back"
-                );
-            }
+            assert_eq!(
+                self.by_key.get(&(node.class, node.tests.clone())),
+                Some(&nid),
+                "node {i}: sharing key does not resolve back"
+            );
             // Membership = exactly the stored WMEs of the class passing
             // the tests.
             for (id, &wref) in &node.members {
@@ -564,7 +539,7 @@ mod tests {
     fn dedup_shares_nodes_and_counts_hits() {
         let (p, mut wm) = three_rule_setup();
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut net = AlphaNetwork::new(p.classes.len(), true);
+        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
         let ids = subscribe_all(&mut net, &p);
         assert_eq!(ids[0], ids[1], "identical alpha keys share a node");
         assert_ne!(ids[0], ids[2], "different constant ⇒ different node");
@@ -581,25 +556,10 @@ mod tests {
     }
 
     #[test]
-    fn dedup_off_keeps_per_rule_nodes() {
-        let (p, mut wm) = three_rule_setup();
-        let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut net = AlphaNetwork::new(p.classes.len(), false);
-        let ids = subscribe_all(&mut net, &p);
-        assert_ne!(ids[0], ids[1], "no sharing with dedup off");
-        assert_eq!(net.node_count(), 3);
-        let w = wm.insert(n, vec![Value::Int(1), Value::Int(9)]);
-        let (_, entered) = net.add(&w);
-        assert_eq!(entered.len(), 2, "both per-rule copies entered");
-        assert_eq!(net.share_hits(), 0, "nothing shared, nothing saved");
-        net.check_invariants();
-    }
-
-    #[test]
     fn late_subscription_seeds_from_store() {
         let (p, mut wm) = three_rule_setup();
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut net = AlphaNetwork::new(p.classes.len(), true);
+        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
         let w1 = wm.insert(n, vec![Value::Int(1), Value::Int(9)]);
         let w2 = wm.insert(n, vec![Value::Int(2), Value::Int(9)]);
         net.add(&w1);
@@ -617,7 +577,7 @@ mod tests {
     #[test]
     fn unsubscribe_refcounts_and_frees() {
         let (p, _) = three_rule_setup();
-        let mut net = AlphaNetwork::new(p.classes.len(), true);
+        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
         let ids = subscribe_all(&mut net, &p);
         net.unsubscribe(ids[0], p.rules()[0].id, 0);
         assert_eq!(net.node_count(), 2, "shared node survives one leaver");
@@ -634,7 +594,7 @@ mod tests {
     fn add_remove_keeps_indexes_in_sync() {
         let (p, mut wm) = three_rule_setup();
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut net = AlphaNetwork::new(p.classes.len(), true);
+        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
         let ids = subscribe_all(&mut net, &p);
         net.subscribe_index(ids[0], &[1]);
         net.subscribe_index(ids[0], &[]); // key-less probe shares a bucket

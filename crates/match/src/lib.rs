@@ -76,9 +76,8 @@ pub struct MatcherMetrics {
     /// constant-test) memories after deduplication (zero for naive,
     /// which has no network).
     pub alpha_nodes: usize,
-    /// Total (rule, CE) subscriptions across those nodes. With sharing
-    /// disabled this equals `alpha_nodes`; the gap is the state the
-    /// dedup layer avoids keeping.
+    /// Total (rule, CE) subscriptions across those nodes; the gap to
+    /// `alpha_nodes` is the per-rule state sharing avoids keeping.
     pub alpha_subscriptions: usize,
     /// Lifetime count of alpha test evaluations whose result was fanned
     /// out to more than one subscriber — work the per-rule layout would

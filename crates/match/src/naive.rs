@@ -24,20 +24,14 @@ impl NaiveMatcher {
     /// A naive matcher over every rule of `program`.
     pub fn new(program: Arc<Program>) -> Self {
         let rules = (0..program.rules().len() as u32).map(RuleId).collect();
-        Self::with_rules(program, rules)
+        Self::with_rules_eval(rules, Evaluator::new(program, EvalMode::default()))
     }
 
-    /// A naive matcher over a subset of rules (used by the partitioned
-    /// parallel matcher).
-    pub fn with_rules(program: Arc<Program>, rules: Vec<RuleId>) -> Self {
-        let eval = Evaluator::new(program.clone(), EvalMode::default());
-        Self::with_rules_eval(program, rules, eval)
-    }
-
-    /// Like [`with_rules`](Self::with_rules) with a caller-built
-    /// [`Evaluator`] (shared-compilation path: the engine compiles once
-    /// and hands out clones).
-    pub fn with_rules_eval(program: Arc<Program>, rules: Vec<RuleId>, eval: Evaluator) -> Self {
+    /// A naive matcher over a subset of the evaluator's rules, around a
+    /// caller-built [`Evaluator`] (shared-compilation path: the engine
+    /// compiles once and hands out clones).
+    pub fn with_rules_eval(rules: Vec<RuleId>, eval: Evaluator) -> Self {
+        let program = eval.program().clone();
         let classes = program.classes.len();
         NaiveMatcher {
             program,
@@ -176,7 +170,10 @@ mod tests {
         let mut all = NaiveMatcher::new(p.clone());
         all.seed(&wm);
         assert_eq!(all.conflict_set().len(), 2);
-        let mut only_r2 = NaiveMatcher::with_rules(p.clone(), vec![RuleId(1)]);
+        let mut only_r2 = NaiveMatcher::with_rules_eval(
+            vec![RuleId(1)],
+            Evaluator::new(p.clone(), EvalMode::default()),
+        );
         only_r2.seed(&wm);
         assert_eq!(only_r2.conflict_set().len(), 1);
         assert_eq!(

@@ -40,9 +40,6 @@ pub struct Partitioned<M: Matcher> {
     /// The merged set cannot be patched (journals unavailable or state
     /// replaced wholesale); rebuild it from the workers' sets.
     rebuild: bool,
-    /// Diagnostic toggle: treat every merge as a rebuild (the pre-journal
-    /// behavior). Exists so benchmarks can price the difference.
-    force_full: bool,
     merge_rebuilds: u64,
     merge_patch_events: u64,
 }
@@ -58,8 +55,10 @@ pub fn round_robin(num_rules: usize, n: usize) -> Vec<Vec<RuleId>> {
 }
 
 impl<M: Matcher> Partitioned<M> {
-    /// Builds a partitioned matcher with `n` workers, constructing each
-    /// worker with `make(program, rules)`.
+    /// Builds a partitioned matcher with `n` workers over the evaluator's
+    /// program, constructing each worker with `make(rules, eval)` (every
+    /// worker gets a clone of `eval`; the rule code objects themselves are
+    /// `Arc`-shared, so the program compiles once).
     ///
     /// `n == 0` is clamped to one worker (a zero-worker matcher cannot
     /// exist); callers that consider `0` an input error must reject it
@@ -68,14 +67,14 @@ impl<M: Matcher> Partitioned<M> {
     /// [`metrics`](Matcher::metrics), so reports never claim a shard
     /// count that was never used.
     pub fn new_with(
-        program: Arc<Program>,
+        eval: &Evaluator,
         n: usize,
-        make: impl Fn(Arc<Program>, Vec<RuleId>) -> M,
+        make: impl Fn(Vec<RuleId>, Evaluator) -> M,
     ) -> Self {
-        let parts = round_robin(program.rules().len(), n);
+        let parts = round_robin(eval.program().rules().len(), n);
         let workers: Vec<M> = parts
             .iter()
-            .map(|rules| make(program.clone(), rules.clone()))
+            .map(|rules| make(rules.clone(), eval.clone()))
             .collect();
         let n = workers.len();
         Partitioned {
@@ -85,7 +84,6 @@ impl<M: Matcher> Partitioned<M> {
             pending: vec![Vec::new(); n],
             dirty: true,
             rebuild: true,
-            force_full: false,
             merge_rebuilds: 0,
             merge_patch_events: 0,
         }
@@ -94,13 +92,6 @@ impl<M: Matcher> Partitioned<M> {
     /// Number of workers.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// When set, every merge falls back to the full per-worker re-union
-    /// (the pre-incremental behavior). For benchmarking the incremental
-    /// union against its predecessor; leave off otherwise.
-    pub fn set_force_full_merge(&mut self, on: bool) {
-        self.force_full = on;
     }
 
     /// Lifetime merge counters: `(full rebuilds, journal events replayed)`.
@@ -134,31 +125,16 @@ impl<M: Matcher> Partitioned<M> {
 impl Partitioned<Rete> {
     /// `n` RETE workers over `program`.
     pub fn rete(program: Arc<Program>, n: usize) -> Self {
-        let eval = Evaluator::new(program.clone(), EvalMode::default());
-        Self::rete_eval(program, n, eval)
-    }
-
-    /// `n` RETE workers sharing one compiled [`Evaluator`] (each worker
-    /// gets a clone; the rule code objects themselves are `Arc`-shared).
-    pub fn rete_eval(program: Arc<Program>, n: usize, eval: Evaluator) -> Self {
-        Self::new_with(program, n, move |p, rules| {
-            Rete::with_rules_eval(p, rules, true, eval.clone())
-        })
+        let eval = Evaluator::new(program, EvalMode::default());
+        Self::new_with(&eval, n, Rete::with_rules_eval)
     }
 }
 
 impl Partitioned<Treat> {
     /// `n` TREAT workers over `program`.
     pub fn treat(program: Arc<Program>, n: usize) -> Self {
-        let eval = Evaluator::new(program.clone(), EvalMode::default());
-        Self::treat_eval(program, n, eval)
-    }
-
-    /// `n` TREAT workers sharing one compiled [`Evaluator`].
-    pub fn treat_eval(program: Arc<Program>, n: usize, eval: Evaluator) -> Self {
-        Self::new_with(program, n, move |p, rules| {
-            Treat::with_rules_eval(p, rules, true, eval.clone())
-        })
+        let eval = Evaluator::new(program, EvalMode::default());
+        Self::new_with(&eval, n, Treat::with_rules_eval)
     }
 }
 
@@ -195,7 +171,7 @@ impl<M: Matcher> Matcher for Partitioned<M> {
     }
 
     fn conflict_set(&mut self) -> &ConflictSet {
-        if self.rebuild || (self.dirty && self.force_full) {
+        if self.rebuild {
             let mut merged = ConflictSet::new();
             for (i, w) in self.workers.iter_mut().enumerate() {
                 // Discard any buffered/journaled events: the full read
@@ -435,35 +411,31 @@ mod tests {
         let (p, wm) = setup();
         let all: Vec<Wme> = wm.sorted_snapshot();
         let mut inc = Partitioned::rete(p.clone(), 3);
-        let mut full = Partitioned::rete(p.clone(), 3);
-        full.set_force_full_merge(true);
+        let mut mono = Rete::new(p.clone());
         inc.seed(&wm);
-        full.seed(&wm);
+        mono.seed(&wm);
         assert_eq!(
             inc.conflict_set().sorted_keys(),
-            full.conflict_set().sorted_keys()
+            mono.conflict_set().sorted_keys()
         );
         // Interleave adds/removes, comparing after every delta.
         for w in &all {
             inc.remove_wme(w);
-            full.remove_wme(w);
+            mono.remove_wme(w);
             assert_eq!(
                 inc.conflict_set().sorted_keys(),
-                full.conflict_set().sorted_keys()
+                mono.conflict_set().sorted_keys()
             );
             inc.add_wme(w);
-            full.add_wme(w);
+            mono.add_wme(w);
             assert_eq!(
                 inc.conflict_set().sorted_keys(),
-                full.conflict_set().sorted_keys()
+                mono.conflict_set().sorted_keys()
             );
         }
         let (rebuilds, patched) = inc.merge_stats();
         assert_eq!(rebuilds, 1, "only the seed-time baseline rebuild");
         assert!(patched > 0, "later merges were journal replays");
-        let (full_rebuilds, full_patched) = full.merge_stats();
-        assert!(full_rebuilds > 1);
-        assert_eq!(full_patched, 0);
     }
 
     #[test]

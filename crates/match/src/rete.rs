@@ -144,37 +144,19 @@ pub struct Rete {
 }
 
 impl Rete {
-    /// Builds a network for every rule of `program`, with alpha sharing.
+    /// Builds a network for every rule of `program`.
     pub fn new(program: Arc<Program>) -> Self {
         let rules = (0..program.rules().len() as u32).map(RuleId).collect();
-        Self::with_rules(program, rules)
+        Self::with_rules_eval(rules, Evaluator::new(program, EvalMode::default()))
     }
 
-    /// Builds networks for a subset of rules (the partitioned matcher's
-    /// workers use this), with alpha sharing.
-    pub fn with_rules(program: Arc<Program>, rules: Vec<RuleId>) -> Self {
-        Self::with_rules_sharing(program, rules, true)
-    }
-
-    /// Like [`with_rules`](Self::with_rules) but with alpha-memory
-    /// deduplication switchable — `dedup = false` keeps one node per
-    /// (rule, CE), the per-rule baseline the joinbench ablation measures
-    /// against.
-    pub fn with_rules_sharing(program: Arc<Program>, rules: Vec<RuleId>, dedup: bool) -> Self {
-        let eval = Evaluator::new(program.clone(), EvalMode::default());
-        Self::with_rules_eval(program, rules, dedup, eval)
-    }
-
-    /// Like [`with_rules_sharing`](Self::with_rules_sharing) with a
-    /// caller-built [`Evaluator`] (the engine compiles once and hands out
-    /// clones; the alpha network inherits the evaluator's mode).
-    pub fn with_rules_eval(
-        program: Arc<Program>,
-        rules: Vec<RuleId>,
-        dedup: bool,
-        eval: Evaluator,
-    ) -> Self {
-        let mut alpha = AlphaNetwork::new_with_eval(program.classes.len(), dedup, eval.mode());
+    /// Builds networks for a subset of the evaluator's rules (the
+    /// partitioned matcher's workers use this) around a caller-built
+    /// [`Evaluator`] (the engine compiles once and hands out clones; the
+    /// alpha network inherits the evaluator's mode).
+    pub fn with_rules_eval(rules: Vec<RuleId>, eval: Evaluator) -> Self {
+        let program = eval.program().clone();
+        let mut alpha = AlphaNetwork::new(program.classes.len(), eval.mode());
         let mut nets = Vec::with_capacity(rules.len());
         let mut cs = ConflictSet::new();
         for rid in rules {
@@ -1146,40 +1128,35 @@ mod tests {
     #[test]
     fn identical_ces_share_alpha_nodes_across_rules() {
         // Three rules, all over class `n` with the same constant test on
-        // one CE: with sharing, the network keeps one node per distinct
-        // key and reports fan-out; without it, one node per subscription.
+        // one CE: the network keeps one node per distinct key and reports
+        // fan-out, without changing the conflict set.
         let src = "(literalize n v w)
              (p r1 (n ^v 1 ^w <x>) (n ^v 1 ^w <y>) --> (halt))
              (p r2 (n ^v 1 ^w <x>) --> (halt))
              (p r3 (n ^v 2 ^w <x>) --> (halt))";
         let p = prog(src);
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let rules: Vec<RuleId> = (0..3).map(RuleId).collect();
-        let mut shared = Rete::with_rules_sharing(p.clone(), rules.clone(), true);
-        let mut solo = Rete::with_rules_sharing(p.clone(), rules, false);
+        let mut shared = Rete::new(p.clone());
+        let mut oracle = crate::NaiveMatcher::new(p.clone());
         let mut wm = WorkingMemory::new(&p.classes);
         for v in [1, 1, 2] {
             let w = wm.insert(n, vec![Value::Int(v), Value::Int(0)]);
             shared.add_wme(&w);
-            solo.add_wme(&w);
+            oracle.add_wme(&w);
         }
         assert_eq!(
             shared.conflict_set().sorted_keys(),
-            solo.conflict_set().sorted_keys(),
+            oracle.conflict_set().sorted_keys(),
             "sharing must not change the conflict set"
         );
         let ms = shared.metrics();
-        let mp = solo.metrics();
         assert_eq!(ms.alpha_subscriptions, 4, "4 (rule, CE) endpoints");
         assert_eq!(ms.alpha_nodes, 2, "deduped to 2 distinct keys");
         assert!(ms.alpha_share_hits > 0, "fan-out was recorded");
-        assert_eq!(mp.alpha_nodes, 4, "baseline keeps one node each");
-        assert_eq!(mp.alpha_share_hits, 0);
         assert_eq!(
-            ms.alpha_wmes, mp.alpha_wmes,
-            "per-subscription accounting is layout-independent"
+            ms.alpha_wmes, 7,
+            "per-subscription accounting: 2 + 2 + 2 members at v=1, 1 at v=2"
         );
         shared.check_invariants();
-        solo.check_invariants();
     }
 }

@@ -55,35 +55,18 @@ pub struct Treat {
 }
 
 impl Treat {
-    /// A TREAT matcher over every rule of `program`, with alpha sharing.
+    /// A TREAT matcher over every rule of `program`.
     pub fn new(program: Arc<Program>) -> Self {
         let rules = (0..program.rules().len() as u32).map(RuleId).collect();
-        Self::with_rules(program, rules)
+        Self::with_rules_eval(rules, Evaluator::new(program, EvalMode::default()))
     }
 
-    /// A TREAT matcher over a subset of rules, with alpha sharing.
-    pub fn with_rules(program: Arc<Program>, rules: Vec<RuleId>) -> Self {
-        Self::with_rules_sharing(program, rules, true)
-    }
-
-    /// Like [`with_rules`](Self::with_rules) but with alpha-memory
-    /// deduplication switchable — the per-rule baseline of the joinbench
-    /// ablation.
-    pub fn with_rules_sharing(program: Arc<Program>, rules: Vec<RuleId>, dedup: bool) -> Self {
-        let eval = Evaluator::new(program.clone(), EvalMode::default());
-        Self::with_rules_eval(program, rules, dedup, eval)
-    }
-
-    /// Like [`with_rules_sharing`](Self::with_rules_sharing) with a
+    /// A TREAT matcher over a subset of the evaluator's rules, around a
     /// caller-built [`Evaluator`] (the engine compiles once and hands out
     /// clones; the alpha network inherits the evaluator's mode).
-    pub fn with_rules_eval(
-        program: Arc<Program>,
-        rules: Vec<RuleId>,
-        dedup: bool,
-        eval: Evaluator,
-    ) -> Self {
-        let mut alpha = AlphaNetwork::new_with_eval(program.classes.len(), dedup, eval.mode());
+    pub fn with_rules_eval(rules: Vec<RuleId>, eval: Evaluator) -> Self {
+        let program = eval.program().clone();
+        let mut alpha = AlphaNetwork::new(program.classes.len(), eval.mode());
         let subs = rules
             .into_iter()
             .map(|rid| RuleSubs {
@@ -477,7 +460,7 @@ mod tests {
     fn shared_nodes_route_adds_without_full_rule_scan() {
         // Two rules sharing a constant test plus one rule that cannot
         // match the added class at all: sharing dedups the node, and the
-        // conflict set agrees with the per-rule baseline.
+        // conflict set agrees with the naive oracle.
         let src = "(literalize n v w)
              (literalize other x)
              (p r1 (n ^v 1 ^w <x>) (n ^v 1 ^w <y>) --> (halt))
@@ -485,25 +468,22 @@ mod tests {
              (p r3 (other ^x <z>) --> (halt))";
         let p = prog(src);
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let rules: Vec<RuleId> = (0..3).map(RuleId).collect();
-        let mut shared = Treat::with_rules_sharing(p.clone(), rules.clone(), true);
-        let mut solo = Treat::with_rules_sharing(p.clone(), rules, false);
+        let mut shared = Treat::new(p.clone());
+        let mut oracle = crate::NaiveMatcher::new(p.clone());
         let mut wm = WorkingMemory::new(&p.classes);
         for v in [1, 1, 2] {
             let w = wm.insert(n, vec![Value::Int(v), Value::Int(0)]);
             shared.add_wme(&w);
-            solo.add_wme(&w);
+            oracle.add_wme(&w);
         }
         assert_eq!(
             shared.conflict_set().sorted_keys(),
-            solo.conflict_set().sorted_keys()
+            oracle.conflict_set().sorted_keys()
         );
         let ms = shared.metrics();
         assert_eq!(ms.alpha_subscriptions, 4);
         assert_eq!(ms.alpha_nodes, 2, "r1's CEs and r2's CE collapse into one");
         assert!(ms.alpha_share_hits > 0);
-        assert_eq!(solo.metrics().alpha_nodes, 4);
         shared.check_invariants();
-        solo.check_invariants();
     }
 }

@@ -18,10 +18,7 @@
 //!    matcher agreeing with the oracle, before and after further
 //!    batches.
 //!
-//! The incremental matchers run with alpha sharing both on (default)
-//! and off, so the shared-network dedup layer is property-tested against
-//! the per-rule baseline as well as the oracle. In debug builds,
-//! invariant-checked RETE and TREAT twins ride along: subscription
+//! In debug builds, invariant-checked RETE and TREAT twins ride along: subscription
 //! refcounts, arena live counts, and every index cross-reference are
 //! asserted after each batch (and after each `replace_rules`), so a
 //! desync surfaces at the op that caused it.
@@ -89,23 +86,10 @@ fn run_batched_differential(specs: Vec<RuleSpec>, batches: Vec<Vec<Op>>, workers
     let mut wm = WorkingMemory::new(&program.classes);
     let mut live: Vec<Wme> = Vec::new();
 
-    let rules = all_rules(&program);
     let mut naive = NaiveMatcher::new(program.clone());
     let mut matchers: Vec<(&str, Box<dyn Matcher>)> = vec![
         ("rete", Box::new(Rete::new(program.clone()))),
         ("treat", Box::new(Treat::new(program.clone()))),
-        (
-            "rete-solo-alpha",
-            Box::new(Rete::with_rules_sharing(
-                program.clone(),
-                rules.clone(),
-                false,
-            )),
-        ),
-        (
-            "treat-solo-alpha",
-            Box::new(Treat::with_rules_sharing(program.clone(), rules, false)),
-        ),
         (
             "partitioned-rete",
             Box::new(Partitioned::rete(program.clone(), workers)),

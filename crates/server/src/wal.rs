@@ -773,6 +773,132 @@ mod tests {
         assert!(SnapshotRecord::decode(&current).is_none());
     }
 
+    /// Every hostile variant of `valid` the decoder loop feeds in: each
+    /// truncation, each byte flipped, each 4-byte window overwritten with
+    /// `u32::MAX`, and a seeded batch of random multi-byte overwrites.
+    fn hostile_variants(valid: &[u8]) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..valid.len()).map(|n| valid[..n].to_vec()).collect();
+        for i in 0..valid.len() {
+            let mut b = valid.to_vec();
+            b[i] ^= 0xff;
+            out.push(b);
+        }
+        for i in 0..valid.len().saturating_sub(3) {
+            let mut b = valid.to_vec();
+            b[i..i + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            out.push(b);
+        }
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize
+        };
+        for _ in 0..256 {
+            let mut b = valid.to_vec();
+            for _ in 0..1 + next() % 4 {
+                let i = next() % b.len();
+                b[i] = next() as u8;
+            }
+            out.push(b);
+        }
+        out
+    }
+
+    /// A real post-split engine capture and the unsplit program it came
+    /// from: every value tag, refraction keys naming the `~k` copies, a
+    /// log, traces and a recorded split.
+    fn post_split_capture() -> (parulel_core::Program, parulel_engine::Snapshot) {
+        use parulel_core::{Value, WorkingMemory};
+        use parulel_engine::{AutoCcc, Engine, EngineOptions, MatcherKind};
+        let src = "
+            (literalize edge from to tag w)
+            (literalize reach from to)
+            (p mark (edge ^from <a> ^to <b> ^tag <t> ^w <w>)
+             --> (make reach ^from <a> ^to <b>) (write <t> <w>))
+            (p close (reach ^from <a> ^to <b>) (reach ^from <b> ^to <c>)
+             --> (make reach ^from <a> ^to <c>))";
+        let program = parulel_lang::compile(src).unwrap();
+        let edge = program.classes.id_of(program.interner.intern("edge")).unwrap();
+        let red = Value::Sym(program.interner.intern("red"));
+        let mut wm = WorkingMemory::new(&program.classes);
+        for (a, b) in [(1, 2), (2, 3), (3, 1)] {
+            wm.insert(edge, vec![Value::Int(a), Value::Int(b), red, Value::Float(a as f64 / 2.0)]);
+        }
+        let opts = EngineOptions {
+            matcher: MatcherKind::PartitionedRete(2),
+            auto_ccc: Some(AutoCcc {
+                after_cycles: 1,
+                min_imbalance: 1.0,
+                factor: 2,
+            }),
+            trace: true,
+            ..EngineOptions::default()
+        };
+        let mut engine = Engine::new(&program, wm, opts);
+        for _ in 0..2 {
+            engine.step().unwrap();
+        }
+        let snap = engine.checkpoint();
+        assert_eq!(snap.splits.len(), 1, "the capture must carry a split");
+        (program, snap)
+    }
+
+    #[test]
+    fn hostile_bytes_never_panic_the_snapshot_decoders() {
+        use parulel_engine::{Engine, EngineOptions, Snapshot};
+        let (program, snap) = post_split_capture();
+        let snap_bytes = snap.to_bytes();
+        let record = SnapshotRecord {
+            open_line: "{\"op\":\"open\"}".into(),
+            snapshot: snap_bytes.clone(),
+            injected_adds: 4,
+            injected_removes: 1,
+            pending: vec!["pending-inject".into()],
+            reloads: vec!["reload-frame".into()],
+        }
+        .encode();
+
+        // A decoded snapshot goes on to the `restore` frame's next step:
+        // binding against the unsplit program, which re-applies the split.
+        let restore = |bytes: &[u8]| {
+            Snapshot::from_bytes(bytes)
+                .ok()
+                .map(|s| Engine::resume(&program, &s, EngineOptions::default()).is_ok())
+        };
+        let started = Instant::now();
+        assert_eq!(restore(&snap_bytes), Some(true), "the base case restores");
+        for bytes in hostile_variants(&snap_bytes) {
+            restore(&bytes);
+        }
+        // Recovery hands a decoded record's snapshot to the same decoder;
+        // its resume path is already covered by the loop above.
+        for bytes in hostile_variants(&record) {
+            if let Some(r) = SnapshotRecord::decode(&bytes) {
+                let _ = Snapshot::from_bytes(&r.snapshot);
+            }
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "decoder loop took {took:?}");
+    }
+
+    #[test]
+    fn restore_refuses_a_split_factor_flipped_to_65282() {
+        // Found by the loop above: flipping the second byte of the
+        // recorded split factor (2 → 0xff02) still decodes, and resume
+        // then materialized 65 282 rule copies until memory ran out.
+        use parulel_engine::{Engine, EngineOptions, Snapshot, SnapshotError};
+        let (program, mut snap) = post_split_capture();
+        snap.splits[0].1 ^= 0xff00;
+        let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(snap.splits[0].1, 0xff02);
+        assert!(matches!(
+            Engine::resume(&program, &snap, EngineOptions::default()),
+            Err(SnapshotError::SplitFailed(_))
+        ));
+    }
+
     #[test]
     fn sync_policy_parses() {
         assert_eq!(SyncPolicy::parse("always").unwrap(), SyncPolicy::Always);
