@@ -24,7 +24,7 @@ fn main() {
     }
     println!(
         "Figure 1: speedup vs workers (host has {cores} hardware thread(s))\n\
-         matcher = PartitionedRete(n), parallel_fire = true\n"
+         matcher = PartitionedRete(n), RHSs fired in parallel\n"
     );
     let mut rep = BenchReport::new("fig1", "speedup vs workers (PartitionedRete(n))");
     for s in bench_scenarios() {

@@ -160,9 +160,8 @@ impl Expr {
 impl BinOp {
     /// Applies the operator to two values with the engine's exact
     /// arithmetic semantics (wrapping integer ops, int/float promotion,
-    /// integer division-by-zero errors). This is the single arithmetic
-    /// kernel — the tree-walking [`Expr::eval`] and the bytecode VM both
-    /// route through it, so the two evaluators cannot diverge.
+    /// integer division-by-zero errors). [`Expr::eval`] routes every
+    /// binary operation through it.
     #[inline]
     pub fn apply(self, a: Value, b: Value) -> Result<Value, EvalError> {
         arith(self, a, b)

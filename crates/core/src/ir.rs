@@ -305,6 +305,16 @@ impl Rule {
         self.ces.iter().map(|ce| ce.tests.len() + 1).sum::<usize>() + self.tests.len()
     }
 
+    /// True iff every rule test anchored at CE position `anchor` holds
+    /// under `env` (an evaluation error fails the test, as in
+    /// [`TestExpr::check`]).
+    pub fn tests_pass_at(&self, anchor: usize, env: &[Value]) -> bool {
+        self.tests
+            .iter()
+            .filter(|t| t.anchor == anchor)
+            .all(|t| t.test.check(env))
+    }
+
     /// Number of variables bound by the first `n` CEs (prefix of the join
     /// order). Used to place tests and identify join keys.
     pub fn vars_bound_by(&self, n: usize) -> u16 {

@@ -7,7 +7,7 @@
 //! strings.
 //!
 //! [`Interner`] is cheaply clonable (an `Arc` around a
-//! `parking_lot::RwLock`), so the program, the working memory, and every
+//! `std::sync::RwLock`), so the program, the working memory, and every
 //! parallel match worker can share one table. Interning is rare at runtime
 //! (only `write` actions and trace formatting resolve strings), so the lock
 //! is uncontended in the hot path.
@@ -15,9 +15,8 @@
 //! [`Value`]: crate::value::Value
 
 use crate::hash::FxHashMap;
-use parking_lot::RwLock;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An interned string handle. Two symbols from the same [`Interner`] are
 /// equal iff their source strings are equal.
@@ -81,13 +80,24 @@ impl Interner {
         this
     }
 
+    // Poison is recovered, not propagated: only `intern` writes, and its
+    // one panic (symbol overflow) fires before it changes anything, so a
+    // poisoned table is still consistent and must not wedge every lookup.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Interns `s`, returning its stable [`Symbol`].
     pub fn intern(&self, s: &str) -> Symbol {
         // Fast path: read lock only.
-        if let Some(&sym) = self.inner.read().ids.get(s) {
+        if let Some(&sym) = self.read().ids.get(s) {
             return sym;
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if let Some(&sym) = inner.ids.get(s) {
             return sym; // raced with another writer
         }
@@ -102,7 +112,7 @@ impl Interner {
     /// Looks up a symbol without interning. Returns `None` if `s` has never
     /// been interned.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.inner.read().ids.get(s).copied()
+        self.read().ids.get(s).copied()
     }
 
     /// Resolves a symbol back to its string.
@@ -110,7 +120,7 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` did not come from this interner (index out of range).
     pub fn resolve(&self, sym: Symbol) -> Arc<str> {
-        self.inner.read().strings[sym.index()].clone()
+        self.read().strings[sym.index()].clone()
     }
 
     /// True when `self` and `other` are clones of one interner (shared
@@ -123,7 +133,7 @@ impl Interner {
 
     /// Number of distinct symbols interned so far (≥ 1 because of `nil`).
     pub fn len(&self) -> usize {
-        self.inner.read().strings.len()
+        self.read().strings.len()
     }
 
     /// Always false: `nil` is pre-interned.

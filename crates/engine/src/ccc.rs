@@ -58,101 +58,10 @@ impl std::error::Error for CccError {}
 /// Splits `rule_name` into `k` hash-constrained copies, returning the
 /// rewritten program. The split slot is the first slot the first positive
 /// CE *binds a variable from* (a field whose values vary, so the hash
-/// spreads), falling back to slot 0.
+/// spreads), falling back to slot 0. The copies sit contiguously where
+/// the original rule was, so every later rule's id shifts by `k - 1`.
 pub fn copy_and_constrain(program: &Program, rule_name: &str, k: u32) -> Result<Program, CccError> {
-    if !(1..=MAX_FACTOR).contains(&k) {
-        return Err(CccError::BadFactor);
-    }
-    let target_id = program
-        .interner
-        .get(rule_name)
-        .and_then(|s| program.rule_by_name(s))
-        .ok_or_else(|| CccError::UnknownRule(rule_name.to_string()))?;
-
-    let mut out = Program::new(program.interner.clone(), program.classes.clone());
-    // Map original RuleId -> copies' names (for meta expansion).
-    let mut copies_of: Vec<Vec<Symbol>> = Vec::with_capacity(program.rules().len());
-
-    for rule in program.rules() {
-        if rule.id == target_id {
-            let slot = split_slot(program, rule)
-                .ok_or_else(|| CccError::NoSplitField(rule_name.to_string()))?;
-            let first_pos = rule
-                .positive_ce_indices()
-                .next()
-                .ok_or_else(|| CccError::NoSplitField(rule_name.to_string()))?;
-            let mut names = Vec::with_capacity(k as usize);
-            for residue in 0..k {
-                let mut copy = rule.clone();
-                let name = program.interner.intern(&format!("{rule_name}~{residue}"));
-                copy.name = name;
-                copy.ces[first_pos].tests.push(FieldTest {
-                    slot,
-                    check: FieldCheck::HashMod {
-                        divisor: k,
-                        residue,
-                    },
-                });
-                out.add_rule(copy)
-                    .map_err(|e| CccError::Internal(e.to_string()))?;
-                names.push(name);
-            }
-            copies_of.push(names);
-        } else {
-            copies_of.push(vec![rule.name]);
-            out.add_rule(rule.clone())
-                .map_err(|e| CccError::Internal(e.to_string()))?;
-        }
-    }
-
-    // Meta-rules: expand every combination of copy choices for CEs that
-    // reference the split rule.
-    for meta in program.metas() {
-        let choice_lists: Vec<&[Symbol]> = meta
-            .ces
-            .iter()
-            .map(|ce| copies_of[ce.rule.index()].as_slice())
-            .collect();
-        for (combo_idx, combo) in cartesian(&choice_lists).into_iter().enumerate() {
-            let ces: Vec<MetaCe> = meta
-                .ces
-                .iter()
-                .zip(&combo)
-                .map(|(ce, name)| {
-                    let rule = out.rule_by_name(**name).ok_or_else(|| {
-                        CccError::Internal(format!(
-                            "copy '{}' missing from rebuilt program",
-                            out.interner.resolve(**name)
-                        ))
-                    })?;
-                    Ok(MetaCe {
-                        rule,
-                        pats: ce.pats.clone(),
-                    })
-                })
-                .collect::<Result<_, CccError>>()?;
-            let name = if combo.len() == meta.ces.len() && choice_lists.iter().all(|l| l.len() == 1)
-            {
-                meta.name
-            } else {
-                program.interner.intern(&format!(
-                    "{}~{combo_idx}",
-                    program.interner.resolve(meta.name)
-                ))
-            };
-            let expanded = MetaRule {
-                id: meta.id,
-                name,
-                ces,
-                tests: meta.tests.clone(),
-                actions: meta.actions.clone(),
-                num_vars: meta.num_vars,
-            };
-            out.add_meta(expanded)
-                .map_err(|e| CccError::Internal(e.to_string()))?;
-        }
-    }
-    Ok(out)
+    split(program, rule_name, k, k).map(|(out, _)| out)
 }
 
 /// [`copy_and_constrain`] with **stable rule ids**: the residue-0 copy
@@ -170,6 +79,19 @@ pub fn copy_and_constrain_appending(
     rule_name: &str,
     k: u32,
 ) -> Result<(Program, Vec<RuleId>), CccError> {
+    split(program, rule_name, k, 1)
+}
+
+/// The one builder behind both entry points: copies `0..in_place` take
+/// the target's position, copies `in_place..k` are appended after every
+/// other rule (their ids are returned). Meta-rules that reference the
+/// target are expanded over the cartesian product of its copies.
+fn split(
+    program: &Program,
+    rule_name: &str,
+    k: u32,
+    in_place: u32,
+) -> Result<(Program, Vec<RuleId>), CccError> {
     if !(1..=MAX_FACTOR).contains(&k) {
         return Err(CccError::BadFactor);
     }
@@ -179,47 +101,48 @@ pub fn copy_and_constrain_appending(
         .and_then(|s| program.rule_by_name(s))
         .ok_or_else(|| CccError::UnknownRule(rule_name.to_string()))?;
     let target = program.rule(target_id);
-    let slot = split_slot(program, target)
-        .ok_or_else(|| CccError::NoSplitField(rule_name.to_string()))?;
+    let slot =
+        split_slot(program, target).ok_or_else(|| CccError::NoSplitField(rule_name.to_string()))?;
     let first_pos = target
         .positive_ce_indices()
         .next()
         .ok_or_else(|| CccError::NoSplitField(rule_name.to_string()))?;
 
-    let make_copy = |residue: u32| {
+    let mut out = Program::new(program.interner.clone(), program.classes.clone());
+    // Original RuleId -> the names of its copies (for meta expansion).
+    let mut copies_of: Vec<Vec<Symbol>> = Vec::with_capacity(program.rules().len());
+    let add_copy = |out: &mut Program, residue: u32| {
         let mut copy = target.clone();
-        copy.name = program
-            .interner
-            .intern(&format!("{rule_name}~{residue}"));
+        copy.name = program.interner.intern(&format!("{rule_name}~{residue}"));
         copy.ces[first_pos].tests.push(FieldTest {
             slot,
-            check: FieldCheck::HashMod { divisor: k, residue },
+            check: FieldCheck::HashMod {
+                divisor: k,
+                residue,
+            },
         });
-        copy
+        let name = copy.name;
+        out.add_rule(copy)
+            .map(|id| (name, id))
+            .map_err(|e| CccError::Internal(e.to_string()))
     };
-
-    let mut out = Program::new(program.interner.clone(), program.classes.clone());
-    let mut copies_of: Vec<Vec<Symbol>> = Vec::with_capacity(program.rules().len());
     for rule in program.rules() {
         if rule.id == target_id {
-            let copy = make_copy(0);
-            copies_of.push(vec![copy.name]);
-            out.add_rule(copy)
-                .map_err(|e| CccError::Internal(e.to_string()))?;
+            let names = (0..in_place)
+                .map(|residue| add_copy(&mut out, residue).map(|(name, _)| name))
+                .collect::<Result<_, _>>()?;
+            copies_of.push(names);
         } else {
             copies_of.push(vec![rule.name]);
             out.add_rule(rule.clone())
                 .map_err(|e| CccError::Internal(e.to_string()))?;
         }
     }
-    let mut appended = Vec::with_capacity(k as usize - 1);
-    for residue in 1..k {
-        let copy = make_copy(residue);
-        copies_of[target_id.index()].push(copy.name);
-        appended.push(
-            out.add_rule(copy)
-                .map_err(|e| CccError::Internal(e.to_string()))?,
-        );
+    let mut appended = Vec::with_capacity((k - in_place) as usize);
+    for residue in in_place..k {
+        let (name, id) = add_copy(&mut out, residue)?;
+        copies_of[target_id.index()].push(name);
+        appended.push(id);
     }
 
     for meta in program.metas() {

@@ -30,7 +30,7 @@ use crate::stats::{CycleStats, CycleTrace, Outcome, RunStats};
 use crate::EngineOptions;
 use parulel_core::{InstKey, Instantiation, Program, RuleId, Value, Wme, WmeId, WorkingMemory};
 use parulel_match::{Matcher, MatcherMetrics};
-use parulel_vm::{compile_program_reusing, EvalMode, Evaluator};
+use parulel_vm::{compile_program, compile_program_reusing, ProgramCode};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,10 +38,9 @@ use std::time::{Duration, Instant};
 /// The unified cycle driver; see the [module docs](self).
 pub struct Engine {
     program: Arc<Program>,
-    /// The compiled program (bytecode + content hashes), shared with the
-    /// matcher's workers. Present in both modes: `reload` diffs by
-    /// content hash even when execution is tree-walking.
-    eval: Evaluator,
+    /// `program`'s canonical bytecode: the content hashes `reload` diffs
+    /// by and checkpoints record. Never executed.
+    code: Arc<ProgramCode>,
     wm: WorkingMemory,
     matcher: Box<dyn Matcher>,
     refraction: Refraction,
@@ -81,8 +80,8 @@ impl Engine {
         opts: EngineOptions,
     ) -> Self {
         let program = Arc::new(program.clone());
-        let eval = Evaluator::new(program.clone(), opts.eval);
-        let mut matcher = opts.matcher.build_with(eval.clone());
+        let code = Arc::new(compile_program(&program));
+        let mut matcher = opts.matcher.build(program.clone());
         matcher.seed(&wm);
         let metrics = EngineMetrics::new(opts.metrics, program.rules().len());
         let trace_buf = opts.trace_events.map(TraceBuffer::new);
@@ -92,7 +91,7 @@ impl Engine {
         }
         Engine {
             program,
-            eval,
+            code,
             wm,
             matcher,
             refraction: Refraction::new(),
@@ -195,8 +194,8 @@ impl Engine {
                 wmes: sk.wmes.iter().map(|&id| WmeId(id)).collect(),
             });
         }
-        let eval = Evaluator::new(program.clone(), opts.eval);
-        let mut matcher = opts.matcher.build_with(eval.clone());
+        let code = Arc::new(compile_program(&program));
+        let mut matcher = opts.matcher.build(program.clone());
         matcher.seed(&wm);
         // Observability state is not part of the snapshot wire format:
         // a resumed engine starts fresh counters.
@@ -204,7 +203,7 @@ impl Engine {
         let trace_buf = opts.trace_events.map(TraceBuffer::new);
         Ok(Engine {
             program,
-            eval,
+            code,
             wm,
             matcher,
             refraction: Refraction::from_keys(keys),
@@ -243,7 +242,7 @@ impl Engine {
     /// policy, and options are kept — the other session-serving entry
     /// point, for reusing a compiled program across runs.
     pub fn reset(&mut self, wm: WorkingMemory) {
-        let mut matcher = self.opts.matcher.build_with(self.eval.clone());
+        let mut matcher = self.opts.matcher.build(self.program.clone());
         matcher.seed(&wm);
         self.wm = wm;
         self.matcher = matcher;
@@ -302,11 +301,11 @@ impl Engine {
         }
 
         let new_program = Arc::new(replacement.clone());
-        let old_code = self.eval.code().clone();
+        let old_code = self.code.clone();
         let new_code = Arc::new(compile_program_reusing(&new_program, Some(&old_code)));
 
         // Diff by (name, content hash).
-        let index = |code: &parulel_vm::ProgramCode| -> parulel_core::FxHashMap<String, (u32, u64)> {
+        let index = |code: &ProgramCode| -> parulel_core::FxHashMap<String, (u32, u64)> {
             code.rules()
                 .iter()
                 .enumerate()
@@ -357,7 +356,6 @@ impl Engine {
                 .expect("prefix-validated class table rejected live WMEs");
         }
 
-        let eval = Evaluator::with_code(new_program.clone(), self.eval.mode(), new_code);
         let touched = !(remove_ids.is_empty() && add_ids.is_empty());
         // The alpha network is sized by the class table, so growth forces
         // a rebuild; so does any unchanged rule changing id (live match
@@ -369,7 +367,7 @@ impl Engine {
                     .matcher
                     .replace_rules(&new_program, &remove_ids, &add_ids, &self.wm));
         if !report.incremental {
-            let mut m = self.opts.matcher.build_with(eval.clone());
+            let mut m = self.opts.matcher.build(new_program.clone());
             m.seed(&self.wm);
             self.matcher = m;
         }
@@ -392,7 +390,7 @@ impl Engine {
         self.refraction.prune(self.matcher.conflict_set());
 
         self.program = new_program;
-        self.eval = eval;
+        self.code = new_code;
         // The split history described the *old* program; the replacement
         // arrives already in its final (possibly pre-split) form.
         self.applied_splits.clear();
@@ -458,8 +456,7 @@ impl Engine {
             log: self.log.clone(),
             traces: self.traces.clone(),
             splits: self.applied_splits.clone(),
-            eval: self.eval.mode().name().to_string(),
-            rule_hashes: self.eval.code().name_map(),
+            rule_hashes: self.code.name_map(),
         }
     }
 
@@ -489,11 +486,10 @@ impl Engine {
         self.policy
     }
 
-    /// The compiled program (bytecode, content hashes, eval mode) this
-    /// engine executes. Present in both eval modes; `Tree` engines still
-    /// compile so [`reload`](Self::reload) can diff by content hash.
-    pub fn evaluator(&self) -> &Evaluator {
-        &self.eval
+    /// The running program's content-addressed store (canonical bytecode
+    /// + content hashes) — what [`reload`](Self::reload) diffs by.
+    pub fn code(&self) -> &ProgramCode {
+        &self.code
     }
 
     /// The current working memory.
@@ -624,9 +620,8 @@ impl Engine {
             Err(e) => self.log.push(format!("auto-ccc: skipped: {e}")),
             Ok((split, appended)) => {
                 let new_program = Arc::new(split);
-                // Recompile before touching match state: the engine's fire
-                // path and any rebuilt nets must run the split program.
-                self.eval = Evaluator::new(new_program.clone(), self.eval.mode());
+                // Checkpoints record the split program's content hashes.
+                self.code = Arc::new(compile_program_reusing(&new_program, Some(&self.code)));
                 let mut add = vec![old_id];
                 add.extend(appended.iter().copied());
                 // The split rule's id is in both lists: its definition
@@ -636,7 +631,7 @@ impl Engine {
                     .matcher
                     .replace_rules(&new_program, &[old_id], &add, &self.wm)
                 {
-                    let mut m = self.opts.matcher.build_with(self.eval.clone());
+                    let mut m = self.opts.matcher.build(new_program.clone());
                     m.seed(&self.wm);
                     self.matcher = m;
                 }
@@ -736,7 +731,6 @@ impl Engine {
 
         let t = Instant::now();
         let program = &self.program;
-        let eval = &self.eval;
         let collect_log = self.opts.collect_log;
         #[cfg(feature = "fault-inject")]
         let faults = &self.opts.faults;
@@ -749,26 +743,7 @@ impl Engine {
                 || {
                     #[cfg(feature = "fault-inject")]
                     faults.maybe_fail_rhs(cycle_no, &program.rule_name(inst.rule))?;
-                    match eval.mode() {
-                        EvalMode::Tree => fire::fire(program, inst, collect_log),
-                        EvalMode::Bytecode => match eval.fire(inst, collect_log) {
-                            Ok(out) => Ok(FireResult {
-                                delta: out.delta,
-                                log: out.log,
-                                halt: out.halt,
-                            }),
-                            // Write-argument failures keep the tree
-                            // walker's `<write>` attribution.
-                            Err(e) => Err(EngineError::RhsEval {
-                                rule: if e.in_write {
-                                    String::from("<write>")
-                                } else {
-                                    program.rule_name(inst.rule)
-                                },
-                                error: e.error,
-                            }),
-                        },
-                    }
+                    fire::fire(program, inst, collect_log)
                 },
             )
         };
@@ -780,18 +755,11 @@ impl Engine {
                 fire_one(inst).map(|r| (r, t.elapsed()))
             };
             let results: Result<Vec<(FireResult, Duration)>, EngineError> =
-                if self.opts.parallel_fire {
-                    surviving.par_iter().map(timed).collect()
-                } else {
-                    surviving.iter().map(timed).collect()
-                };
+                surviving.par_iter().map(timed).collect();
             results.map_err(|e| self.trip(e))?.into_iter().unzip()
         } else {
-            let results: Result<Vec<FireResult>, EngineError> = if self.opts.parallel_fire {
-                surviving.par_iter().map(fire_one).collect()
-            } else {
-                surviving.iter().map(fire_one).collect()
-            };
+            let results: Result<Vec<FireResult>, EngineError> =
+                surviving.par_iter().map(fire_one).collect();
             (results.map_err(|e| self.trip(e))?, Vec::new())
         };
         self.opts

@@ -365,21 +365,33 @@ mod tests {
 
     #[test]
     fn rhs_eval_error_is_reported_with_rule_name() {
-        let (p, inst) = one_inst(
-            "(literalize n v)
-             (p crash (n ^v <x>) --> (make n ^v (// <x> 0)))",
-            |p, wm| {
+        // (RHS, collect_log, the rule the error names). A `write`
+        // argument fails only when the log is collected, and is
+        // attributed to `<write>`; a `bind` failure names the rule.
+        let cases = [
+            ("(make n ^v (// <x> 0))", false, "crash"),
+            ("(bind <y> (// <x> 0)) (make n ^v <y>)", true, "crash"),
+            ("(write (// <x> 0)) (make n ^v <x>)", true, "<write>"),
+        ];
+        for (rhs, collect_log, want) in cases {
+            let src = format!("(literalize n v) (p crash (n ^v <x>) --> {rhs})");
+            let (p, inst) = one_inst(&src, |p, wm| {
                 let n = p.classes.id_of(p.interner.intern("n")).unwrap();
                 wm.insert(n, vec![Value::Int(1)]);
-            },
-        );
-        let err = fire(&p, &inst, false).unwrap_err();
-        match err {
-            EngineError::RhsEval { rule, error } => {
-                assert_eq!(rule, "crash");
-                assert_eq!(error, EvalError::DivideByZero);
+            });
+            match fire(&p, &inst, collect_log).unwrap_err() {
+                EngineError::RhsEval { rule, error } => {
+                    assert_eq!(rule, want, "{rhs}");
+                    assert_eq!(error, EvalError::DivideByZero, "{rhs}");
+                }
+                other => panic!("wrong variant for {rhs}: {other:?}"),
             }
-            other => panic!("wrong variant: {other:?}"),
+            if rhs.starts_with("(write") {
+                // Logging off: the write argument never evaluates.
+                let quiet = fire(&p, &inst, false).unwrap();
+                assert_eq!(quiet.delta.adds.len(), 1);
+                assert!(quiet.log.is_empty());
+            }
         }
     }
 

@@ -71,10 +71,8 @@ pub use stats::{CycleStats, CycleTrace, Outcome, RunStats};
 
 pub use core::ReloadReport;
 
-use parulel_core::{Program, RuleId};
+use parulel_core::Program;
 use parulel_match::{Matcher, NaiveMatcher, Partitioned, Rete, Treat};
-pub use parulel_vm::EvalMode;
-use parulel_vm::Evaluator;
 use std::sync::Arc;
 
 /// Which match engine a run uses.
@@ -94,27 +92,15 @@ pub enum MatcherKind {
 }
 
 impl MatcherKind {
-    /// Instantiates the matcher in the default evaluation mode.
+    /// Instantiates the matcher over every rule of `program`; every
+    /// worker of a partitioned matcher shares the one `Arc`'d program.
     pub fn build(self, program: Arc<Program>) -> Box<dyn Matcher> {
-        self.build_with(Evaluator::new(program, EvalMode::default()))
-    }
-
-    /// Instantiates the matcher over the evaluator's program around that
-    /// caller-built [`Evaluator`]: the program is compiled to bytecode
-    /// exactly once and every worker of a partitioned matcher shares the
-    /// same `Arc`'d code objects.
-    pub fn build_with(self, eval: Evaluator) -> Box<dyn Matcher> {
-        let all = (0..eval.program().rules().len() as u32).map(RuleId).collect();
         match self {
-            MatcherKind::Naive => Box::new(NaiveMatcher::with_rules_eval(all, eval)),
-            MatcherKind::Rete => Box::new(Rete::with_rules_eval(all, eval)),
-            MatcherKind::Treat => Box::new(Treat::with_rules_eval(all, eval)),
-            MatcherKind::PartitionedRete(n) => {
-                Box::new(Partitioned::new_with(&eval, n, Rete::with_rules_eval))
-            }
-            MatcherKind::PartitionedTreat(n) => {
-                Box::new(Partitioned::new_with(&eval, n, Treat::with_rules_eval))
-            }
+            MatcherKind::Naive => Box::new(NaiveMatcher::new(program)),
+            MatcherKind::Rete => Box::new(Rete::new(program)),
+            MatcherKind::Treat => Box::new(Treat::new(program)),
+            MatcherKind::PartitionedRete(n) => Box::new(Partitioned::rete(program, n)),
+            MatcherKind::PartitionedTreat(n) => Box::new(Partitioned::treat(program, n)),
         }
     }
 }
@@ -164,16 +150,18 @@ impl Default for AutoCcc {
 /// Policy-specific configuration — meta-rule redaction and the
 /// interference guard — lives on [`FiringPolicy::FireAll`], not here: a
 /// `SelectOne` engine cannot silently carry a guard it would ignore.
+///
+/// Nothing here selects *how* rules evaluate: every LHS test, join test
+/// and RHS runs on the IR walker ([`parulel_core::ir`]), and a cycle's
+/// surviving RHSs always evaluate in parallel (the merge is
+/// order-preserving, so the result never depends on the thread count).
+/// The program is also compiled once to its canonical bytecode
+/// ([`Engine::code`]) for the content hashes that [`Engine::reload`]
+/// diffs and snapshots record.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Match engine selection.
     pub matcher: MatcherKind,
-    /// LHS/RHS evaluation mode: compiled bytecode (default) or the
-    /// tree-walking reference interpreter. The differential suite at the
-    /// workspace root proves the two agree on every matcher and policy.
-    pub eval: EvalMode,
-    /// Evaluate RHSs of a cycle's surviving instantiations in parallel.
-    pub parallel_fire: bool,
     /// Stop (with `hit_cycle_limit`) after this many cycles; a safety net
     /// for non-terminating programs.
     pub max_cycles: u64,
@@ -212,8 +200,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             matcher: MatcherKind::Rete,
-            eval: EvalMode::default(),
-            parallel_fire: true,
             max_cycles: 1_000_000,
             collect_log: true,
             trace: false,

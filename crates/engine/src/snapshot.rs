@@ -32,14 +32,19 @@ use std::time::Duration;
 /// state, working memory, refraction table, statistics, log, traces,
 /// the applied copy-and-constrain splits (so a checkpoint taken after a
 /// metrics-driven split round-trips: resume re-applies the transform
-/// and the `name~k` refraction keys bind), the evaluation-mode tag, and
-/// the content-addressed rule store (rule name → canonical-bytecode
-/// content hash; lets tools detect which rules changed between a
-/// capture and the program resuming it).
+/// and the `name~k` refraction keys bind), the encoding tag (always
+/// `"bytecode"`, the encoding the hashes below are computed over; read
+/// and ignored), and the content-addressed rule store (rule name →
+/// canonical-bytecode content hash; lets tools detect which rules changed
+/// between a capture and the program resuming it).
 pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The 4-byte magic prefix of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PLSN";
+
+/// The encoding tag written before the rule hashes: the encoding they are
+/// computed over. A constant, kept so the v4 layout stays byte-identical.
+const HASH_ENCODING: &str = "bytecode";
 
 /// A field value with symbols resolved to strings.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,11 +110,6 @@ pub struct Snapshot {
     /// the `name~k` refraction keys above) exist again. Empty for runs
     /// that never split.
     pub splits: Vec<(String, u32)>,
-    /// Evaluation mode that produced the capture (`"tree"` or
-    /// `"bytecode"`). Informational: the captured state is identical in
-    /// both modes (the differential suite proves it), so a continuation
-    /// may run either.
-    pub eval: String,
     /// The content-addressed rule store at capture time: `(rule name,
     /// canonical-bytecode content hash)`, sorted by name. Lets tools
     /// diff a capture against the program resuming it without either
@@ -247,7 +247,7 @@ impl Snapshot {
             e.str(name);
             e.u32(*k);
         }
-        e.str(&self.eval);
+        e.str(HASH_ENCODING);
         e.u64(self.rule_hashes.len() as u64);
         for (name, h) in &self.rule_hashes {
             e.str(name);
@@ -349,7 +349,7 @@ impl Snapshot {
             let name = d.str()?;
             splits.push((name, d.u32()?));
         }
-        let eval = d.str()?;
+        d.str()?; // the encoding tag
         let n_hashes = d.len()?;
         let mut rule_hashes = Vec::with_capacity(n_hashes);
         for _ in 0..n_hashes {
@@ -370,7 +370,6 @@ impl Snapshot {
             log,
             traces,
             splits,
-            eval,
             rule_hashes,
         })
     }
@@ -517,7 +516,6 @@ mod tests {
                 removes: 2,
             }],
             splits: vec![("bump".into(), 2)],
-            eval: "bytecode".into(),
             rule_hashes: vec![("bump".into(), 0x00c0_ffee_dead_beef)],
         }
     }

@@ -38,7 +38,7 @@ fn seeded(src: &str, opts: EngineOptions) -> Engine {
 fn identity_reload_is_incremental_and_preserves_alpha_state() {
     let mut engine = seeded(SRC, EngineOptions::default());
     engine.run().unwrap();
-    let hashes_before = engine.evaluator().code().name_map();
+    let hashes_before = engine.code().name_map();
     let m_before = engine.matcher_metrics();
     assert!(m_before.alpha_nodes > 0);
 
@@ -50,7 +50,7 @@ fn identity_reload_is_incremental_and_preserves_alpha_state() {
 
     // Content hashes are stable and the shared alpha network was not
     // rebuilt: same node count, same subscription count.
-    assert_eq!(engine.evaluator().code().name_map(), hashes_before);
+    assert_eq!(engine.code().name_map(), hashes_before);
     let m_after = engine.matcher_metrics();
     assert_eq!(m_after.alpha_nodes, m_before.alpha_nodes);
     assert_eq!(m_after.alpha_subscriptions, m_before.alpha_subscriptions);
@@ -67,7 +67,7 @@ fn identity_reload_is_incremental_and_preserves_alpha_state() {
 fn changed_rule_is_detected_by_content_hash() {
     let mut engine = seeded(SRC, EngineOptions::default());
     engine.run().unwrap();
-    let assign_hash = engine.evaluator().code().hash_of("assign").unwrap();
+    let assign_hash = engine.code().hash_of("assign").unwrap();
     let changed_src = SRC.replace("(make note ^v <j>)", "(make note ^v (+ <j> 100))");
     let replacement = compile_into(&changed_src, &engine.program().interner).unwrap();
     let report = engine.reload(&replacement).unwrap();
@@ -75,7 +75,7 @@ fn changed_rule_is_detected_by_content_hash() {
     assert_eq!(report.unchanged, 1);
     assert!(report.incremental);
     assert_eq!(
-        engine.evaluator().code().hash_of("assign").unwrap(),
+        engine.code().hash_of("assign").unwrap(),
         assign_hash,
         "untouched rule's content hash moved"
     );
@@ -93,7 +93,7 @@ fn rename_is_remove_plus_add_and_renamed_rule_refires() {
     assert_eq!(report.added, vec!["watch".to_string()]);
     // Same body, new name: the content hash is reused from the store...
     assert_eq!(
-        engine.evaluator().code().hash_of("watch"),
+        engine.code().hash_of("watch"),
         compile_into(SRC, &engine.program().interner)
             .ok()
             .map(|p| parulel_vm::compile_program(&p).hash_of("observe").unwrap())
@@ -168,7 +168,7 @@ fn add_only_reload_works_on_every_matcher() {
 fn foreign_interner_is_refused_with_state_intact() {
     let mut engine = seeded(SRC, EngineOptions::default());
     engine.run().unwrap();
-    let hashes = engine.evaluator().code().name_map();
+    let hashes = engine.code().name_map();
     let wm = engine.wm().sorted_snapshot();
     // Compiled in its own symbol space: symbol ids are not interchangeable.
     let foreign = compile(SRC).unwrap();
@@ -176,7 +176,7 @@ fn foreign_interner_is_refused_with_state_intact() {
         engine.reload(&foreign).unwrap_err(),
         ReloadError::ForeignInterner
     );
-    assert_eq!(engine.evaluator().code().name_map(), hashes);
+    assert_eq!(engine.code().name_map(), hashes);
     assert_eq!(engine.wm().sorted_snapshot(), wm);
 }
 
@@ -228,8 +228,7 @@ fn checkpoint_after_reload_round_trips() {
     engine.run().unwrap();
 
     let snap = engine.checkpoint();
-    assert_eq!(snap.eval, engine.evaluator().mode().name());
-    assert_eq!(snap.rule_hashes, engine.evaluator().code().name_map());
+    assert_eq!(snap.rule_hashes, engine.code().name_map());
     let resumed = Engine::resume(engine.program(), &snap, EngineOptions::default()).unwrap();
     assert_eq!(resumed.wm().sorted_snapshot(), engine.wm().sorted_snapshot());
     assert_eq!(resumed.stats().cycles, engine.stats().cycles);

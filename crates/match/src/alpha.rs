@@ -25,7 +25,6 @@ use crate::arena::{Arena, WmeRef};
 use parulel_core::{
     ClassId, ConditionElement, FieldTest, FxHashMap, FxHashSet, RuleId, Value, Wme, WmeId,
 };
-use parulel_vm::{compile_field_tests, EvalMode, FieldTestCode};
 
 /// Join-key values, boxed (map key for index buckets).
 pub type KeyVals = Box<[Value]>;
@@ -66,11 +65,6 @@ struct AlphaNode {
     class: ClassId,
     /// Alpha-layer tests in slot order (the sharing key, with `class`).
     tests: Vec<FieldTest>,
-    /// The tests compiled to bytecode, when the owning network runs in
-    /// [`EvalMode::Bytecode`]. Compiled once at node creation — the node
-    /// is exactly the unit of alpha sharing, so each distinct test list
-    /// compiles once no matter how many rules subscribe.
-    code: Option<FieldTestCode>,
     /// Subscribed (rule, CE) endpoints; the length is the refcount.
     endpoints: Vec<Endpoint>,
     /// Membership: WME id → arena handle.
@@ -81,13 +75,9 @@ struct AlphaNode {
 
 impl AlphaNode {
     fn passes(&self, wme: &Wme) -> bool {
-        match &self.code {
-            Some(code) => code.passes(wme),
-            None => {
-                let mut empty: [Value; 0] = [];
-                self.tests.iter().all(|t| t.check_wme(wme, &mut empty))
-            }
-        }
+        // Alpha checks never touch env.
+        let mut empty: [Value; 0] = [];
+        self.tests.iter().all(|t| t.check_wme(wme, &mut empty))
     }
 }
 
@@ -116,14 +106,11 @@ pub struct AlphaNetwork {
     /// Lifetime count of test evaluations that served more than one
     /// subscriber (the per-rule layout would have re-run each of these).
     share_hits: u64,
-    /// Whether nodes run their tests as compiled bytecode or via the IR.
-    mode: EvalMode,
 }
 
 impl AlphaNetwork {
-    /// An empty network over `num_classes` classes whose nodes run their
-    /// tests in `mode`.
-    pub fn new(num_classes: usize, mode: EvalMode) -> Self {
+    /// An empty network over `num_classes` classes.
+    pub fn new(num_classes: usize) -> Self {
         AlphaNetwork {
             store: Arena::new(),
             by_id: FxHashMap::default(),
@@ -132,7 +119,6 @@ impl AlphaNetwork {
             by_key: FxHashMap::default(),
             by_class: vec![Vec::new(); num_classes],
             share_hits: 0,
-            mode,
         }
     }
 
@@ -157,14 +143,9 @@ impl AlphaNetwork {
             self.node_mut(nid).endpoints.push(ep);
             return nid;
         }
-        let code = match self.mode {
-            EvalMode::Bytecode => Some(compile_field_tests(&tests)),
-            EvalMode::Tree => None,
-        };
         let mut node = AlphaNode {
             class: ce.class,
             tests,
-            code,
             endpoints: vec![ep],
             members: FxHashMap::default(),
             indexes: FxHashMap::default(),
@@ -539,7 +520,7 @@ mod tests {
     fn dedup_shares_nodes_and_counts_hits() {
         let (p, mut wm) = three_rule_setup();
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
+        let mut net = AlphaNetwork::new(p.classes.len());
         let ids = subscribe_all(&mut net, &p);
         assert_eq!(ids[0], ids[1], "identical alpha keys share a node");
         assert_ne!(ids[0], ids[2], "different constant ⇒ different node");
@@ -559,7 +540,7 @@ mod tests {
     fn late_subscription_seeds_from_store() {
         let (p, mut wm) = three_rule_setup();
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
+        let mut net = AlphaNetwork::new(p.classes.len());
         let w1 = wm.insert(n, vec![Value::Int(1), Value::Int(9)]);
         let w2 = wm.insert(n, vec![Value::Int(2), Value::Int(9)]);
         net.add(&w1);
@@ -577,7 +558,7 @@ mod tests {
     #[test]
     fn unsubscribe_refcounts_and_frees() {
         let (p, _) = three_rule_setup();
-        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
+        let mut net = AlphaNetwork::new(p.classes.len());
         let ids = subscribe_all(&mut net, &p);
         net.unsubscribe(ids[0], p.rules()[0].id, 0);
         assert_eq!(net.node_count(), 2, "shared node survives one leaver");
@@ -594,7 +575,7 @@ mod tests {
     fn add_remove_keeps_indexes_in_sync() {
         let (p, mut wm) = three_rule_setup();
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut net = AlphaNetwork::new(p.classes.len(), EvalMode::default());
+        let mut net = AlphaNetwork::new(p.classes.len());
         let ids = subscribe_all(&mut net, &p);
         net.subscribe_index(ids[0], &[1]);
         net.subscribe_index(ids[0], &[]); // key-less probe shares a bucket

@@ -3,13 +3,10 @@
 //! alpha memories, seeded at one CE position).
 
 use parulel_core::{Instantiation, Polarity, Rule, Value, Wme};
-use parulel_vm::Evaluator;
 
 /// Enumerates every instantiation of `rule`, depth-first over its CEs in
 /// join order.
 ///
-/// * `eval` runs every CE and anchored test — tree-walk or bytecode,
-///   whichever mode the owning matcher was built with.
 /// * `candidates(ce_idx)` supplies candidate WMEs for the CE at `ce_idx`
 ///   (any superset of the alpha-passing set is fine; alpha and beta tests
 ///   are re-checked here).
@@ -17,7 +14,6 @@ use parulel_vm::Evaluator;
 ///   this to enumerate only the matches that involve a newly added WME.
 /// * Matches are pushed to `out`.
 pub fn enumerate_rule(
-    eval: &Evaluator,
     rule: &Rule,
     candidates: &dyn Fn(usize) -> Vec<Wme>,
     fixed: Option<(usize, &Wme)>,
@@ -25,12 +21,10 @@ pub fn enumerate_rule(
 ) {
     let mut env = vec![Value::NIL; rule.num_vars as usize];
     let mut wmes: Vec<Wme> = Vec::with_capacity(rule.num_positive());
-    dfs(eval, rule, candidates, fixed, 0, &mut env, &mut wmes, out);
+    dfs(rule, candidates, fixed, 0, &mut env, &mut wmes, out);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn dfs(
-    eval: &Evaluator,
     rule: &Rule,
     candidates: &dyn Fn(usize) -> Vec<Wme>,
     fixed: Option<(usize, &Wme)>,
@@ -52,11 +46,9 @@ fn dfs(
             };
             for w in cands {
                 let saved = env.clone();
-                if eval.matches(rule.id, ce_idx, &w, env)
-                    && eval.tests_pass_at(rule.id, ce_idx, env)
-                {
+                if ce.matches(&w, env) && rule.tests_pass_at(ce_idx, env) {
                     wmes.push(w);
-                    dfs(eval, rule, candidates, fixed, ce_idx + 1, env, wmes, out);
+                    dfs(rule, candidates, fixed, ce_idx + 1, env, wmes, out);
                     wmes.pop();
                 }
                 *env = saved;
@@ -65,10 +57,10 @@ fn dfs(
         Polarity::Negative => {
             let blocked = candidates(ce_idx).into_iter().any(|w| {
                 let mut scratch = env.clone();
-                eval.matches(rule.id, ce_idx, &w, &mut scratch)
+                ce.matches(&w, &mut scratch)
             });
-            if !blocked && eval.tests_pass_at(rule.id, ce_idx, env) {
-                dfs(eval, rule, candidates, fixed, ce_idx + 1, env, wmes, out);
+            if !blocked && rule.tests_pass_at(ce_idx, env) {
+                dfs(rule, candidates, fixed, ce_idx + 1, env, wmes, out);
             }
         }
     }
@@ -77,13 +69,8 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_core::{ClassId, Program, Value, WmeId};
+    use parulel_core::{ClassId, Value, WmeId};
     use parulel_lang::compile;
-    use std::sync::Arc;
-
-    fn ev(p: &Program) -> Evaluator {
-        Evaluator::new(Arc::new(p.clone()), parulel_vm::EvalMode::default())
-    }
 
     fn wme(class: u32, id: u64, fields: Vec<Value>) -> Wme {
         Wme::new(WmeId(id), ClassId(class), fields)
@@ -104,7 +91,7 @@ mod tests {
             wme(0, 3, vec![Value::Sym(z), Value::Sym(x)]),
         ];
         let mut out = Vec::new();
-        enumerate_rule(&ev(&p), &p.rules()[0], &|_| wmes.clone(), None, &mut out);
+        enumerate_rule(&p.rules()[0], &|_| wmes.clone(), None, &mut out);
         // x->y->z, y->z->x, z->x->y
         assert_eq!(out.len(), 3);
     }
@@ -127,7 +114,7 @@ mod tests {
         all.push(fresh.clone());
         let mut out = Vec::new();
         // only matches with the fresh wme in position 0
-        enumerate_rule(&ev(&p), &p.rules()[0], &|_| all.clone(), Some((0, &fresh)), &mut out);
+        enumerate_rule(&p.rules()[0], &|_| all.clone(), Some((0, &fresh)), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].wmes[0].id, WmeId(3));
     }
@@ -148,7 +135,6 @@ mod tests {
         let locks = vec![lock1];
         let mut out = Vec::new();
         enumerate_rule(
-            &ev(&p),
             rule,
             &|ce| {
                 if ce == 0 {
@@ -177,7 +163,7 @@ mod tests {
             wme(0, 3, vec![Value::Int(9)]),
         ];
         let mut out = Vec::new();
-        enumerate_rule(&ev(&p), &p.rules()[0], &|_| wmes.clone(), None, &mut out);
+        enumerate_rule(&p.rules()[0], &|_| wmes.clone(), None, &mut out);
         // <a> ∈ {7, 9}; <b> < <a>: (7,3), (9,3), (9,7)
         assert_eq!(out.len(), 3);
     }
@@ -191,7 +177,7 @@ mod tests {
         .unwrap();
         let wmes = vec![wme(0, 1, vec![Value::Int(3)])];
         let mut out = Vec::new();
-        enumerate_rule(&ev(&p), &p.rules()[0], &|_| wmes.clone(), None, &mut out);
+        enumerate_rule(&p.rules()[0], &|_| wmes.clone(), None, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].wmes.len(), 2);
         assert_eq!(out[0].wmes[0].id, out[0].wmes[1].id);

@@ -3,7 +3,6 @@
 use crate::enumerate::enumerate_rule;
 use crate::Matcher;
 use parulel_core::{ClassId, ConflictSet, FxHashMap, Program, RuleId, Wme, WmeId};
-use parulel_vm::{EvalMode, Evaluator};
 use std::sync::Arc;
 
 /// Recomputes the full conflict set from a mirror of working memory every
@@ -11,7 +10,6 @@ use std::sync::Arc;
 /// baseline, or on small problems.
 pub struct NaiveMatcher {
     program: Arc<Program>,
-    eval: Evaluator,
     rules: Vec<RuleId>,
     by_class: Vec<FxHashMap<WmeId, Wme>>,
     cache: ConflictSet,
@@ -24,18 +22,14 @@ impl NaiveMatcher {
     /// A naive matcher over every rule of `program`.
     pub fn new(program: Arc<Program>) -> Self {
         let rules = (0..program.rules().len() as u32).map(RuleId).collect();
-        Self::with_rules_eval(rules, Evaluator::new(program, EvalMode::default()))
+        Self::with_rules(program, rules)
     }
 
-    /// A naive matcher over a subset of the evaluator's rules, around a
-    /// caller-built [`Evaluator`] (shared-compilation path: the engine
-    /// compiles once and hands out clones).
-    pub fn with_rules_eval(rules: Vec<RuleId>, eval: Evaluator) -> Self {
-        let program = eval.program().clone();
+    /// A naive matcher over a subset of `program`'s rules.
+    pub fn with_rules(program: Arc<Program>, rules: Vec<RuleId>) -> Self {
         let classes = program.classes.len();
         NaiveMatcher {
             program,
-            eval,
             rules,
             by_class: vec![FxHashMap::default(); classes],
             cache: ConflictSet::new(),
@@ -54,7 +48,6 @@ impl NaiveMatcher {
         for &rid in &self.rules {
             let rule = self.program.rule(rid);
             enumerate_rule(
-                &self.eval,
                 rule,
                 &|ce_idx| self.class_wmes(rule.ces[ce_idx].class),
                 None,
@@ -170,10 +163,7 @@ mod tests {
         let mut all = NaiveMatcher::new(p.clone());
         all.seed(&wm);
         assert_eq!(all.conflict_set().len(), 2);
-        let mut only_r2 = NaiveMatcher::with_rules_eval(
-            vec![RuleId(1)],
-            Evaluator::new(p.clone(), EvalMode::default()),
-        );
+        let mut only_r2 = NaiveMatcher::with_rules(p.clone(), vec![RuleId(1)]);
         only_r2.seed(&wm);
         assert_eq!(only_r2.conflict_set().len(), 1);
         assert_eq!(

@@ -14,7 +14,6 @@
 
 use crate::{Matcher, Rete, Treat};
 use parulel_core::{ConflictSet, CsEvent, Program, RuleId, Wme, WorkingMemory};
-use parulel_vm::{EvalMode, Evaluator};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -55,10 +54,9 @@ pub fn round_robin(num_rules: usize, n: usize) -> Vec<Vec<RuleId>> {
 }
 
 impl<M: Matcher> Partitioned<M> {
-    /// Builds a partitioned matcher with `n` workers over the evaluator's
-    /// program, constructing each worker with `make(rules, eval)` (every
-    /// worker gets a clone of `eval`; the rule code objects themselves are
-    /// `Arc`-shared, so the program compiles once).
+    /// Builds a partitioned matcher with `n` workers over `program`,
+    /// constructing each worker with `make(program, rules)` (every worker
+    /// shares the one `Arc`'d program).
     ///
     /// `n == 0` is clamped to one worker (a zero-worker matcher cannot
     /// exist); callers that consider `0` an input error must reject it
@@ -67,14 +65,14 @@ impl<M: Matcher> Partitioned<M> {
     /// [`metrics`](Matcher::metrics), so reports never claim a shard
     /// count that was never used.
     pub fn new_with(
-        eval: &Evaluator,
+        program: &Arc<Program>,
         n: usize,
-        make: impl Fn(Vec<RuleId>, Evaluator) -> M,
+        make: impl Fn(Arc<Program>, Vec<RuleId>) -> M,
     ) -> Self {
-        let parts = round_robin(eval.program().rules().len(), n);
+        let parts = round_robin(program.rules().len(), n);
         let workers: Vec<M> = parts
             .iter()
-            .map(|rules| make(rules.clone(), eval.clone()))
+            .map(|rules| make(program.clone(), rules.clone()))
             .collect();
         let n = workers.len();
         Partitioned {
@@ -125,16 +123,14 @@ impl<M: Matcher> Partitioned<M> {
 impl Partitioned<Rete> {
     /// `n` RETE workers over `program`.
     pub fn rete(program: Arc<Program>, n: usize) -> Self {
-        let eval = Evaluator::new(program, EvalMode::default());
-        Self::new_with(&eval, n, Rete::with_rules_eval)
+        Self::new_with(&program, n, Rete::with_rules)
     }
 }
 
 impl Partitioned<Treat> {
     /// `n` TREAT workers over `program`.
     pub fn treat(program: Arc<Program>, n: usize) -> Self {
-        let eval = Evaluator::new(program, EvalMode::default());
-        Self::new_with(&eval, n, Treat::with_rules_eval)
+        Self::new_with(&program, n, Treat::with_rules)
     }
 }
 

@@ -43,9 +43,8 @@ use crate::arena::WmeRef;
 use crate::Matcher;
 use parulel_core::{
     ConditionElement, ConflictSet, CsEvent, FxHashMap, FxHashSet, InstKey, Instantiation, Polarity,
-    Program, RuleId, Value, VarId, Wme, WorkingMemory,
+    Program, RuleId, TestExpr, Value, VarId, Wme, WorkingMemory,
 };
-use parulel_vm::{EvalMode, Evaluator};
 use std::sync::Arc;
 
 type TokKey = Arc<[WmeId]>;
@@ -66,6 +65,9 @@ struct Token {
 /// One level of a rule net.
 struct Level {
     ce: ConditionElement,
+    /// The rule tests anchored at this level (runnable once CEs `0..=k`
+    /// have joined).
+    tests: Vec<TestExpr>,
     /// Equality join keys: `(slot, var)`.
     keys: Vec<(u16, VarId)>,
     /// The join-key field slots (the shared index this level probes).
@@ -119,11 +121,15 @@ impl Level {
     }
 
     /// Does `wme` extend/block `tok` at this level (beta tests only)?
-    /// Uses a scratch env; bindings are not kept. `rule`/`k` address this
-    /// level's compiled code in the evaluator.
-    fn beta_matches(&self, eval: &Evaluator, rule: RuleId, k: usize, tok: &Token, wme: &Wme) -> bool {
+    /// Uses a scratch env; bindings are not kept.
+    fn beta_matches(&self, tok: &Token, wme: &Wme) -> bool {
         let mut scratch = tok.env.clone();
-        eval.run_beta(rule, k, wme, &mut scratch)
+        self.ce.run_beta(wme, &mut scratch)
+    }
+
+    /// Every rule test anchored at this level holds under `env`.
+    fn tests_pass(&self, env: &[Value]) -> bool {
+        self.tests.iter().all(|t| t.check(env))
     }
 }
 
@@ -138,7 +144,6 @@ struct RuleNet {
 /// nets.
 pub struct Rete {
     alpha: AlphaNetwork,
-    eval: Evaluator,
     nets: Vec<RuleNet>,
     cs: ConflictSet,
 }
@@ -147,27 +152,19 @@ impl Rete {
     /// Builds a network for every rule of `program`.
     pub fn new(program: Arc<Program>) -> Self {
         let rules = (0..program.rules().len() as u32).map(RuleId).collect();
-        Self::with_rules_eval(rules, Evaluator::new(program, EvalMode::default()))
+        Self::with_rules(program, rules)
     }
 
-    /// Builds networks for a subset of the evaluator's rules (the
-    /// partitioned matcher's workers use this) around a caller-built
-    /// [`Evaluator`] (the engine compiles once and hands out clones; the
-    /// alpha network inherits the evaluator's mode).
-    pub fn with_rules_eval(rules: Vec<RuleId>, eval: Evaluator) -> Self {
-        let program = eval.program().clone();
-        let mut alpha = AlphaNetwork::new(program.classes.len(), eval.mode());
+    /// Builds networks for a subset of `program`'s rules (the partitioned
+    /// matcher's workers use this).
+    pub fn with_rules(program: Arc<Program>, rules: Vec<RuleId>) -> Self {
+        let mut alpha = AlphaNetwork::new(program.classes.len());
         let mut nets = Vec::with_capacity(rules.len());
         let mut cs = ConflictSet::new();
         for rid in rules {
-            nets.push(build_net(&program, rid, &mut alpha, &mut cs, &eval));
+            nets.push(build_net(&program, rid, &mut alpha, &mut cs));
         }
-        Rete {
-            alpha,
-            eval,
-            nets,
-            cs,
-        }
+        Rete { alpha, nets, cs }
     }
 }
 
@@ -321,7 +318,6 @@ fn build_net(
     rid: RuleId,
     alpha: &mut AlphaNetwork,
     cs: &mut ConflictSet,
-    eval: &Evaluator,
 ) -> RuleNet {
     let rule = program.rule(rid);
     let mut levels: Vec<Level> = rule
@@ -335,6 +331,12 @@ fn build_net(
             alpha.subscribe_index(node, &slots);
             Level {
                 ce: ce.clone(),
+                tests: rule
+                    .tests
+                    .iter()
+                    .filter(|t| t.anchor == k)
+                    .map(|t| t.test.clone())
+                    .collect(),
                 keys,
                 slots,
                 node,
@@ -377,7 +379,7 @@ fn build_net(
         levels,
         root,
     };
-    net.activate_root(alpha, cs, eval);
+    net.activate_root(alpha, cs);
     net
 }
 
@@ -389,13 +391,13 @@ impl RuleNet {
 
     /// Drives the root token into level 0, computing counts/joins from
     /// full node membership — the batch half of net construction.
-    fn activate_root(&mut self, alpha: &AlphaNetwork, cs: &mut ConflictSet, eval: &Evaluator) {
+    fn activate_root(&mut self, alpha: &AlphaNetwork, cs: &mut ConflictSet) {
         let root = self.root.clone();
         if self.levels[0].is_negative() {
-            let count = self.blocker_count(0, &root, alpha, eval);
+            let count = self.blocker_count(0, &root, alpha);
             self.levels[0].neg_counts.insert(root.key.clone(), count);
-            if count == 0 && self.neg_pass_tests(0, &root, eval) {
-                self.insert_token(0, root, alpha, cs, eval);
+            if count == 0 && self.levels[0].tests_pass(&root.env) {
+                self.insert_token(0, root, alpha, cs);
             }
         } else {
             let kv = self.levels[0].token_keyvals(&root);
@@ -405,8 +407,8 @@ impl RuleNet {
                     None => Vec::new(),
                 };
             for r in candidates {
-                if let Some(t2) = self.extend(0, &root, r, alpha, eval) {
-                    self.insert_token(0, t2, alpha, cs, eval);
+                if let Some(t2) = self.extend(0, &root, r, alpha) {
+                    self.insert_token(0, t2, alpha, cs);
                 }
             }
         }
@@ -414,13 +416,13 @@ impl RuleNet {
 
     /// How many members of negative level `k`'s alpha node are consistent
     /// with `tok` (the level's count table value for a fresh input).
-    fn blocker_count(&self, k: usize, tok: &Token, alpha: &AlphaNetwork, eval: &Evaluator) -> u32 {
+    fn blocker_count(&self, k: usize, tok: &Token, alpha: &AlphaNetwork) -> u32 {
         let level = &self.levels[k];
         let kv = level.token_keyvals(tok);
         match alpha.index_bucket(level.node, &level.slots, &kv) {
             Some(bucket) => bucket
                 .iter()
-                .filter(|&&r| level.beta_matches(eval, self.rule, k, tok, alpha.wme(r)))
+                .filter(|&&r| level.beta_matches(tok, alpha.wme(r)))
                 .count() as u32,
             None => 0,
         }
@@ -428,20 +430,11 @@ impl RuleNet {
 
     /// Extends `tok` with the WME behind `wref` at positive level `k`, if
     /// consistent. Copies the 8-byte handle, never the payload.
-    fn extend(
-        &self,
-        k: usize,
-        tok: &Token,
-        wref: WmeRef,
-        alpha: &AlphaNetwork,
-        eval: &Evaluator,
-    ) -> Option<Token> {
+    fn extend(&self, k: usize, tok: &Token, wref: WmeRef, alpha: &AlphaNetwork) -> Option<Token> {
+        let level = &self.levels[k];
         let wme = alpha.wme(wref);
         let mut env = tok.env.clone();
-        if !eval.run_beta(self.rule, k, wme, &mut env) {
-            return None;
-        }
-        if !eval.tests_pass_at(self.rule, k, &env) {
+        if !level.ce.run_beta(wme, &mut env) || !level.tests_pass(&env) {
             return None;
         }
         let mut key: Vec<WmeId> = tok.key.to_vec();
@@ -455,21 +448,8 @@ impl RuleNet {
         })
     }
 
-    /// For a token passing *through* negative level `k`: anchored tests
-    /// must still hold (env is unchanged).
-    fn neg_pass_tests(&self, k: usize, tok: &Token, eval: &Evaluator) -> bool {
-        eval.tests_pass_at(self.rule, k, &tok.env)
-    }
-
     /// Inserts `tok` as an output of level `k` and propagates downstream.
-    fn insert_token(
-        &mut self,
-        k: usize,
-        tok: Token,
-        alpha: &AlphaNetwork,
-        cs: &mut ConflictSet,
-        eval: &Evaluator,
-    ) {
+    fn insert_token(&mut self, k: usize, tok: Token, alpha: &AlphaNetwork, cs: &mut ConflictSet) {
         if self.levels[k]
             .tokens
             .insert(tok.key.clone(), tok.clone())
@@ -505,10 +485,12 @@ impl RuleNet {
             .or_default()
             .insert(tok.key.clone());
         if self.levels[next].is_negative() {
-            let count = self.blocker_count(next, &tok, alpha, eval);
+            // A token passing *through* a negative level must still pass
+            // the tests anchored there (its env is unchanged).
+            let count = self.blocker_count(next, &tok, alpha);
             self.levels[next].neg_counts.insert(tok.key.clone(), count);
-            if count == 0 && self.neg_pass_tests(next, &tok, eval) {
-                self.insert_token(next, tok, alpha, cs, eval);
+            if count == 0 && self.levels[next].tests_pass(&tok.env) {
+                self.insert_token(next, tok, alpha, cs);
             }
         } else {
             // Handle copies only — candidate payloads stay in the shared
@@ -520,8 +502,8 @@ impl RuleNet {
                     None => Vec::new(),
                 };
             for r in candidates {
-                if let Some(t2) = self.extend(next, &tok, r, alpha, eval) {
-                    self.insert_token(next, t2, alpha, cs, eval);
+                if let Some(t2) = self.extend(next, &tok, r, alpha) {
+                    self.insert_token(next, t2, alpha, cs);
                 }
             }
         }
@@ -598,7 +580,6 @@ impl RuleNet {
 
     /// Beta delivery for one added WME, at the levels (`hits`, ascending)
     /// whose shared alpha nodes it entered.
-    #[allow(clippy::too_many_arguments)]
     fn deliver_add(
         &mut self,
         hits: &[usize],
@@ -606,7 +587,6 @@ impl RuleNet {
         wme: &Wme,
         alpha: &AlphaNetwork,
         cs: &mut ConflictSet,
-        eval: &Evaluator,
     ) {
         // Node membership was updated before delivery, so any token
         // created from here on computes counts that already include the
@@ -631,7 +611,7 @@ impl RuleNet {
                     let Some(tok) = self.input_token(k, &tkey) else {
                         continue;
                     };
-                    if self.levels[k].beta_matches(eval, self.rule, k, &tok, wme) {
+                    if self.levels[k].beta_matches(&tok, wme) {
                         let count = self.levels[k]
                             .neg_counts
                             .get_mut(&tkey)
@@ -647,8 +627,8 @@ impl RuleNet {
                     let Some(tok) = self.input_token(k, &tkey) else {
                         continue;
                     };
-                    if let Some(t2) = self.extend(k, &tok, wref, alpha, eval) {
-                        self.insert_token(k, t2, alpha, cs, eval);
+                    if let Some(t2) = self.extend(k, &tok, wref, alpha) {
+                        self.insert_token(k, t2, alpha, cs);
                     }
                 }
             }
@@ -663,7 +643,6 @@ impl RuleNet {
         wme: &Wme,
         alpha: &AlphaNetwork,
         cs: &mut ConflictSet,
-        eval: &Evaluator,
     ) {
         // 1. Retract every token that positively matched the WME, straight
         //    from the per-WME index; scanning shallow-to-deep lets the
@@ -704,14 +683,14 @@ impl RuleNet {
                 let Some(tok) = self.input_token(k, &tkey) else {
                     continue;
                 };
-                if self.levels[k].beta_matches(eval, self.rule, k, &tok, wme) {
+                if self.levels[k].beta_matches(&tok, wme) {
                     let count = self.levels[k]
                         .neg_counts
                         .get_mut(&tkey)
                         .expect("input token without a negative count");
                     *count -= 1;
-                    if *count == 0 && self.neg_pass_tests(k, &tok, eval) {
-                        self.insert_token(k, tok, alpha, cs, eval);
+                    if *count == 0 && self.levels[k].tests_pass(&tok.env) {
+                        self.insert_token(k, tok, alpha, cs);
                     }
                 }
             }
@@ -743,7 +722,7 @@ impl Matcher for Rete {
         let mut by_rule = hits_by_rule(&self.alpha, &entered);
         for net in &mut self.nets {
             if let Some(hits) = by_rule.remove(&net.rule) {
-                net.deliver_add(&hits, wref, wme, &self.alpha, &mut self.cs, &self.eval);
+                net.deliver_add(&hits, wref, wme, &self.alpha, &mut self.cs);
             }
         }
     }
@@ -755,7 +734,7 @@ impl Matcher for Rete {
         let mut by_rule = hits_by_rule(&self.alpha, &left);
         for net in &mut self.nets {
             if let Some(hits) = by_rule.remove(&net.rule) {
-                net.deliver_remove(&hits, &payload, &self.alpha, &mut self.cs, &self.eval);
+                net.deliver_remove(&hits, &payload, &self.alpha, &mut self.cs);
             }
         }
     }
@@ -834,14 +813,10 @@ impl Matcher for Rete {
                 self.cs.remove(&k);
             }
         }
-        // Recompile the evaluator against the new program before any net is
-        // built (unchanged rules compile to identical code; surviving
-        // alpha nodes keep their compiled test code untouched).
-        self.eval = Evaluator::new(program.clone(), self.eval.mode());
         for &rid in add {
             // build_net batch-derives the new net's tokens from the shared
             // store — no per-WME replay of working memory.
-            let net = build_net(program, rid, &mut self.alpha, &mut self.cs, &self.eval);
+            let net = build_net(program, rid, &mut self.alpha, &mut self.cs);
             self.nets.push(net);
         }
         // Net order is not semantically observable (the conflict set is a

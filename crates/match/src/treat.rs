@@ -30,7 +30,6 @@ use crate::Matcher;
 use parulel_core::{
     ConflictSet, CsEvent, FxHashMap, InstKey, Polarity, Program, RuleId, Wme, WorkingMemory,
 };
-use parulel_vm::{EvalMode, Evaluator};
 use std::sync::Arc;
 
 /// One rule's subscriptions into the shared network.
@@ -45,7 +44,6 @@ struct RuleSubs {
 /// The TREAT matcher.
 pub struct Treat {
     program: Arc<Program>,
-    eval: Evaluator,
     rules: Vec<RuleSubs>,
     alpha: AlphaNetwork,
     cs: ConflictSet,
@@ -58,15 +56,12 @@ impl Treat {
     /// A TREAT matcher over every rule of `program`.
     pub fn new(program: Arc<Program>) -> Self {
         let rules = (0..program.rules().len() as u32).map(RuleId).collect();
-        Self::with_rules_eval(rules, Evaluator::new(program, EvalMode::default()))
+        Self::with_rules(program, rules)
     }
 
-    /// A TREAT matcher over a subset of the evaluator's rules, around a
-    /// caller-built [`Evaluator`] (the engine compiles once and hands out
-    /// clones; the alpha network inherits the evaluator's mode).
-    pub fn with_rules_eval(rules: Vec<RuleId>, eval: Evaluator) -> Self {
-        let program = eval.program().clone();
-        let mut alpha = AlphaNetwork::new(program.classes.len(), eval.mode());
+    /// A TREAT matcher over a subset of `program`'s rules.
+    pub fn with_rules(program: Arc<Program>, rules: Vec<RuleId>) -> Self {
+        let mut alpha = AlphaNetwork::new(program.classes.len());
         let subs = rules
             .into_iter()
             .map(|rid| RuleSubs {
@@ -82,7 +77,6 @@ impl Treat {
             .collect();
         Treat {
             program,
-            eval,
             rules: subs,
             alpha,
             cs: ConflictSet::new(),
@@ -118,13 +112,7 @@ impl Treat {
         }
         // …and rebuild from scratch.
         let mut found = Vec::new();
-        enumerate_rule(
-            &self.eval,
-            rule,
-            &|ce| self.members_of(ra.nodes[ce]),
-            None,
-            &mut found,
-        );
+        enumerate_rule(rule, &|ce| self.members_of(ra.nodes[ce]), None, &mut found);
         for inst in found {
             self.cs.insert(inst);
         }
@@ -191,7 +179,6 @@ impl Matcher for Treat {
             let mut found = Vec::new();
             for &p in &pos_hits {
                 enumerate_rule(
-                    &self.eval,
                     rule,
                     &|ce| self.members_of(ra.nodes[ce]),
                     Some((p, wme)),
@@ -210,17 +197,11 @@ impl Matcher for Treat {
                     .iter()
                     .filter(|inst| inst.rule == ra.rule)
                     .filter(|inst| {
-                        rule.ces
-                            .iter()
-                            .enumerate()
-                            .filter(|(ci, ce)| {
-                                ce.polarity == Polarity::Negative
-                                    && self.eval.passes_alpha(ra.rule, *ci, wme)
-                            })
-                            .any(|(ci, _)| {
-                                let mut scratch = inst.env.to_vec();
-                                self.eval.run_beta(ra.rule, ci, wme, &mut scratch)
-                            })
+                        rule.ces.iter().any(|ce| {
+                            ce.polarity == Polarity::Negative
+                                && ce.passes_alpha(wme)
+                                && ce.run_beta(wme, &mut inst.env.to_vec())
+                        })
                     })
                     .map(|inst| inst.key())
                     .collect();
@@ -310,11 +291,8 @@ impl Matcher for Treat {
     ) -> bool {
         // Rule ids are stable across the transform, so swapping the
         // program under the untouched rules is sound: their definitions
-        // are identical in the new program. The evaluator is recompiled
-        // wholesale (cheap, and unchanged rules produce identical code);
-        // surviving alpha nodes keep their already-compiled test code.
+        // are identical in the new program.
         self.program = program.clone();
-        self.eval = Evaluator::new(program.clone(), self.eval.mode());
         for &rid in remove {
             let mut i = 0;
             while i < self.rules.len() {
@@ -353,13 +331,7 @@ impl Matcher for Treat {
                     .collect(),
             };
             let mut found = Vec::new();
-            enumerate_rule(
-                &self.eval,
-                rule,
-                &|ce| self.members_of(ra.nodes[ce]),
-                None,
-                &mut found,
-            );
+            enumerate_rule(rule, &|ce| self.members_of(ra.nodes[ce]), None, &mut found);
             for inst in found {
                 self.cs.insert(inst);
             }

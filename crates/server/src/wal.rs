@@ -207,8 +207,7 @@ pub struct SnapshotRecord {
     /// Replayed between the open and the snapshot restore: the engine
     /// snapshot captures state but not the program, and replaying the
     /// full reload sequence keeps symbol-interning order identical to
-    /// the original run. Encoded as an optional tail so logs written
-    /// before the verb existed still decode (as zero reloads).
+    /// the original run.
     pub reloads: Vec<String>,
 }
 
@@ -248,13 +247,7 @@ impl SnapshotRecord {
             Some(lines)
         };
         let pending = take_lines(&mut pos)?;
-        // Optional tail: records written before `reload` existed end
-        // right after the pendings.
-        let reloads = if pos == bytes.len() {
-            Vec::new()
-        } else {
-            take_lines(&mut pos)?
-        };
+        let reloads = take_lines(&mut pos)?;
         if pos != bytes.len() {
             return None;
         }
@@ -734,6 +727,12 @@ mod tests {
             pending: vec!["pending-inject".into()],
             reloads: vec!["reload-frame".into()],
         };
+        // The reload tail is required, and nothing may follow it.
+        let mut bytes = snap.encode();
+        let no_tail = bytes.len() - (4 + 4 + "reload-frame".len());
+        assert!(SnapshotRecord::decode(&bytes[..no_tail]).is_none());
+        bytes.push(0);
+        assert!(SnapshotRecord::decode(&bytes).is_none());
         wal.compact(&snap).unwrap();
         assert!(wal.bytes < fat);
         assert_eq!(wal.records_since_snapshot, 0);
@@ -745,32 +744,6 @@ mod tests {
         assert_eq!(scan.records[0], Record::Snapshot(snap));
         assert_eq!(scan.records[1], Record::Frame("tail-frame".into()));
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pre_reload_snapshot_records_decode_with_no_reloads() {
-        // A record encoded before the `reload` verb existed ends right
-        // after the pending lines; it must still decode.
-        let mut old = Vec::new();
-        put_bytes(&mut old, b"openline");
-        put_bytes(&mut old, &[9, 9, 9]);
-        old.extend_from_slice(&7u64.to_le_bytes());
-        old.extend_from_slice(&1u64.to_le_bytes());
-        old.extend_from_slice(&1u32.to_le_bytes());
-        put_bytes(&mut old, b"pending-inject");
-        let decoded = SnapshotRecord::decode(&old).unwrap();
-        assert_eq!(decoded.open_line, "openline");
-        assert_eq!(decoded.pending, vec!["pending-inject".to_string()]);
-        assert!(decoded.reloads.is_empty());
-        // Trailing garbage after a well-formed reload tail still refuses.
-        let mut current = SnapshotRecord {
-            reloads: vec!["reload-frame".into()],
-            ..decoded
-        }
-        .encode();
-        assert!(SnapshotRecord::decode(&current).is_some());
-        current.push(0);
-        assert!(SnapshotRecord::decode(&current).is_none());
     }
 
     /// Every hostile variant of `valid` the decoder loop feeds in: each

@@ -5,11 +5,12 @@ use parulel_core::{BinOp, ClassId, FxHashMap, Interner, Polarity, PredOp, Progra
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// One stack-machine instruction.
+/// One instruction of the canonical encoding.
 ///
-/// The machine is register-free: expression ops push onto a value stack,
-/// test ops pop operands and abort the current code object with `false`
-/// on failure, RHS ops pop evaluated arguments and emit delta entries.
+/// The encoding reads as a register-free stack machine: expression ops
+/// push onto a value stack, test ops pop operands and fail the code
+/// object, RHS ops pop evaluated arguments and emit delta entries. No
+/// interpreter runs it; the semantics below say what each op encodes.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Op {
     /// Push constant-table entry `consts[idx]`.
@@ -70,8 +71,7 @@ pub enum Op {
     },
     /// If log collection is off, jump to op index `target` — the `write`
     /// argument expressions in between are never evaluated, so their
-    /// errors cannot fire when logging is disabled (exactly the
-    /// tree-walker's behavior).
+    /// errors cannot fire when logging is disabled.
     SkipUnlessLog {
         /// Op index of the first instruction after the guarded `Write`.
         target: u16,
@@ -94,12 +94,8 @@ pub struct CeCode {
     pub class: ClassId,
     /// Positive or negated.
     pub polarity: Polarity,
-    /// Constant-only (alpha) tests, in declared order.
-    pub alpha: Code,
-    /// Binds and join (beta) tests, in declared order.
-    pub beta: Code,
-    /// Every field test in declared order — the single-pass `matches`
-    /// used by enumeration-based matchers.
+    /// Every field test: the constant-only (alpha) tests, then the binds
+    /// and join (beta) tests, each in declared order.
     pub all: Code,
 }
 
@@ -133,15 +129,8 @@ pub struct RuleCode {
     pub num_vars: u16,
 }
 
-impl RuleCode {
-    /// Rule tests anchored at `anchor`, in declared order.
-    pub fn tests_at(&self, anchor: usize) -> impl Iterator<Item = &TestCode> {
-        self.tests.iter().filter(move |t| t.anchor == anchor)
-    }
-}
-
 /// The content-addressed store for one compiled program: rules indexed
-/// densely by [`RuleId`](parulel_core::RuleId) for the hot path, plus
+/// densely by [`RuleId`](parulel_core::RuleId), plus
 /// the NameMap (name → hash) and CodeMap (hash → code) views.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramCode {
@@ -166,12 +155,6 @@ impl ProgramCode {
             by_name,
             by_hash,
         }
-    }
-
-    /// The rule at dense index `id` (the hot-path lookup).
-    #[inline]
-    pub fn rule(&self, id: u32) -> &Arc<RuleCode> {
-        &self.rules[id as usize]
     }
 
     /// All rules, in rule-id order.
@@ -337,8 +320,7 @@ fn canon_code(out: &mut Vec<u8>, code: &Code, consts: &[Value], slots: &[u16], p
 
 /// The canonical byte encoding of a rule's code — what the content hash
 /// covers. Deliberately excludes the rule name (renames must not change
-/// the hash) and the alpha/beta split of CE code (both are derived
-/// subsequences of `all`).
+/// the hash).
 pub(crate) fn canonical_bytes(rc: &RuleCode, program: &Program) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(&rc.num_vars.to_le_bytes());

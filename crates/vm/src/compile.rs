@@ -10,7 +10,7 @@
 
 use crate::code::{content_hash, CeCode, Code, Op, ProgramCode, RuleCode, TestCode};
 use parulel_core::{
-    Action, ConditionElement, Expr, FieldCheck, FieldTest, Program, Rule, TestExpr, Value, Wme,
+    Action, ConditionElement, Expr, FieldCheck, FieldTest, Program, Rule, TestExpr, Value,
 };
 use std::sync::Arc;
 
@@ -89,24 +89,15 @@ fn emit_field_test(code: &mut Code, ft: &FieldTest, t: &mut Tables) {
 }
 
 fn compile_ce(ce: &ConditionElement, t: &mut Tables) -> CeCode {
-    let mut alpha = Code::default();
-    let mut beta = Code::default();
-    for ft in &ce.tests {
-        if ft.check.is_alpha() {
-            emit_field_test(&mut alpha, ft, t);
-        } else {
-            emit_field_test(&mut beta, ft, t);
-        }
+    // Alpha tests first, then binds/joins — the order
+    // `ConditionElement::matches` evaluates them in.
+    let mut all = Code::default();
+    for ft in ce.alpha_tests().chain(ce.beta_tests()) {
+        emit_field_test(&mut all, ft, t);
     }
-    // The single-pass `matches` mirrors the tree-walker exactly: alpha
-    // tests first, then binds/joins (`passes_alpha && run_beta`).
-    let mut all = alpha.clone();
-    all.ops.extend_from_slice(&beta.ops);
     CeCode {
         class: ce.class,
         polarity: ce.polarity,
-        alpha,
-        beta,
         all,
     }
 }
@@ -149,9 +140,9 @@ fn compile_rhs(rule: &Rule, t: &mut Tables) -> Code {
                 });
             }
             Action::Write(exprs) => {
-                // Placeholder target patched once the Write lands: when
-                // logging is off the VM jumps straight past it, so write
-                // expressions (and their errors) never evaluate.
+                // Placeholder target patched once the Write lands: the
+                // guard records that write arguments (and their errors)
+                // evaluate only when logging is on.
                 let guard = code.ops.len();
                 code.ops.push(Op::SkipUnlessLog { target: 0 });
                 for e in exprs {
@@ -225,41 +216,4 @@ pub fn compile_program_reusing(program: &Program, old: Option<&ProgramCode>) -> 
         })
         .collect();
     ProgramCode::from_rules(rules)
-}
-
-/// Standalone compiled code for a bare field-test list — the shape the
-/// shared alpha network's nodes carry (one node per distinct (class,
-/// tests) key, no rule identity).
-#[derive(Clone, PartialEq, Debug)]
-pub struct FieldTestCode {
-    ops: Vec<Op>,
-    consts: Vec<Value>,
-}
-
-/// Compiles a field-test list (alpha-node constant tests) into a
-/// self-contained code object.
-pub fn compile_field_tests(tests: &[FieldTest]) -> FieldTestCode {
-    let mut t = Tables {
-        consts: Vec::new(),
-        slots: Vec::new(),
-    };
-    let mut code = Code::default();
-    for ft in tests {
-        emit_field_test(&mut code, ft, &mut t);
-    }
-    FieldTestCode {
-        ops: code.ops,
-        consts: t.consts,
-    }
-}
-
-impl FieldTestCode {
-    /// Runs the compiled tests against `wme`. Alpha tests never touch an
-    /// environment, so none is needed; a `Bind` compiled in by a caller
-    /// that passed beta tests would be rejected at execution time in
-    /// debug builds.
-    #[inline]
-    pub fn passes(&self, wme: &Wme) -> bool {
-        crate::exec::run_tests(&self.ops, &self.consts, Some(wme), &mut [])
-    }
 }

@@ -1,14 +1,10 @@
-//! Unit-level checks for the bytecode compiler and VM: tree/bytecode
-//! equivalence at the Evaluator surface, content-hash invariance under
-//! rename and α-renaming, write-guard semantics, and disassembly
-//! determinism. The full-engine differential suite lives at the
-//! workspace root; these tests pin the crate-local contracts.
+//! Unit-level checks for the canonical encoding: content-hash
+//! invariance under rule renames and α-renaming, CodeMap deduplication,
+//! and disassembly determinism. The reload differential suite lives at
+//! the workspace root; these tests pin the crate-local contracts.
 
-use parulel_core::expr::EvalError;
-use parulel_core::{Instantiation, RuleId, Value, Wme, WmeId, WorkingMemory};
 use parulel_lang::compile;
-use parulel_vm::{compile_program, disassemble_program, EvalMode, Evaluator};
-use std::sync::Arc;
+use parulel_vm::{compile_program, disassemble_program};
 
 const SRC: &str = "
 (literalize item kind price qty)
@@ -29,171 +25,6 @@ const SRC: &str = "
  -->
  (make out ^v (+ <q> 1)))
 ";
-
-fn program_and_wm() -> (Arc<parulel_core::Program>, WorkingMemory, Vec<Wme>) {
-    let p = compile(SRC).unwrap();
-    let mut wm = WorkingMemory::new(&p.classes);
-    let item = p.classes.id_of(p.interner.intern("item")).unwrap();
-    let order = p.classes.id_of(p.interner.intern("order")).unwrap();
-    let widget = Value::Sym(p.interner.intern("widget"));
-    let gizmo = Value::Sym(p.interner.intern("gizmo"));
-    wm.insert(item, vec![widget, Value::Int(7), Value::Int(0)]);
-    wm.insert(item, vec![gizmo, Value::Int(3), Value::Int(5)]);
-    wm.insert(order, vec![widget, Value::Int(4)]);
-    let wmes: Vec<Wme> = {
-        let mut v: Vec<Wme> = wm.iter().cloned().collect();
-        v.sort_by_key(|w| w.id);
-        v
-    };
-    (Arc::new(p), wm, wmes)
-}
-
-/// Both evaluator modes agree with each other (and with the raw IR) on
-/// every (rule, ce, wme) combination, for alpha, beta, and full matches.
-#[test]
-fn evaluator_modes_agree_on_lhs() {
-    let (p, _wm, wmes) = program_and_wm();
-    let tree = Evaluator::new(p.clone(), EvalMode::Tree);
-    let byte = Evaluator::new(p.clone(), EvalMode::Bytecode);
-    for rule in p.rules() {
-        for (ce_idx, ce) in rule.ces.iter().enumerate() {
-            for w in &wmes {
-                let t_alpha = tree.passes_alpha(rule.id, ce_idx, w);
-                let b_alpha = byte.passes_alpha(rule.id, ce_idx, w);
-                assert_eq!(t_alpha, b_alpha, "alpha rule={:?} ce={ce_idx}", rule.id);
-                assert_eq!(t_alpha, ce.passes_alpha(w), "alpha vs IR");
-
-                let mut env_t = vec![Value::Int(0); rule.num_vars as usize];
-                let mut env_b = env_t.clone();
-                let t = tree.matches(rule.id, ce_idx, w, &mut env_t);
-                let b = byte.matches(rule.id, ce_idx, w, &mut env_b);
-                assert_eq!(t, b, "matches rule={:?} ce={ce_idx}", rule.id);
-                if t {
-                    assert_eq!(env_t, env_b, "bindings diverged");
-                }
-            }
-        }
-    }
-}
-
-/// Beta runs agree under a pre-seeded environment (join-style usage).
-#[test]
-fn evaluator_modes_agree_on_beta_and_tests() {
-    let (p, _wm, wmes) = program_and_wm();
-    let tree = Evaluator::new(p.clone(), EvalMode::Tree);
-    let byte = Evaluator::new(p.clone(), EvalMode::Bytecode);
-    let restock = p.rules()[0].id;
-    let num_vars = p.rules()[0].num_vars as usize;
-    // Bind <k> from the first item CE, then compare the order CE's beta
-    // and the anchored (test (> <n> 2)).
-    for seed in &wmes {
-        let mut env_t = vec![Value::Int(0); num_vars];
-        if !tree.matches(restock, 0, seed, &mut env_t) {
-            continue;
-        }
-        let mut env_b = vec![Value::Int(0); num_vars];
-        assert!(byte.matches(restock, 0, seed, &mut env_b));
-        assert_eq!(env_t, env_b);
-        for w in &wmes {
-            let mut t_env = env_t.clone();
-            let mut b_env = env_b.clone();
-            let t = w.class == p.rules()[0].ces[1].class
-                && tree.passes_alpha(restock, 1, w)
-                && tree.run_beta(restock, 1, w, &mut t_env);
-            let b = w.class == p.rules()[0].ces[1].class
-                && byte.passes_alpha(restock, 1, w)
-                && byte.run_beta(restock, 1, w, &mut b_env);
-            assert_eq!(t, b, "beta diverged on wme {:?}", w.id);
-            if t {
-                assert_eq!(t_env, b_env);
-                assert_eq!(
-                    tree.tests_pass_at(restock, 1, &t_env),
-                    byte.tests_pass_at(restock, 1, &b_env),
-                    "anchored test diverged"
-                );
-            }
-        }
-    }
-}
-
-/// The VM RHS produces exactly the tree-walker's delta, log, and halt for
-/// a handcrafted instantiation (make + modify + write + remove + bind).
-#[test]
-fn fire_matches_tree_semantics() {
-    let (p, _wm, wmes) = program_and_wm();
-    let byte = Evaluator::new(p.clone(), EvalMode::Bytecode);
-    let restock = &p.rules()[0];
-    // Matched WMEs: item widget (id 1) and order widget (id 3).
-    let item = wmes[0].clone();
-    let order = wmes[2].clone();
-    let mut env = vec![Value::Int(0); restock.num_vars as usize];
-    let tree = Evaluator::new(p.clone(), EvalMode::Tree);
-    assert!(tree.matches(restock.id, 0, &item, &mut env));
-    assert!(tree.run_beta(restock.id, 1, &order, &mut env));
-    let inst = Instantiation::new(restock.id, vec![item.clone(), order.clone()], env);
-
-    let out = byte.fire(&inst, true).unwrap();
-    assert!(!out.halt);
-    assert_eq!(out.log, vec!["restocked widget x 4"]);
-    // make out ^v 28, modify item → qty 4, remove order
-    assert_eq!(out.delta.adds.len(), 2);
-    assert_eq!(out.delta.adds[0].1.as_ref(), &[Value::Int(28)]);
-    assert_eq!(
-        out.delta.adds[1].1.as_ref(),
-        &[item.field(0), Value::Int(7), Value::Int(4)]
-    );
-    assert_eq!(out.delta.removes, vec![item.id, order.id]);
-
-    // Logging off: same delta, no log lines.
-    let quiet = byte.fire(&inst, false).unwrap();
-    assert_eq!(quiet.delta.adds, out.delta.adds);
-    assert_eq!(quiet.delta.removes, out.delta.removes);
-    assert!(quiet.log.is_empty());
-}
-
-/// Write-argument errors surface only when logging is on (the guard jump
-/// skips evaluation entirely), and are flagged `in_write` for the
-/// engine's `<write>` attribution.
-#[test]
-fn write_errors_gated_by_collect_log() {
-    let p = Arc::new(
-        compile(
-            "(literalize n v)
-             (p r (n ^v <x>) --> (write (// <x> 0)) (make n ^v <x>))",
-        )
-        .unwrap(),
-    );
-    let byte = Evaluator::new(p.clone(), EvalMode::Bytecode);
-    let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-    let w = Wme::new(WmeId(1), n, vec![Value::Int(5)]);
-    let inst = Instantiation::new(RuleId(0), vec![w], vec![Value::Int(5)]);
-
-    let err = byte.fire(&inst, true).unwrap_err();
-    assert!(err.in_write);
-    assert_eq!(err.error, EvalError::DivideByZero);
-
-    let ok = byte.fire(&inst, false).unwrap();
-    assert_eq!(ok.delta.adds.len(), 1);
-}
-
-/// Non-write RHS errors are not flagged `in_write`.
-#[test]
-fn bind_errors_are_not_in_write() {
-    let p = Arc::new(
-        compile(
-            "(literalize n v)
-             (p r (n ^v <x>) --> (bind <y> (// <x> 0)) (make n ^v <y>))",
-        )
-        .unwrap(),
-    );
-    let byte = Evaluator::new(p.clone(), EvalMode::Bytecode);
-    let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-    let w = Wme::new(WmeId(1), n, vec![Value::Int(5)]);
-    let inst = Instantiation::new(RuleId(0), vec![w], vec![Value::Int(5), Value::Int(0)]);
-    let err = byte.fire(&inst, true).unwrap_err();
-    assert!(!err.in_write);
-    assert_eq!(err.error, EvalError::DivideByZero);
-}
 
 /// Renaming a rule changes the NameMap but not the content hash;
 /// renaming its variables (α-renaming) changes nothing at all.
@@ -240,7 +71,7 @@ fn codemap_dedupes_identical_bodies() {
 /// encoding (and therefore the hash) is deterministic.
 #[test]
 fn disassembly_is_deterministic() {
-    let (p, _wm, _wmes) = program_and_wm();
+    let p = compile(SRC).unwrap();
     let a = disassemble_program(&compile_program(&p), &p);
     let b = disassemble_program(&compile_program(&p), &p);
     assert_eq!(a, b);

@@ -90,31 +90,16 @@ pub struct ParIter<'a, T>(&'a [T]);
 /// Mutable-reference parallel iterator (`.par_iter_mut()`).
 pub struct ParIterMut<'a, T>(&'a mut [T]);
 
-/// A mapped parallel iterator awaiting `collect`/`for_each`.
+/// A mapped parallel iterator awaiting `collect`.
 pub struct ParMap<'a, T, F> {
     items: &'a [T],
     f: F,
 }
 
 impl<'a, T: Sync> ParIter<'a, T> {
-    /// Maps every element; evaluation happens at `collect`/`for_each`.
+    /// Maps every element; evaluation happens at `collect`.
     pub fn map<U, F: Fn(&'a T) -> U>(self, f: F) -> ParMap<'a, T, F> {
         ParMap { items: self.0, f }
-    }
-
-    /// Runs `f` over every element in parallel.
-    pub fn for_each<F: Fn(&'a T) + Sync>(self, f: F) {
-        chunked_map(self.0, &|t| f(t));
-    }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True iff no elements.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -122,12 +107,6 @@ impl<'a, T: Sync, U: Send, F: Fn(&'a T) -> U + Sync> ParMap<'a, T, F> {
     /// Evaluates the map in parallel and collects in input order.
     pub fn collect<C: FromIterator<U>>(self) -> C {
         chunked_map(self.items, &self.f).into_iter().collect()
-    }
-
-    /// Evaluates the map in parallel, discarding results.
-    pub fn for_each<G: Fn(U) + Sync>(self, g: G) {
-        let f = &self.f;
-        chunked_map(self.items, &|t| g(f(t)));
     }
 }
 
@@ -182,27 +161,6 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     }
 }
 
-/// Fork-join of two closures (rayon's primitive), here: two scoped threads.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let mut rb = None;
-    let ra = std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        match hb.join() {
-            Ok(v) => rb = Some(v),
-            Err(payload) => panic::resume_unwind(payload),
-        }
-        ra
-    });
-    (ra, rb.expect("joined"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -234,20 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-    }
-
-    #[test]
     fn worker_panic_unwinds_not_aborts() {
         let v: Vec<i64> = (0..64).collect();
         let r = std::panic::catch_unwind(|| {
-            v.par_iter().for_each(|x| {
-                if *x == 63 {
-                    panic!("injected");
-                }
-            });
+            v.par_iter()
+                .map(|x| {
+                    if *x == 63 {
+                        panic!("injected");
+                    }
+                    *x
+                })
+                .collect::<Vec<i64>>()
         });
         assert!(r.is_err());
     }

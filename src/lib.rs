@@ -69,7 +69,7 @@ pub mod prelude {
         ClassId, ConflictSet, Delta, Instantiation, Program, RuleId, Symbol, Value, WorkingMemory,
     };
     pub use parulel_engine::{
-        AutoCcc, Budgets, Engine, EngineError, EngineOptions, EvalMode, FiringPolicy, MatcherKind,
+        AutoCcc, Budgets, Engine, EngineError, EngineOptions, FiringPolicy, MatcherKind,
         MetricsLevel, Outcome, ReloadReport, Snapshot, SnapshotError, Strategy,
     };
     pub use parulel_lang::compile;
