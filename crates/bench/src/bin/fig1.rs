@@ -1,6 +1,6 @@
 //! Figure 1 — claim C2: wall-clock speedup vs worker count, PARULEL
-//! engine with the rule-partitioned parallel RETE matcher and parallel
-//! RHS evaluation.
+//! engine with the rule-partitioned parallel RETE matcher. Only the match
+//! phase uses the workers; RHSs fire on the cycle's own thread.
 //!
 //! Prints one series (rows = worker counts) per workload. On a single-core
 //! host the curve is flat-to-down (thread overhead with no hardware
@@ -24,7 +24,7 @@ fn main() {
     }
     println!(
         "Figure 1: speedup vs workers (host has {cores} hardware thread(s))\n\
-         matcher = PartitionedRete(n), RHSs fired in parallel\n"
+         matcher = PartitionedRete(n), RHSs fired sequentially\n"
     );
     let mut rep = BenchReport::new("fig1", "speedup vs workers (PartitionedRete(n))");
     for s in bench_scenarios() {

@@ -90,13 +90,6 @@ impl Delta {
         self.removes.sort_unstable();
         self.removes.dedup();
     }
-
-    /// Appends `other` into `self` (used when merging per-instantiation
-    /// deltas in a deterministic order).
-    pub fn merge(&mut self, other: Delta) {
-        self.removes.extend(other.removes);
-        self.adds.extend(other.adds);
-    }
 }
 
 /// The working memory.

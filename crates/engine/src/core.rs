@@ -10,10 +10,9 @@
 //!
 //! Every cycle: take the eligible (unrefracted) conflict set, ask the
 //! policy which instantiations fire (PARULEL: meta-rule redaction plus
-//! interference guard; OPS5: one LEX/MEA winner), evaluate the chosen
-//! RHSs (in parallel for set-oriented policies), merge the deltas
-//! deterministically, and commit the batch to working memory and the
-//! incremental matcher.
+//! interference guard; OPS5: one LEX/MEA winner), fire the chosen set
+//! into one delta in instantiation-key order, and commit the batch to
+//! working memory and the incremental matcher.
 //!
 //! Termination: the run ends when the eligible set is empty (quiescence),
 //! when everything eligible is redacted (a meta-level deadlock — firing
@@ -21,19 +20,18 @@
 //! fires, or at the cycle limit.
 
 use crate::ccc::copy_and_constrain_appending;
-use crate::fire::{self, EngineError, FireResult};
+use crate::fire::{self, EngineError};
 use crate::metrics::{EngineMetrics, Phase, RuleMetrics, TraceBuffer, TraceEvent};
 use crate::policy::{counts_by_rule, FiringPolicy};
 use crate::refraction::Refraction;
 use crate::snapshot::{SnapKey, SnapValue, SnapWme, Snapshot, SnapshotError};
 use crate::stats::{CycleStats, CycleTrace, Outcome, RunStats};
 use crate::EngineOptions;
-use parulel_core::{InstKey, Instantiation, Program, RuleId, Value, Wme, WmeId, WorkingMemory};
+use parulel_core::{InstKey, Program, RuleId, Value, Wme, WmeId, WorkingMemory};
 use parulel_match::{Matcher, MatcherMetrics};
 use parulel_vm::{compile_program, compile_program_reusing, ProgramCode};
-use rayon::prelude::*;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The unified cycle driver; see the [module docs](self).
 pub struct Engine {
@@ -729,51 +727,22 @@ impl Engine {
             return Ok(false);
         }
 
+        // The surviving set fires as one set on this thread; a failing
+        // or panicking RHS aborts the run with the lowest-keyed error.
         let t = Instant::now();
-        let program = &self.program;
-        let collect_log = self.opts.collect_log;
-        #[cfg(feature = "fault-inject")]
-        let faults = &self.opts.faults;
-        // Each RHS runs behind `fire::isolate`: a panicking rule becomes
-        // `Err(RhsPanic)` for this run instead of tearing down the
-        // process (sibling firings on other workers complete first).
-        let fire_one = |inst: &Instantiation| -> Result<FireResult, EngineError> {
-            fire::isolate(
-                || program.rule_name(inst.rule),
-                || {
-                    #[cfg(feature = "fault-inject")]
-                    faults.maybe_fail_rhs(cycle_no, &program.rule_name(inst.rule))?;
-                    fire::fire(program, inst, collect_log)
-                },
-            )
-        };
-        // Per-firing RHS timing exists only when metrics are on; the Off
-        // arm is the seed's exact path (no `Instant::now` per firing).
-        let (results, rhs_times): (Vec<FireResult>, Vec<Duration>) = if collect {
-            let timed = |inst: &Instantiation| -> Result<(FireResult, Duration), EngineError> {
-                let t = Instant::now();
-                fire_one(inst).map(|r| (r, t.elapsed()))
-            };
-            let results: Result<Vec<(FireResult, Duration)>, EngineError> =
-                surviving.par_iter().map(timed).collect();
-            results.map_err(|e| self.trip(e))?.into_iter().unzip()
-        } else {
-            let results: Result<Vec<FireResult>, EngineError> =
-                surviving.par_iter().map(fire_one).collect();
-            (results.map_err(|e| self.trip(e))?, Vec::new())
-        };
+        let fired = fire::fire_set(&self.program, &surviving, cycle_no, &self.opts)
+            .map_err(|e| self.trip(e))?;
         self.opts
             .budgets
-            .check_delta(cycle_no, &results, &surviving, &self.program)
+            .check_delta(cycle_no, &fired.changes, &surviving, &self.program)
             .map_err(|e| self.trip(e))?;
-        let (delta, log, halt) = fire::merge(results);
         cycle.fired = surviving.len();
-        cycle.adds = delta.adds.len();
-        cycle.removes = delta.removes.len();
+        cycle.adds = fired.delta.adds.len();
+        cycle.removes = fired.delta.removes.len();
         self.refraction.record(surviving.iter());
         cycle.fire_time = t.elapsed();
         if collect {
-            for (inst, dur) in surviving.iter().zip(&rhs_times) {
+            for (inst, dur) in surviving.iter().zip(&fired.rhs_times) {
                 let rm = &mut self.metrics.per_rule[inst.rule.0 as usize];
                 rm.fired += 1;
                 rm.rhs_time += *dur;
@@ -784,7 +753,7 @@ impl Engine {
         // *is* matching); apply time covers WM mutation and refraction
         // upkeep only.
         let t = Instant::now();
-        let (removed, added) = self.wm.apply(&delta);
+        let (removed, added) = self.wm.apply(&fired.delta);
         cycle.apply_time = t.elapsed();
         let t = Instant::now();
         self.matcher.apply(&removed, &added);
@@ -800,8 +769,8 @@ impl Engine {
             self.metrics.sample_matcher(&sample);
         }
 
-        self.log.extend(log);
-        self.halted |= halt;
+        self.log.extend(fired.log);
+        self.halted |= fired.halt;
         if self.opts.trace {
             let mut by_rule: parulel_core::FxHashMap<parulel_core::RuleId, usize> =
                 parulel_core::FxHashMap::default();

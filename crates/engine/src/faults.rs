@@ -7,7 +7,7 @@
 //!
 //! * **RHS panic** — a chosen rule's RHS panics on a chosen cycle,
 //!   exercising the [`crate::fire::isolate`] `catch_unwind` boundary from
-//!   inside a real parallel fire phase.
+//!   inside a real fire phase.
 //! * **RHS eval error** — the same, but yielding a structured
 //!   [`EngineError::RhsEval`] instead of a panic.
 //! * **Matcher corruption** — a phantom duplicate WME is fed to the

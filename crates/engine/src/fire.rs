@@ -1,19 +1,21 @@
-//! RHS evaluation: turning a surviving instantiation into a [`Delta`]
-//! fragment, and merging fragments deterministically.
+//! RHS evaluation: turning a cycle's surviving set into one [`Delta`].
 //!
 //! PARULEL fires a whole *set* of instantiations per cycle. Each RHS is
 //! evaluated against a snapshot (the WMEs the instantiation matched and
-//! its bindings — no live WM access), producing an isolated
-//! [`FireResult`]; evaluation is therefore embarrassingly parallel. The
-//! fragments are then concatenated in instantiation-key order and
-//! normalized, so the merged delta — including the ids assigned to new
-//! WMEs — is identical no matter how many threads evaluated it.
+//! its bindings — no live WM access), so no firing can observe another.
+//! [`fire_set`] walks the set once, in instantiation-key order, on the
+//! calling thread, appending every firing's removes and adds to one cycle
+//! delta; the delta is then normalized, so the ids assigned to new WMEs
+//! are a function of the set alone. (Evaluating RHSs on worker threads
+//! was measured and never paid for its fork and join: EXPERIMENTS.md,
+//! claims ledger, "Parallel RHS evaluation on real threads".)
 
+use crate::EngineOptions;
 use parulel_core::expr::EvalError;
 use parulel_core::{Action, Delta, Instantiation, Interner, Program, Value};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Errors that abort a run.
 ///
@@ -31,9 +33,9 @@ pub enum EngineError {
         /// The underlying evaluation error.
         error: EvalError,
     },
-    /// An RHS panicked during parallel evaluation. The panic was caught at
-    /// the firing boundary — sibling firings complete and the process
-    /// survives; only the run is aborted.
+    /// An RHS panicked. The panic was caught at the firing boundary —
+    /// the process survives and only the run is aborted; later firings
+    /// of the set are not evaluated.
     RhsPanic {
         /// The rule whose RHS panicked.
         rule: String,
@@ -182,16 +184,16 @@ impl std::error::Error for EngineError {}
 
 /// Runs `f` with panic isolation: a panic unwinding out of `f` is caught
 /// and converted to [`EngineError::RhsPanic`] naming the rule, instead of
-/// tearing down the worker thread (and with it the process).
+/// tearing down the thread (and with it the process).
 ///
 /// The engine wraps every RHS evaluation in this, so one buggy rule aborts
-/// the *run* with a structured error while sibling firings, the engine,
-/// and the embedding application survive. `rule` is lazy so the happy path
-/// never allocates a name.
-pub fn isolate<N, F>(rule: N, f: F) -> Result<FireResult, EngineError>
+/// the *run* with a structured error while the engine and the embedding
+/// application survive. `rule` is lazy so the happy path never allocates
+/// a name.
+pub fn isolate<T, N, F>(rule: N, f: F) -> Result<T, EngineError>
 where
     N: FnOnce() -> String,
-    F: FnOnce() -> Result<FireResult, EngineError>,
+    F: FnOnce() -> Result<T, EngineError>,
 {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => result,
@@ -216,45 +218,99 @@ fn panic_payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The isolated effect of firing one instantiation.
-#[derive(Clone, Debug, Default)]
-pub struct FireResult {
-    /// The delta fragment (removes reference matched WME ids; adds carry
-    /// evaluated field tuples).
+/// The effect of firing one cycle's surviving set.
+#[derive(Debug, Default)]
+pub struct FiredSet {
+    /// The cycle delta: every firing's removes and adds in instantiation
+    /// order, removes then deduplicated ([`Delta::normalize`]).
     pub delta: Delta,
-    /// Rendered `write` output lines.
+    /// Rendered `write` output lines, in firing order.
     pub log: Vec<String>,
-    /// The RHS executed a `halt`.
+    /// Some RHS executed a `halt`.
     pub halt: bool,
+    /// Changes (adds + removes, before deduplication) per firing, one
+    /// entry per instantiation in set order — what a delta-budget trip
+    /// attributes to rules.
+    pub changes: Vec<usize>,
+    /// RHS wall time per firing, in set order; empty unless per-rule
+    /// metrics are on.
+    pub rhs_times: Vec<Duration>,
 }
 
-/// Evaluates the RHS of `inst` (a match of `program`'s rule `inst.rule`).
+/// Fires `set` (instantiations of `program`'s rules, in key order) as one
+/// set on the calling thread.
+///
+/// Every firing runs behind [`isolate`], so a panicking RHS becomes
+/// [`EngineError::RhsPanic`] naming its rule. The first firing that fails
+/// aborts the set; that error — the lowest-keyed failing instantiation's —
+/// is what is returned, and later firings are not evaluated.
+///
+/// `opts` supplies `collect_log`, whether per-firing RHS times are taken
+/// (per-rule metrics), and, under `fault-inject`, the fault plan consulted
+/// with cycle number `cycle`.
+pub fn fire_set(
+    program: &Program,
+    set: &[Instantiation],
+    #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))] cycle: u64,
+    opts: &EngineOptions,
+) -> Result<FiredSet, EngineError> {
+    let timed = opts.metrics.per_rule();
+    let mut out = FiredSet {
+        changes: Vec::with_capacity(set.len()),
+        ..FiredSet::default()
+    };
+    let mut env = Vec::new();
+    for inst in set {
+        let t = timed.then(Instant::now);
+        let before = out.delta.len();
+        isolate(
+            || program.rule_name(inst.rule),
+            || {
+                #[cfg(feature = "fault-inject")]
+                opts.faults
+                    .maybe_fail_rhs(cycle, &program.rule_name(inst.rule))?;
+                fire_one(program, inst, opts.collect_log, &mut env, &mut out)
+            },
+        )?;
+        out.changes.push(out.delta.len() - before);
+        if let Some(t) = t {
+            out.rhs_times.push(t.elapsed());
+        }
+    }
+    out.delta.normalize();
+    Ok(out)
+}
+
+/// Evaluates the RHS of `inst` into `out`, with `env` as scratch for the
+/// binding environment.
 ///
 /// `modify` decomposes into remove-then-make: the new tuple starts from
 /// the *matched* WME's fields (the cycle-start snapshot) with the listed
 /// slots replaced. Two instantiations modifying the same WME therefore
 /// both retract it (idempotent) and each assert their own version — the
 /// interference PARULEL expects meta-rules (or the guard) to prevent.
-pub fn fire(
+fn fire_one(
     program: &Program,
     inst: &Instantiation,
     collect_log: bool,
-) -> Result<FireResult, EngineError> {
+    env: &mut Vec<Value>,
+    out: &mut FiredSet,
+) -> Result<(), EngineError> {
     let rule = program.rule(inst.rule);
-    let mut env: Vec<Value> = inst.env.to_vec();
+    env.clear();
+    env.extend_from_slice(&inst.env);
     let fail = |error: EvalError| EngineError::RhsEval {
         rule: program.rule_name(inst.rule),
         error,
     };
     for (var, expr) in &rule.binds {
-        env[var.index()] = expr.eval(&env).map_err(fail)?;
+        env[var.index()] = expr.eval(env).map_err(fail)?;
     }
-    let mut out = FireResult::default();
     for action in &rule.actions {
         match action {
             Action::Make { class, fields } => {
                 let vals: Result<Vec<Value>, EvalError> =
-                    fields.iter().map(|e| e.eval(&env)).collect();
+                    fields.iter().map(|e| e.eval(env)).collect();
                 out.delta
                     .adds
                     .push((*class, Arc::from(vals.map_err(fail)?)));
@@ -267,19 +323,19 @@ pub fn fire(
                 out.delta.removes.push(wme.id);
                 let mut fields: Vec<Value> = wme.fields.to_vec();
                 for (slot, expr) in sets {
-                    fields[*slot as usize] = expr.eval(&env).map_err(fail)?;
+                    fields[*slot as usize] = expr.eval(env).map_err(fail)?;
                 }
                 out.delta.adds.push((wme.class, Arc::from(fields)));
             }
             Action::Write(exprs) => {
                 if collect_log {
-                    out.log.push(render_write(&program.interner, exprs, &env)?);
+                    out.log.push(render_write(&program.interner, exprs, env)?);
                 }
             }
             Action::Halt => out.halt = true,
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn render_write(
@@ -298,21 +354,6 @@ fn render_write(
     Ok(parts.join(" "))
 }
 
-/// Merges per-instantiation results (already in deterministic order) into
-/// one normalized cycle delta plus the combined log/halt flag.
-pub fn merge(results: Vec<FireResult>) -> (Delta, Vec<String>, bool) {
-    let mut delta = Delta::new();
-    let mut log = Vec::new();
-    let mut halt = false;
-    for r in results {
-        delta.merge(r.delta);
-        log.extend(r.log);
-        halt |= r.halt;
-    }
-    delta.normalize();
-    (delta, log, halt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,23 +361,49 @@ mod tests {
     use parulel_lang::compile;
     use parulel_match::{Matcher, Rete};
 
-    fn one_inst(
+    /// `src`'s conflict set over the WM `setup` builds, in key order.
+    fn insts(
         src: &str,
         setup: impl FnOnce(&Program, &mut WorkingMemory),
-    ) -> (Program, Instantiation) {
+    ) -> (Program, Vec<Instantiation>) {
         let p = compile(src).unwrap();
         let mut wm = WorkingMemory::new(&p.classes);
         setup(&p, &mut wm);
         let mut m = Rete::new(Arc::new(p.clone()));
         m.seed(&wm);
         let cs = m.conflict_set().sorted();
-        assert_eq!(cs.len(), 1, "expected exactly one instantiation");
-        (p, cs[0].clone())
+        (p, cs)
+    }
+
+    fn one_inst(
+        src: &str,
+        setup: impl FnOnce(&Program, &mut WorkingMemory),
+    ) -> (Program, Vec<Instantiation>) {
+        let (p, set) = insts(src, setup);
+        assert_eq!(set.len(), 1, "expected exactly one instantiation");
+        (p, set)
+    }
+
+    fn fire(
+        p: &Program,
+        set: &[Instantiation],
+        collect_log: bool,
+    ) -> Result<FiredSet, EngineError> {
+        let opts = EngineOptions {
+            collect_log,
+            ..EngineOptions::default()
+        };
+        fire_set(p, set, 1, &opts)
+    }
+
+    fn insert(p: &Program, wm: &mut WorkingMemory, class: &str, v: i64) {
+        let class = p.classes.id_of(p.interner.intern(class)).unwrap();
+        wm.insert(class, vec![Value::Int(v)]);
     }
 
     #[test]
     fn make_remove_modify_bind_write_halt() {
-        let (p, inst) = one_inst(
+        let (p, set) = one_inst(
             "(literalize n v)
              (literalize out v)
              (p r (n ^v <x>)
@@ -346,12 +413,9 @@ mod tests {
               (modify 1 ^v (+ <x> 1))
               (write result <y>)
               (halt))",
-            |p, wm| {
-                let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-                wm.insert(n, vec![Value::Int(4)]);
-            },
+            |p, wm| insert(p, wm, "n", 4),
         );
-        let r = fire(&p, &inst, true).unwrap();
+        let r = fire(&p, &set, true).unwrap();
         assert!(r.halt);
         assert_eq!(r.log, vec!["result 40"]);
         // modify = remove + make; plus the explicit make
@@ -361,6 +425,8 @@ mod tests {
         assert_eq!(out_add.1[0], Value::Int(40));
         let modified = &r.delta.adds[1];
         assert_eq!(modified.1[0], Value::Int(5));
+        assert_eq!(r.changes, vec![3]);
+        assert!(r.rhs_times.is_empty(), "untimed without per-rule metrics");
     }
 
     #[test]
@@ -375,11 +441,8 @@ mod tests {
         ];
         for (rhs, collect_log, want) in cases {
             let src = format!("(literalize n v) (p crash (n ^v <x>) --> {rhs})");
-            let (p, inst) = one_inst(&src, |p, wm| {
-                let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-                wm.insert(n, vec![Value::Int(1)]);
-            });
-            match fire(&p, &inst, collect_log).unwrap_err() {
+            let (p, set) = one_inst(&src, |p, wm| insert(p, wm, "n", 1));
+            match fire(&p, &set, collect_log).unwrap_err() {
                 EngineError::RhsEval { rule, error } => {
                     assert_eq!(rule, want, "{rhs}");
                     assert_eq!(error, EvalError::DivideByZero, "{rhs}");
@@ -388,19 +451,36 @@ mod tests {
             }
             if rhs.starts_with("(write") {
                 // Logging off: the write argument never evaluates.
-                let quiet = fire(&p, &inst, false).unwrap();
+                let quiet = fire(&p, &set, false).unwrap();
                 assert_eq!(quiet.delta.adds.len(), 1);
                 assert!(quiet.log.is_empty());
+            }
+        }
+
+        // Two failing firings in one set: the lower-keyed instantiation
+        // is named, not the alphabetically first rule.
+        let (p, set) = insts(
+            "(literalize n v)
+             (p zeta (n ^v <x>) --> (make n ^v (// <x> 0)))
+             (p alpha (n ^v <x>) --> (make n ^v (// <x> 0)))",
+            |p, wm| insert(p, wm, "n", 1),
+        );
+        assert_eq!(set.len(), 2);
+        for (from, want) in [(0, "zeta"), (1, "alpha")] {
+            match fire(&p, &set[from..], false).unwrap_err() {
+                EngineError::RhsEval { rule, .. } => assert_eq!(rule, want),
+                other => panic!("wrong variant: {other:?}"),
             }
         }
     }
 
     #[test]
     fn isolate_catches_panics_and_names_the_rule() {
-        let ok = isolate(|| unreachable!(), || Ok(FireResult::default()));
+        let ok = isolate(|| unreachable!(), || Ok(()));
         assert!(ok.is_ok(), "no panic, no name resolution");
 
-        let err = isolate(|| "boom".to_string(), || panic!("kaboom {}", 7)).unwrap_err();
+        let err =
+            isolate::<(), _, _>(|| "boom".to_string(), || panic!("kaboom {}", 7)).unwrap_err();
         match err {
             EngineError::RhsPanic { rule, payload } => {
                 assert_eq!(rule, "boom");
@@ -410,47 +490,47 @@ mod tests {
         }
 
         // &'static str payloads render too.
-        let err = isolate(|| "b".to_string(), || panic!("static")).unwrap_err();
+        let err = isolate::<(), _, _>(|| "b".to_string(), || panic!("static")).unwrap_err();
         assert!(err.to_string().contains("static"));
     }
 
     #[test]
     fn merge_dedupes_removes_and_keeps_add_order() {
-        let mut a = FireResult::default();
-        a.delta.removes.push(parulel_core::WmeId(5));
-        a.delta
-            .adds
-            .push((parulel_core::ClassId(0), Arc::from(vec![Value::Int(1)])));
-        a.log.push("a".into());
-        let mut b = FireResult::default();
-        b.delta.removes.push(parulel_core::WmeId(5));
-        b.delta
-            .adds
-            .push((parulel_core::ClassId(0), Arc::from(vec![Value::Int(2)])));
-        b.halt = true;
-        let (delta, log, halt) = merge(vec![a, b]);
-        assert_eq!(delta.removes.len(), 1);
-        assert_eq!(delta.adds.len(), 2);
-        assert_eq!(delta.adds[0].1[0], Value::Int(1));
-        assert_eq!(delta.adds[1].1[0], Value::Int(2));
-        assert_eq!(log, vec!["a"]);
-        assert!(halt);
+        // Both firings retract the same `m`: the set's delta retracts it
+        // once, while adds and log lines keep instantiation order.
+        let (p, set) = insts(
+            "(literalize n v)
+             (literalize m v)
+             (literalize out v)
+             (p r (n ^v <x>) (m ^v <y>) --> (remove 2) (make out ^v <x>) (write <x>))",
+            |p, wm| {
+                insert(p, wm, "n", 1);
+                insert(p, wm, "n", 2);
+                insert(p, wm, "m", 0);
+            },
+        );
+        assert_eq!(set.len(), 2);
+        let r = fire(&p, &set, true).unwrap();
+        assert_eq!(r.delta.removes.len(), 1);
+        assert_eq!(r.delta.adds.len(), 2);
+        assert_eq!(r.delta.adds[0].1[0], Value::Int(1));
+        assert_eq!(r.delta.adds[1].1[0], Value::Int(2));
+        assert_eq!(r.changes, vec![2, 2], "counted before deduplication");
+        assert_eq!(r.log, vec!["1", "2"]);
+        assert!(!r.halt);
     }
 
     #[test]
     fn write_renders_symbols_via_interner() {
-        let (p, inst) = one_inst(
+        let (p, set) = one_inst(
             "(literalize n v)
              (p r (n ^v <x>) --> (write the answer is <x>))",
-            |p, wm| {
-                let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-                wm.insert(n, vec![Value::Int(42)]);
-            },
+            |p, wm| insert(p, wm, "n", 42),
         );
-        let r = fire(&p, &inst, true).unwrap();
+        let r = fire(&p, &set, true).unwrap();
         assert_eq!(r.log, vec!["the answer is 42"]);
         // log collection off ⇒ no allocation
-        let r = fire(&p, &inst, false).unwrap();
+        let r = fire(&p, &set, false).unwrap();
         assert!(r.log.is_empty());
     }
 }

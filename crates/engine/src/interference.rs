@@ -16,7 +16,7 @@
 //! Guard modes:
 //!
 //! * [`GuardMode::Off`] — fire everything (pure PARULEL semantics; the
-//!   merged delta is still deterministic, see `fire::merge`).
+//!   cycle delta is still deterministic, see `fire::fire_set`).
 //! * [`GuardMode::WriteWrite`] — two instantiations may not both rewrite
 //!   the same WME when at least one is a `modify` (remove+remove is
 //!   idempotent and allowed).

@@ -25,9 +25,10 @@
 //!      [`interference`] guard backstops them, auto-redacting overlaps
 //!      a correct meta-rule set should have prevented.
 //!   3. **Fire all** — every surviving instantiation fires *in the same
-//!      cycle*: RHS actions are evaluated in parallel (rayon) into
-//!      per-instantiation deltas, merged in deterministic key order, and
-//!      applied to working memory atomically.
+//!      cycle*: [`fire::fire_set`] evaluates the RHSs in instantiation-key
+//!      order on the cycle's own thread, each against the cycle-start
+//!      snapshot, into one delta that is applied to working memory
+//!      atomically.
 //! * [`FiringPolicy::SelectOne`] — the OPS5 baseline every speedup
 //!   table compares against: one LEX/MEA winner per cycle.
 //!
@@ -60,7 +61,7 @@ pub mod stats;
 
 pub use ccc::{copy_and_constrain, copy_and_constrain_appending};
 pub use core::Engine;
-pub use fire::{EngineError, FireResult};
+pub use fire::EngineError;
 pub use guard::Budgets;
 pub use interference::GuardMode;
 pub use json::Json;
@@ -153,8 +154,8 @@ impl Default for AutoCcc {
 ///
 /// Nothing here selects *how* rules evaluate: every LHS test, join test
 /// and RHS runs on the IR walker ([`parulel_core::ir`]), and a cycle's
-/// surviving RHSs always evaluate in parallel (the merge is
-/// order-preserving, so the result never depends on the thread count).
+/// surviving RHSs always fire as one set on the cycle's thread, in
+/// instantiation-key order.
 /// The program is also compiled once to its canonical bytecode
 /// ([`Engine::code`]) for the content hashes that [`Engine::reload`]
 /// diffs and snapshots record.

@@ -58,8 +58,7 @@ pub struct RuleMetrics {
     /// Instantiations redacted by the interference guard.
     pub redacted_guard: u64,
     /// Wall time spent evaluating this rule's RHS (summed across
-    /// firings; under parallel fire the sum can exceed the cycle's
-    /// fire-phase wall time).
+    /// firings).
     pub rhs_time: Duration,
 }
 
@@ -223,7 +222,8 @@ pub enum Phase {
     Match,
     /// Meta-rule redaction + interference guard.
     Redact,
-    /// RHS evaluation and delta merge.
+    /// RHS evaluation into the cycle delta, the delta-budget check and
+    /// the refraction record.
     Fire,
     /// Committing the delta to working memory and refraction upkeep.
     Apply,

@@ -37,7 +37,7 @@ pub enum Strategy {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FiringPolicy {
     /// PARULEL: redact via meta-rules, guard, then fire every survivor
-    /// in the same cycle (parallel RHS evaluation, deterministic merge).
+    /// in the same cycle, as one set into one deterministic delta.
     FireAll {
         /// Run the program's meta-rules to fixpoint over the eligible
         /// set. `false` fires the raw eligible set (Table 4's "no

@@ -26,7 +26,8 @@ pub struct CycleStats {
     pub match_time: Duration,
     /// Time in the redact (meta + guard) phase.
     pub redact_time: Duration,
-    /// Time in the fire (RHS evaluation + merge) phase.
+    /// Time in the fire phase: RHS evaluation into the cycle delta, the
+    /// delta-budget check, and recording the fired set for refraction.
     pub fire_time: Duration,
     /// Time applying the delta to working memory and pruning refraction.
     pub apply_time: Duration,

@@ -1,6 +1,6 @@
 //! Determinism guarantees: a PARULEL run is a pure function of
 //! (program, initial WM, options) — independent of thread scheduling,
-//! hash iteration order, and how many threads evaluated the RHSs.
+//! hash iteration order, and how many workers the matcher runs.
 
 use parulel::prelude::*;
 use parulel::workloads::{self, Scenario};
