@@ -389,6 +389,27 @@ impl AlphaNetwork {
     }
 }
 
+/// Every live index as node sharing key → sorted (slot list, refcount)
+/// pairs.
+#[cfg(test)]
+pub(crate) type IndexCensus = FxHashMap<(ClassId, Vec<FieldTest>), Vec<(Box<[u16]>, u32)>>;
+
+impl AlphaNetwork {
+    /// The live indexes, independent of slab positions: tests compare
+    /// censuses across subscribe/unsubscribe churn.
+    #[cfg(test)]
+    pub(crate) fn index_census(&self) -> IndexCensus {
+        let mut census = FxHashMap::default();
+        for node in self.nodes.iter().flatten() {
+            let mut idx: Vec<(Box<[u16]>, u32)> =
+                node.indexes.iter().map(|(s, i)| (s.clone(), i.refs)).collect();
+            idx.sort();
+            census.insert((node.class, node.tests.clone()), idx);
+        }
+        census
+    }
+}
+
 impl AlphaNetwork {
     /// Verifies store/node/index agreement (called from tests and the
     /// debug-build differential twins). Panics with a description on

@@ -1,68 +1,92 @@
-//! Shared combination enumeration: the non-state-saving core used by the
-//! naive matcher (over the whole working memory) and by TREAT (over its
-//! alpha memories, seeded at one CE position).
+//! The shared join kernel: the non-state-saving enumeration used by the
+//! naive matcher (over its mirror of working memory) and by TREAT (over
+//! the shared alpha network's indexes, optionally pinned at one CE).
+//!
+//! The walk holds candidate WMEs by reference and keeps one binding env
+//! for the whole search: a positive CE's variables are bound in CE order
+//! and read only after their bind, so a slot a failed candidate wrote is
+//! always overwritten before anything reads it. Negative CEs test their
+//! blockers in a scratch copy, so their local bindings never reach an
+//! instantiation.
 
 use parulel_core::{Instantiation, Polarity, Rule, Value, Wme};
 
+/// Supplies candidate WMEs for CE `ce_idx` given the env bound by the CEs
+/// before it. Any superset of the matching WMEs is fine: alpha, beta and
+/// anchored tests are re-checked by the walk.
+pub type Candidates<'c, 'w> = dyn Fn(usize, &[Value], &mut Vec<&'w Wme>) + 'c;
+
 /// Enumerates every instantiation of `rule`, depth-first over its CEs in
-/// join order.
-///
-/// * `candidates(ce_idx)` supplies candidate WMEs for the CE at `ce_idx`
-///   (any superset of the alpha-passing set is fine; alpha and beta tests
-///   are re-checked here).
-/// * `fixed` optionally pins one CE position to a single WME — TREAT uses
-///   this to enumerate only the matches that involve a newly added WME.
-/// * Matches are pushed to `out`.
-pub fn enumerate_rule(
+/// join order, pushing them to `out`. `pinned` optionally fixes one
+/// positive CE to a single WME: TREAT enumerates only the matches that
+/// involve a newly added WME this way.
+pub fn enumerate_rule<'w>(
     rule: &Rule,
-    candidates: &dyn Fn(usize) -> Vec<Wme>,
-    fixed: Option<(usize, &Wme)>,
+    candidates: &Candidates<'_, 'w>,
+    pinned: Option<(usize, &'w Wme)>,
     out: &mut Vec<Instantiation>,
 ) {
-    let mut env = vec![Value::NIL; rule.num_vars as usize];
-    let mut wmes: Vec<Wme> = Vec::with_capacity(rule.num_positive());
-    dfs(rule, candidates, fixed, 0, &mut env, &mut wmes, out);
+    let mut walk = Walk {
+        rule,
+        candidates,
+        pinned,
+        env: vec![Value::NIL; rule.num_vars as usize],
+        scratch: Vec::new(),
+        wmes: Vec::with_capacity(rule.num_positive()),
+        bufs: vec![Vec::new(); rule.ces.len()],
+        out,
+    };
+    walk.dfs(0);
 }
 
-fn dfs(
-    rule: &Rule,
-    candidates: &dyn Fn(usize) -> Vec<Wme>,
-    fixed: Option<(usize, &Wme)>,
-    ce_idx: usize,
-    env: &mut Vec<Value>,
-    wmes: &mut Vec<Wme>,
-    out: &mut Vec<Instantiation>,
-) {
-    if ce_idx == rule.ces.len() {
-        out.push(Instantiation::new(rule.id, wmes.clone(), env.clone()));
-        return;
-    }
-    let ce = &rule.ces[ce_idx];
-    match ce.polarity {
-        Polarity::Positive => {
-            let cands: Vec<Wme> = match fixed {
-                Some((fi, w)) if fi == ce_idx => vec![(*w).clone()],
-                _ => candidates(ce_idx),
-            };
-            for w in cands {
-                let saved = env.clone();
-                if ce.matches(&w, env) && rule.tests_pass_at(ce_idx, env) {
-                    wmes.push(w);
-                    dfs(rule, candidates, fixed, ce_idx + 1, env, wmes, out);
-                    wmes.pop();
+struct Walk<'a, 'w> {
+    rule: &'a Rule,
+    candidates: &'a Candidates<'a, 'w>,
+    pinned: Option<(usize, &'w Wme)>,
+    env: Vec<Value>,
+    /// Blocker-test env for negative CEs.
+    scratch: Vec<Value>,
+    wmes: Vec<&'w Wme>,
+    /// One reusable candidate buffer per CE level.
+    bufs: Vec<Vec<&'w Wme>>,
+    out: &'a mut Vec<Instantiation>,
+}
+
+impl Walk<'_, '_> {
+    fn dfs(&mut self, k: usize) {
+        let rule = self.rule;
+        if k == rule.ces.len() {
+            let wmes: Vec<Wme> = self.wmes.iter().map(|&w| w.clone()).collect();
+            self.out
+                .push(Instantiation::new(rule.id, wmes, &self.env[..]));
+            return;
+        }
+        let ce = &rule.ces[k];
+        let mut cands = std::mem::take(&mut self.bufs[k]);
+        match self.pinned {
+            Some((p, w)) if p == k => cands.push(w),
+            _ => (self.candidates)(k, &self.env, &mut cands),
+        }
+        match ce.polarity {
+            Polarity::Positive => {
+                for &w in &cands {
+                    if ce.matches(w, &mut self.env) && rule.tests_pass_at(k, &self.env) {
+                        self.wmes.push(w);
+                        self.dfs(k + 1);
+                        self.wmes.pop();
+                    }
                 }
-                *env = saved;
+            }
+            Polarity::Negative => {
+                self.scratch.clone_from(&self.env);
+                let blocked = cands.iter().any(|w| ce.matches(w, &mut self.scratch));
+                if !blocked && rule.tests_pass_at(k, &self.env) {
+                    self.dfs(k + 1);
+                }
             }
         }
-        Polarity::Negative => {
-            let blocked = candidates(ce_idx).into_iter().any(|w| {
-                let mut scratch = env.clone();
-                ce.matches(&w, &mut scratch)
-            });
-            if !blocked && rule.tests_pass_at(ce_idx, env) {
-                dfs(rule, candidates, fixed, ce_idx + 1, env, wmes, out);
-            }
-        }
+        cands.clear();
+        self.bufs[k] = cands;
     }
 }
 
@@ -74,6 +98,11 @@ mod tests {
 
     fn wme(class: u32, id: u64, fields: Vec<Value>) -> Wme {
         Wme::new(WmeId(id), ClassId(class), fields)
+    }
+
+    /// Every CE draws from all of `wmes`.
+    fn all<'w>(wmes: &'w [Wme]) -> impl Fn(usize, &[Value], &mut Vec<&'w Wme>) + 'w {
+        move |_, _, out| out.extend(wmes)
     }
 
     #[test]
@@ -91,7 +120,7 @@ mod tests {
             wme(0, 3, vec![Value::Sym(z), Value::Sym(x)]),
         ];
         let mut out = Vec::new();
-        enumerate_rule(&p.rules()[0], &|_| wmes.clone(), None, &mut out);
+        enumerate_rule(&p.rules()[0], &all(&wmes), None, &mut out);
         // x->y->z, y->z->x, z->x->y
         assert_eq!(out.len(), 3);
     }
@@ -110,11 +139,11 @@ mod tests {
             wme(0, 2, vec![Value::Sym(y), Value::Sym(z)]),
         ];
         let fresh = wme(0, 3, vec![Value::Sym(z), Value::Sym(x)]);
-        let mut all = wmes.clone();
-        all.push(fresh.clone());
+        let mut all_wmes = wmes.clone();
+        all_wmes.push(fresh.clone());
         let mut out = Vec::new();
         // only matches with the fresh wme in position 0
-        enumerate_rule(&p.rules()[0], &|_| all.clone(), Some((0, &fresh)), &mut out);
+        enumerate_rule(&p.rules()[0], &all(&all_wmes), Some((0, &fresh)), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].wmes[0].id, WmeId(3));
     }
@@ -136,13 +165,7 @@ mod tests {
         let mut out = Vec::new();
         enumerate_rule(
             rule,
-            &|ce| {
-                if ce == 0 {
-                    tasks.clone()
-                } else {
-                    locks.clone()
-                }
-            },
+            &|ce, _, out| out.extend(if ce == 0 { &tasks } else { &locks }),
             None,
             &mut out,
         );
@@ -163,7 +186,7 @@ mod tests {
             wme(0, 3, vec![Value::Int(9)]),
         ];
         let mut out = Vec::new();
-        enumerate_rule(&p.rules()[0], &|_| wmes.clone(), None, &mut out);
+        enumerate_rule(&p.rules()[0], &all(&wmes), None, &mut out);
         // <a> ∈ {7, 9}; <b> < <a>: (7,3), (9,3), (9,7)
         assert_eq!(out.len(), 3);
     }
@@ -177,7 +200,7 @@ mod tests {
         .unwrap();
         let wmes = vec![wme(0, 1, vec![Value::Int(3)])];
         let mut out = Vec::new();
-        enumerate_rule(&p.rules()[0], &|_| wmes.clone(), None, &mut out);
+        enumerate_rule(&p.rules()[0], &all(&wmes), None, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].wmes.len(), 2);
         assert_eq!(out[0].wmes[0].id, out[0].wmes[1].id);

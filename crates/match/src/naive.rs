@@ -2,7 +2,7 @@
 
 use crate::enumerate::enumerate_rule;
 use crate::Matcher;
-use parulel_core::{ClassId, ConflictSet, FxHashMap, Program, RuleId, Wme, WmeId};
+use parulel_core::{ConflictSet, FxHashMap, Program, RuleId, Wme, WmeId};
 use std::sync::Arc;
 
 /// Recomputes the full conflict set from a mirror of working memory every
@@ -38,18 +38,15 @@ impl NaiveMatcher {
         }
     }
 
-    fn class_wmes(&self, class: ClassId) -> Vec<Wme> {
-        self.by_class[class.index()].values().cloned().collect()
-    }
-
     fn recompute(&mut self) {
         self.recomputes += 1;
         let mut out = Vec::new();
         for &rid in &self.rules {
             let rule = self.program.rule(rid);
+            // No indexes: every CE's candidates are its class's members.
             enumerate_rule(
                 rule,
-                &|ce_idx| self.class_wmes(rule.ces[ce_idx].class),
+                &|ce, _, cands| cands.extend(self.by_class[rule.ces[ce].class.index()].values()),
                 None,
                 &mut out,
             );

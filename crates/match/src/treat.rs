@@ -2,7 +2,25 @@
 //!
 //! TREAT keeps no join state beyond the conflict set itself; its alpha
 //! memories live in the crate-wide shared [`AlphaNetwork`], one
-//! subscription per (rule, CE):
+//! subscription per (rule, CE). Every join runs through the shared
+//! by-reference kernel in [`crate::enumerate`], which reads candidate
+//! WMEs straight out of the network's hash indexes:
+//!
+//! * **Indexed probes** — at subscribe time each CE subscribes an index
+//!   on its equality keys over variables bound by earlier CEs (the slots
+//!   a RETE level indexes), and the walk probes that bucket with the
+//!   bound values instead of scanning the node.
+//! * **Pinned key plans** — when a new WME is pinned at positive CE *p*,
+//!   every CE *j* < *p* is probed through a second index: its env keys
+//!   plus each slot sharing an equality variable with a slot of CE *p*,
+//!   keyed by the pinned WME's field. In the market workload a new `sell`
+//!   pinned at CE 1 probes the `buy` index on `sym` rather than scanning
+//!   every buy. Keys go through
+//!   `Value::join_key` on both sides, so `3` and `3.0` still meet.
+//!
+//! An index bucket is only a superset filter: alpha, beta and anchored
+//! tests all re-run in CE order, so the instantiations are exactly the
+//! naive oracle's.
 //!
 //! * **Add** — the shared network routes the WME through its class
 //!   bucket, running each *distinct* constant-test list once, and returns
@@ -12,13 +30,15 @@
 //!   involving it are computed). If a *negative* CE's node was entered,
 //!   existing instantiations of that rule consistent with the new blocker
 //!   are deleted. Rules whose CEs the WME cannot satisfy are never
-//!   touched — the pre-sharing implementation tested the WME against
-//!   every CE of every rule on each add.
-//! * **Remove** — one network removal evicts the WME from every node it
-//!   was in; every conflict-set entry that positively matched it is
-//!   deleted (an O(conflict set) sweep, which is exactly TREAT's bet:
+//!   touched.
+//! * **Remove** — one network removal evicts the WME from every node and
+//!   index it was in; every conflict-set entry that positively matched it
+//!   is deleted (an O(conflict set) sweep, which is exactly TREAT's bet:
 //!   conflict sets are small). If it left a negative CE's node, the rule
 //!   is re-enumerated (some matches it was blocking may now exist).
+//! * **Reload** — [`Matcher::replace_rules`] drops every node and index
+//!   subscription a removed rule took; `check_invariants` asserts each
+//!   rule's indexes exist on its nodes.
 //!
 //! Compared to RETE, TREAT trades join *recomputation* on adds for zero
 //! beta-memory maintenance — historically a good trade for remove-heavy
@@ -28,9 +48,71 @@ use crate::alpha::{AlphaNetwork, NodeId};
 use crate::enumerate::enumerate_rule;
 use crate::Matcher;
 use parulel_core::{
-    ConflictSet, CsEvent, FxHashMap, InstKey, Polarity, Program, RuleId, Wme, WorkingMemory,
+    ConflictSet, CsEvent, FieldCheck, FieldTest, FxHashMap, InstKey, Instantiation, Polarity,
+    PredOp, Program, Rule, RuleId, Value, VarId, Wme, WorkingMemory,
 };
 use std::sync::Arc;
+
+/// Where one probe key value comes from.
+#[derive(Clone, Copy)]
+enum KeySrc {
+    /// A variable bound by an earlier CE.
+    Env(VarId),
+    /// A field of the WME pinned at a later CE.
+    Pinned(u16),
+}
+
+/// One CE's probe into its node: the slot list of the index it reads and
+/// where each slot's key value comes from.
+struct Probe {
+    slots: Box<[u16]>,
+    keys: Vec<KeySrc>,
+}
+
+impl Probe {
+    fn new(keys: Vec<(u16, KeySrc)>) -> Self {
+        let (slots, keys): (Vec<u16>, Vec<KeySrc>) = keys.into_iter().unzip();
+        Probe {
+            slots: slots.into(),
+            keys,
+        }
+    }
+
+    /// CE `j`'s equality keys over variables bound by earlier CEs (the
+    /// slots a RETE level indexes).
+    fn env_keys(rule: &Rule, j: usize) -> Vec<(u16, KeySrc)> {
+        let keys = rule.ces[j].eq_join_keys(rule.vars_bound_by(j));
+        keys.into_iter().map(|(s, v)| (s, KeySrc::Env(v))).collect()
+    }
+
+    /// CE `j`'s probe while CE `p > j` is pinned: its env keys, plus every
+    /// slot that shares an equality variable with a slot of CE `p`, keyed
+    /// by the pinned WME's field there. Every match through the pinned WME
+    /// agrees with it on those slots, so the bucket is still a superset.
+    fn pinned(rule: &Rule, j: usize, p: usize) -> Self {
+        let eq_var = |t: &FieldTest| match t.check {
+            FieldCheck::Bind(v) | FieldCheck::Var(PredOp::Eq, v) => Some(v),
+            _ => None,
+        };
+        let ce = &rule.ces[j];
+        let mut keys = Probe::env_keys(rule, j);
+        for t in &ce.tests {
+            // A negative CE's binds are local to it: nothing later shares them.
+            let shared = match t.check {
+                FieldCheck::Bind(_) if ce.polarity == Polarity::Negative => None,
+                _ => eq_var(t),
+            };
+            let Some(v) = shared else { continue };
+            if keys.iter().any(|&(s, _)| s == t.slot) {
+                continue;
+            }
+            if let Some(pt) = rule.ces[p].tests.iter().find(|pt| eq_var(pt) == Some(v)) {
+                keys.push((t.slot, KeySrc::Pinned(pt.slot)));
+            }
+        }
+        Probe::new(keys)
+    }
+}
 
 /// One rule's subscriptions into the shared network.
 struct RuleSubs {
@@ -39,6 +121,105 @@ struct RuleSubs {
     /// CEs of one rule) with the same (class, constant-test) key hold the
     /// same handle.
     nodes: Vec<NodeId>,
+    /// `probes[j]`: CE `j`'s probe when nothing after it is pinned.
+    probes: Vec<Probe>,
+    /// `pinned[p][j]` (positive `p`, `j < p`): CE `j`'s probe while CE `p`
+    /// holds the pinned WME — its pinned key plan.
+    pinned: Vec<Vec<Probe>>,
+}
+
+impl RuleSubs {
+    /// Subscribes every CE of `rule` and every index its probes read.
+    fn subscribe(alpha: &mut AlphaNetwork, rule: &Rule) -> Self {
+        let n = rule.ces.len();
+        let subs = RuleSubs {
+            rule: rule.id,
+            nodes: (rule.ces.iter().enumerate())
+                .map(|(ci, ce)| alpha.subscribe(ce, rule.id, ci))
+                .collect(),
+            probes: (0..n)
+                .map(|j| Probe::new(Probe::env_keys(rule, j)))
+                .collect(),
+            pinned: (0..n)
+                .map(|p| match rule.ces[p].polarity {
+                    Polarity::Positive => (0..p).map(|j| Probe::pinned(rule, j, p)).collect(),
+                    Polarity::Negative => Vec::new(),
+                })
+                .collect(),
+        };
+        for (node, slots) in subs.indexes() {
+            alpha.subscribe_index(node, slots);
+        }
+        subs
+    }
+
+    /// Drops every index and node subscription [`subscribe`](Self::subscribe)
+    /// took.
+    fn unsubscribe(self, alpha: &mut AlphaNetwork) {
+        for (node, slots) in self.indexes() {
+            alpha.unsubscribe_index(node, slots);
+        }
+        for (ci, &node) in self.nodes.iter().enumerate() {
+            alpha.unsubscribe(node, self.rule, ci);
+        }
+    }
+
+    /// Every (node, slot list) index this rule's probes read, once per
+    /// probe (index subscriptions are refcounted).
+    fn indexes(&self) -> impl Iterator<Item = (NodeId, &[u16])> {
+        let plans = self.pinned.iter().flat_map(|plan| plan.iter().enumerate());
+        (self.probes.iter().enumerate())
+            .chain(plans)
+            .map(|(j, probe)| (self.nodes[j], &*probe.slots))
+    }
+
+    /// Appends CE `ce`'s index bucket under `env` (and the pinned WME, if
+    /// one sits after it) to `out`.
+    fn candidates<'w>(
+        &self,
+        alpha: &'w AlphaNetwork,
+        ce: usize,
+        env: &[Value],
+        pin: Option<(usize, &Wme)>,
+        out: &mut Vec<&'w Wme>,
+    ) {
+        let probe = match pin {
+            Some((p, _)) if ce < p => &self.pinned[p][ce],
+            _ => &self.probes[ce],
+        };
+        let kv: Vec<Value> = probe
+            .keys
+            .iter()
+            .map(|&src| match src {
+                KeySrc::Env(v) => env[v.index()].join_key(),
+                KeySrc::Pinned(s) => pin
+                    .expect("pinned key without a pin")
+                    .1
+                    .field(s as usize)
+                    .join_key(),
+            })
+            .collect();
+        if let Some(bucket) = alpha.index_bucket(self.nodes[ce], &probe.slots, &kv) {
+            out.extend(bucket.iter().map(|&r| alpha.wme(r)));
+        }
+    }
+
+    /// Enumerates the rule's instantiations through its indexes, only
+    /// those using `pin`'s WME at its CE if given.
+    fn enumerate(
+        &self,
+        program: &Program,
+        alpha: &AlphaNetwork,
+        pin: Option<(usize, &Wme)>,
+        out: &mut Vec<Instantiation>,
+    ) {
+        enumerate_rule(
+            program.rule(self.rule),
+            &|ce, env, cands| self.candidates(alpha, ce, env, pin, cands),
+            pin,
+            out,
+        );
+    }
 }
 
 /// The TREAT matcher.
@@ -64,16 +245,7 @@ impl Treat {
         let mut alpha = AlphaNetwork::new(program.classes.len());
         let subs = rules
             .into_iter()
-            .map(|rid| RuleSubs {
-                rule: rid,
-                nodes: program
-                    .rule(rid)
-                    .ces
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, ce)| alpha.subscribe(ce, rid, ci))
-                    .collect(),
-            })
+            .map(|rid| RuleSubs::subscribe(&mut alpha, program.rule(rid)))
             .collect();
         Treat {
             program,
@@ -84,22 +256,11 @@ impl Treat {
         }
     }
 
-    /// The current members of one subscription, as owned WMEs (the shape
-    /// [`enumerate_rule`] wants its candidate sets in).
-    fn members_of(&self, node: NodeId) -> Vec<Wme> {
-        self.alpha
-            .members(node)
-            .values()
-            .map(|&r| self.alpha.wme(r).clone())
-            .collect()
-    }
-
     /// Re-derives every instantiation of one rule from its alpha nodes
     /// (used after a negative blocker disappears).
     fn reenumerate_rule(&mut self, rule_idx: usize) {
         self.reenumerations += 1;
         let ra = &self.rules[rule_idx];
-        let rule = self.program.rule(ra.rule);
         // Drop existing entries for this rule…
         let stale: Vec<InstKey> = self
             .cs
@@ -112,7 +273,7 @@ impl Treat {
         }
         // …and rebuild from scratch.
         let mut found = Vec::new();
-        enumerate_rule(rule, &|ce| self.members_of(ra.nodes[ce]), None, &mut found);
+        ra.enumerate(&self.program, &self.alpha, None, &mut found);
         for inst in found {
             self.cs.insert(inst);
         }
@@ -142,6 +303,13 @@ impl Treat {
                             ce: ci as u32
                         }),
                     "rule {} CE {ci}: endpoint missing from its node",
+                    ra.rule.0
+                );
+            }
+            for (node, slots) in ra.indexes() {
+                assert!(
+                    self.alpha.index_len(node, slots).is_some(),
+                    "rule {}: index {slots:?} missing from its node",
                     ra.rule.0
                 );
             }
@@ -178,12 +346,7 @@ impl Matcher for Treat {
             let rule = self.program.rule(ra.rule);
             let mut found = Vec::new();
             for &p in &pos_hits {
-                enumerate_rule(
-                    rule,
-                    &|ce| self.members_of(ra.nodes[ce]),
-                    Some((p, wme)),
-                    &mut found,
-                );
+                ra.enumerate(&self.program, &self.alpha, Some((p, wme)), &mut found);
             }
             for inst in found {
                 self.cs.insert(inst);
@@ -234,6 +397,10 @@ impl Matcher for Treat {
     }
 
     fn conflict_set(&mut self) -> &ConflictSet {
+        // Debug builds re-verify the network and every subscribed index
+        // once per read (once per engine cycle).
+        #[cfg(debug_assertions)]
+        self.check_invariants();
         &self.cs
     }
 
@@ -253,11 +420,7 @@ impl Matcher for Treat {
             .rules
             .iter()
             .map(|ra| {
-                let alphas: usize = ra
-                    .nodes
-                    .iter()
-                    .map(|&n| self.alpha.members(n).len())
-                    .sum();
+                let alphas: usize = ra.nodes.iter().map(|&n| self.alpha.members(n).len()).sum();
                 (
                     ra.rule.0,
                     alphas + cs_by_rule.get(&ra.rule.0).copied().unwrap_or(0),
@@ -300,12 +463,9 @@ impl Matcher for Treat {
                     i += 1;
                     continue;
                 }
-                let ra = self.rules.remove(i);
                 // Nodes still subscribed by other rules (a split rule's
                 // unchanged CEs) survive with their membership intact.
-                for (ci, &node) in ra.nodes.iter().enumerate() {
-                    self.alpha.unsubscribe(node, ra.rule, ci);
-                }
+                self.rules.remove(i).unsubscribe(&mut self.alpha);
             }
             let stale: Vec<InstKey> = self
                 .cs
@@ -318,20 +478,12 @@ impl Matcher for Treat {
             }
         }
         for &rid in add {
-            let rule = program.rule(rid);
-            // subscribe() seeds fresh nodes from the shared store; shared
-            // nodes already hold their members — no WM replay either way.
-            let ra = RuleSubs {
-                rule: rid,
-                nodes: rule
-                    .ces
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, ce)| self.alpha.subscribe(ce, rid, ci))
-                    .collect(),
-            };
+            // subscribe() seeds fresh nodes and indexes from the shared
+            // store; shared ones already hold their members — no WM replay
+            // either way.
+            let ra = RuleSubs::subscribe(&mut self.alpha, program.rule(rid));
             let mut found = Vec::new();
-            enumerate_rule(rule, &|ce| self.members_of(ra.nodes[ce]), None, &mut found);
+            ra.enumerate(program, &self.alpha, None, &mut found);
             for inst in found {
                 self.cs.insert(inst);
             }
@@ -426,6 +578,60 @@ mod tests {
         let cs = m.conflict_set();
         assert_eq!(cs.len(), 1);
         assert!(cs.iter().all(|i| i.wmes[0].id == t2.id));
+    }
+
+    #[test]
+    fn split_and_unsplit_leaves_no_index_behind() {
+        // `hop` is split in two by a hash constraint on CE 0 (residue 0
+        // keeps its id, residue 1 is appended), then un-split. `walk`
+        // shares `hop`'s second node and index, so leaked or doubly
+        // dropped refcounts would show.
+        let p = prog(
+            "(literalize edge from to)
+             (p hop (edge ^from <a> ^to <b>) (edge ^from <b> ^to <c>) --> (halt))
+             (p walk (edge ^to <a>) (edge ^from <a> ^to <c>) --> (halt))",
+        );
+        let mut split = Program::new(p.interner.clone(), p.classes.clone());
+        let copy = |residue| {
+            let mut r = p.rules()[0].clone();
+            r.name = p.interner.intern(&format!("hop~{residue}"));
+            r.ces[0].tests.push(FieldTest {
+                slot: 0,
+                check: FieldCheck::HashMod {
+                    divisor: 2,
+                    residue,
+                },
+            });
+            r
+        };
+        split.add_rule(copy(0)).unwrap();
+        split.add_rule(p.rules()[1].clone()).unwrap();
+        split.add_rule(copy(1)).unwrap();
+        let split = Arc::new(split);
+
+        let edge = p.classes.id_of(p.interner.intern("edge")).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let mut m = Treat::new(p.clone());
+        for (a, b) in [(1, 2), (2, 3), (3, 1), (2, 2)] {
+            m.add_wme(&wm.insert(edge, vec![Value::Int(a), Value::Int(b)]));
+        }
+        let before = m.alpha.index_census();
+        let want = m.conflict_set().sorted_keys();
+
+        let (hop, copy1) = (RuleId(0), RuleId(2));
+        assert!(m.replace_rules(&split, &[hop], &[hop, copy1], &wm));
+        m.check_invariants();
+        assert_ne!(
+            m.alpha.index_census(),
+            before,
+            "the split subscribes new nodes"
+        );
+        assert_eq!(m.conflict_set().len(), want.len());
+
+        assert!(m.replace_rules(&p, &[hop, copy1], &[hop], &wm));
+        m.check_invariants();
+        assert_eq!(m.alpha.index_census(), before);
+        assert_eq!(m.conflict_set().sorted_keys(), want);
     }
 
     #[test]

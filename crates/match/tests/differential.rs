@@ -430,3 +430,130 @@ fn remove_and_readd_in_one_batch() {
     run_batched_differential(specs.clone(), batches.clone(), 2);
     run_apply_vs_per_op(specs, batches, 2);
 }
+
+/// Adds `facts` one WME at a time, in the given order and then reversed,
+/// and removes them again, checking TREAT against the naive oracle (and
+/// TREAT's invariants) after every change. The add order decides which
+/// CE each new WME is pinned at, so both orders cover the pinned key
+/// plans of early and late CEs.
+fn treat_agrees_with_naive(src: &str, facts: &[(&str, Vec<Value>)]) {
+    let program = Arc::new(parulel_lang::compile(src).unwrap());
+    for reverse in [false, true] {
+        let mut order: Vec<&(&str, Vec<Value>)> = facts.iter().collect();
+        if reverse {
+            order.reverse();
+        }
+        let mut wm = WorkingMemory::new(&program.classes);
+        let mut naive = NaiveMatcher::new(program.clone());
+        let mut treat = Treat::new(program.clone());
+        let mut added = Vec::new();
+        for (class, fields) in order {
+            let cid = program
+                .classes
+                .id_of(program.interner.intern(class))
+                .unwrap();
+            let w = wm.insert(cid, fields.clone());
+            naive.add_wme(&w);
+            treat.add_wme(&w);
+            treat.check_invariants();
+            assert_eq!(
+                treat.conflict_set().sorted_keys(),
+                naive.conflict_set().sorted_keys(),
+                "treat diverged after adding {class} {fields:?} (reverse: {reverse})"
+            );
+            added.push(w);
+        }
+        assert!(
+            !naive.conflict_set().is_empty(),
+            "case never matches; it tests nothing"
+        );
+        for w in added {
+            naive.remove_wme(&w);
+            treat.remove_wme(&w);
+            treat.check_invariants();
+            assert_eq!(
+                treat.conflict_set().sorted_keys(),
+                naive.conflict_set().sorted_keys(),
+                "treat diverged after removing {} (reverse: {reverse})",
+                w.id
+            );
+        }
+    }
+}
+
+fn ints(vs: &[i64]) -> Vec<Value> {
+    vs.iter().map(|&v| Value::Int(v)).collect()
+}
+
+#[test]
+fn pinned_key_from_a_var_bound_in_ce0() {
+    // `<x>` is bound by CE 0 and shared by CEs 1 and 2; `<v>` links CE 0
+    // and CE 2 only, so a `c` pinned at CE 2 probes `a` on both slots.
+    let src = "(literalize a k v)
+         (literalize b k)
+         (literalize c k w)
+         (p r (a ^k <x> ^v <v>) (b ^k <x>) (c ^k <x> ^w <v>) --> (halt))
+         (p s (a ^k <x>) (c ^w <x>) --> (halt))";
+    let mut facts = Vec::new();
+    for k in 1..=2 {
+        for v in 1..=2 {
+            facts.push(("a", ints(&[k, v])));
+            facts.push(("c", ints(&[k, v])));
+        }
+        facts.push(("b", ints(&[k])));
+    }
+    treat_agrees_with_naive(src, &facts);
+}
+
+#[test]
+fn pinned_key_behind_a_negative_ce() {
+    // The pinned CE sits after a negated CE, one with a local variable.
+    let src = "(literalize a k)
+         (literalize b k v)
+         (literalize c k)
+         (p r (a ^k <x>) -(b ^k <x> ^v <l>) (c ^k <x>) --> (halt))
+         (p s (a ^k <x>) -(b ^v <x>) (c ^k <x>) --> (halt))";
+    let facts = vec![
+        ("a", ints(&[1])),
+        ("a", ints(&[2])),
+        ("a", ints(&[3])),
+        ("c", ints(&[1])),
+        ("c", ints(&[2])),
+        ("c", ints(&[3])),
+        ("b", ints(&[2, 7])),
+        ("b", ints(&[9, 3])),
+    ];
+    treat_agrees_with_naive(src, &facts);
+}
+
+#[test]
+fn pinned_key_when_one_wme_fills_two_ces() {
+    let src = "(literalize n v w)
+         (p swap (n ^v <a> ^w <b>) (n ^v <b> ^w <a>) --> (halt))
+         (p same (n ^v <a>) (n ^v <a>) --> (halt))";
+    let facts = vec![
+        ("n", ints(&[3, 3])),
+        ("n", ints(&[1, 2])),
+        ("n", ints(&[2, 1])),
+        ("n", ints(&[2, 2])),
+    ];
+    treat_agrees_with_naive(src, &facts);
+}
+
+#[test]
+fn pinned_key_joins_int_and_float() {
+    // `3` and `3.0` are equal to the match network; both the index and
+    // the probe key go through `Value::join_key`.
+    let src = "(literalize a k)
+         (literalize b k)
+         (p r (a ^k <x>) (b ^k <x>) --> (halt))
+         (p s (b ^k <x>) (a ^k <x>) --> (halt))";
+    let facts = vec![
+        ("a", vec![Value::Int(3)]),
+        ("b", vec![Value::Float(3.0)]),
+        ("a", vec![Value::Float(4.0)]),
+        ("b", vec![Value::Int(4)]),
+        ("b", vec![Value::Float(3.5)]),
+    ];
+    treat_agrees_with_naive(src, &facts);
+}
