@@ -7,6 +7,10 @@
 //! (std's RandomState seeds differ per process), so that engine traces and
 //! bench tables are reproducible. HashDoS resistance is irrelevant for a
 //! rule engine evaluating trusted programs.
+//!
+//! [`fnv1a`] is the other hash: the one whose values leave the process
+//! (rule content hashes, session shard placement), so it must never
+//! change.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -93,6 +97,13 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// FNV-1a 64 over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +135,13 @@ mod tests {
         let mut h2 = FxHasher::default();
         h2.write_u64(0xdead_beef);
         assert_eq!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod wme;
 
 pub use classes::{ClassDecl, ClassId, ClassRegistry};
 pub use expr::{BinOp, Expr, PredOp, TestExpr};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use hash::{fnv1a, FxBuildHasher, FxHashMap, FxHashSet};
 pub use inst::{ConflictSet, CsEvent, InstKey, Instantiation};
 pub use ir::{
     Action, CePattern, ConditionElement, FieldCheck, FieldTest, MetaAction, MetaCe, MetaRule,

@@ -29,15 +29,15 @@ use crate::stats::{CycleStats, CycleTrace, Outcome, RunStats};
 use crate::EngineOptions;
 use parulel_core::{InstKey, Program, RuleId, Value, Wme, WmeId, WorkingMemory};
 use parulel_match::{Matcher, MatcherMetrics};
-use parulel_vm::{compile_program, compile_program_reusing, ProgramCode};
+use parulel_vm::{compile_program, ProgramCode};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The unified cycle driver; see the [module docs](self).
 pub struct Engine {
     program: Arc<Program>,
-    /// `program`'s canonical bytecode: the content hashes `reload` diffs
-    /// by and checkpoints record. Never executed.
+    /// `program`'s per-rule content hashes: what `reload` diffs by and
+    /// checkpoints record.
     code: Arc<ProgramCode>,
     wm: WorkingMemory,
     matcher: Box<dyn Matcher>,
@@ -264,9 +264,8 @@ impl Engine {
     /// Hot-swaps the running program for `replacement` *without*
     /// disturbing working memory or the run in progress.
     ///
-    /// Rules are diffed by **content hash** (the content-addressed
-    /// bytecode store): a rule whose canonical code is byte-identical
-    /// keeps its hash, its compiled `RuleCode` allocation, and — on the
+    /// Rules are diffed by **content hash** ([`parulel_vm`]): a rule
+    /// whose canonical bytes are identical keeps its hash and — on the
     /// incremental path — its live match state (beta tokens, alpha
     /// subscriptions, negative counts). Changed and added rules are
     /// (re)built against the current working memory; removed rules are
@@ -300,14 +299,14 @@ impl Engine {
 
         let new_program = Arc::new(replacement.clone());
         let old_code = self.code.clone();
-        let new_code = Arc::new(compile_program_reusing(&new_program, Some(&old_code)));
+        let new_code = Arc::new(compile_program(&new_program));
 
         // Diff by (name, content hash).
         let index = |code: &ProgramCode| -> parulel_core::FxHashMap<String, (u32, u64)> {
             code.rules()
                 .iter()
                 .enumerate()
-                .map(|(i, rc)| (rc.name.clone(), (i as u32, rc.hash)))
+                .map(|(i, (name, hash))| (name.clone(), (i as u32, *hash)))
                 .collect()
         };
         let old_rules = index(&old_code);
@@ -377,8 +376,7 @@ impl Engine {
             .refraction
             .keys()
             .filter_map(|k| {
-                let name = &old_code.rules()[k.rule.0 as usize].name;
-                new_rules.get(name).map(|&(new_id, _)| InstKey {
+                new_rules.get(old_code.name(k.rule)).map(|&(new_id, _)| InstKey {
                     rule: RuleId(new_id),
                     wmes: k.wmes.clone(),
                 })
@@ -484,8 +482,8 @@ impl Engine {
         self.policy
     }
 
-    /// The running program's content-addressed store (canonical bytecode
-    /// + content hashes) — what [`reload`](Self::reload) diffs by.
+    /// The running program's per-rule content hashes — what
+    /// [`reload`](Self::reload) diffs by.
     pub fn code(&self) -> &ProgramCode {
         &self.code
     }
@@ -619,7 +617,7 @@ impl Engine {
             Ok((split, appended)) => {
                 let new_program = Arc::new(split);
                 // Checkpoints record the split program's content hashes.
-                self.code = Arc::new(compile_program_reusing(&new_program, Some(&self.code)));
+                self.code = Arc::new(compile_program(&new_program));
                 let mut add = vec![old_id];
                 add.extend(appended.iter().copied());
                 // The split rule's id is in both lists: its definition
@@ -922,7 +920,7 @@ impl Engine {
 }
 
 /// What one [`Engine::reload`] did, keyed by rule *name*. Rules are
-/// compared by the content hash of their canonical bytecode, so renames
+/// compared by the content hash of their canonical encoding, so renames
 /// show up as remove + add and formatting-only edits as unchanged.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReloadReport {

@@ -156,9 +156,8 @@ impl Default for AutoCcc {
 /// and RHS runs on the IR walker ([`parulel_core::ir`]), and a cycle's
 /// surviving RHSs always fire as one set on the cycle's thread, in
 /// instantiation-key order.
-/// The program is also compiled once to its canonical bytecode
-/// ([`Engine::code`]) for the content hashes that [`Engine::reload`]
-/// diffs and snapshots record.
+/// The program's rules are also hashed once ([`Engine::code`]) for the
+/// content hashes that [`Engine::reload`] diffs and snapshots record.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Match engine selection.

@@ -33,17 +33,18 @@ use std::time::Duration;
 /// the applied copy-and-constrain splits (so a checkpoint taken after a
 /// metrics-driven split round-trips: resume re-applies the transform
 /// and the `name~k` refraction keys bind), the encoding tag (always
-/// `"bytecode"`, the encoding the hashes below are computed over; read
-/// and ignored), and the content-addressed rule store (rule name →
-/// canonical-bytecode content hash; lets tools detect which rules changed
-/// between a capture and the program resuming it).
+/// `"bytecode"`; read and ignored), and the per-rule content hashes
+/// (rule name → [`parulel_vm`] content hash; lets tools detect which
+/// rules changed between a capture and the program resuming it).
 pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// The 4-byte magic prefix of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PLSN";
 
-/// The encoding tag written before the rule hashes: the encoding they are
-/// computed over. A constant, kept so the v4 layout stays byte-identical.
+/// The encoding tag written before the rule hashes. `"bytecode"` is a
+/// historical name — the hashes are taken over a canonical walk of the
+/// rule IR, which no bytecode implements — kept only so the v4 layout
+/// stays byte-identical.
 const HASH_ENCODING: &str = "bytecode";
 
 /// A field value with symbols resolved to strings.
@@ -110,10 +111,9 @@ pub struct Snapshot {
     /// the `name~k` refraction keys above) exist again. Empty for runs
     /// that never split.
     pub splits: Vec<(String, u32)>,
-    /// The content-addressed rule store at capture time: `(rule name,
-    /// canonical-bytecode content hash)`, sorted by name. Lets tools
-    /// diff a capture against the program resuming it without either
-    /// source text.
+    /// The per-rule content hashes at capture time: `(rule name,
+    /// content hash)`, sorted by name. Lets tools diff a capture against
+    /// the program resuming it without either source text.
     pub rule_hashes: Vec<(String, u64)>,
 }
 

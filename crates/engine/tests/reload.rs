@@ -81,6 +81,29 @@ fn changed_rule_is_detected_by_content_hash() {
     );
 }
 
+/// A change past the 65 536th `<< … >>` alternative still moves the
+/// rule's hash, so reload rebuilds it instead of keeping stale state.
+#[test]
+fn change_in_a_late_alternative_is_reported_changed() {
+    let mut engine = seeded(SRC, EngineOptions::default());
+    let with_last = |last: &str| {
+        let alts: String = (0..65_536).map(|i| format!("s{i} ")).collect();
+        let src = SRC.replace(
+            "(job ^id <j>)",
+            &format!("(job ^id <j> ^status << {alts}{last} >>)"),
+        );
+        compile_into(&src, &engine.program().interner).unwrap()
+    };
+    let (first, second) = (with_last("waiting"), with_last("running"));
+    assert_eq!(
+        engine.reload(&first).unwrap().changed,
+        vec!["observe".to_string()]
+    );
+    let report = engine.reload(&second).unwrap();
+    assert_eq!(report.changed, vec!["observe".to_string()]);
+    assert_eq!(report.unchanged, 1);
+}
+
 #[test]
 fn rename_is_remove_plus_add_and_renamed_rule_refires() {
     let mut engine = seeded(SRC, EngineOptions::default());
@@ -91,7 +114,7 @@ fn rename_is_remove_plus_add_and_renamed_rule_refires() {
     let report = engine.reload(&replacement).unwrap();
     assert_eq!(report.removed, vec!["observe".to_string()]);
     assert_eq!(report.added, vec!["watch".to_string()]);
-    // Same body, new name: the content hash is reused from the store...
+    // Same body, new name: the same content hash...
     assert_eq!(
         engine.code().hash_of("watch"),
         compile_into(SRC, &engine.program().interner)

@@ -194,9 +194,11 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, Failure> {
     Ok(out)
 }
 
-/// FNV-1a over a canonical rendering of working memory: the same
-/// fingerprint the determinism suite pins engine runs with. Two sessions
-/// with equal fingerprints hold identical facts (up to hash collision).
+/// An FNV-1a-shaped hash over a canonical rendering of working memory.
+/// Two sessions with equal fingerprints hold identical facts (up to hash
+/// collision). Its multiplier is `0x1000000001b3`, not the FNV prime
+/// [`parulel_core::fnv1a`] and the determinism suite use: frame goldens
+/// and recovered sessions pin these values, so it stays as first shipped.
 pub fn wm_fingerprint(wm: &WorkingMemory) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in format!("{:?}", wm.canonical_facts()).bytes() {

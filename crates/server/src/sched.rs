@@ -58,12 +58,7 @@ pub fn shard_of(session: &str, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in session.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
+    (parulel_core::fnv1a(session.as_bytes()) % shards as u64) as usize
 }
 
 /// One unit of work routed to a shard worker.

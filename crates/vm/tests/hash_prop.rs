@@ -1,5 +1,5 @@
-//! Content-hash stability properties. The rule store is addressed by an
-//! FNV-1a hash of each rule's *canonicalized* bytecode, so live reload
+//! Content-hash stability properties. Each rule is identified by an
+//! FNV-1a hash of its *canonical bytes*, so live reload
 //! can recognize unchanged rules across recompiles. That only works if
 //! the hash is a function of rule *meaning*: it must survive a
 //! print→reparse round trip, rule reordering, α-renaming of variables,
@@ -11,7 +11,7 @@
 //! α-equivalent program, not an approximately similar one.
 
 use parulel_lang::printer::print_program;
-use parulel_vm::{compile_program, disassemble_program};
+use parulel_vm::{canonical_bytes, compile_program};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
@@ -109,7 +109,7 @@ fn render(
 fn hashes(src: &str) -> Vec<u64> {
     let program = parulel_lang::compile(src)
         .unwrap_or_else(|e| panic!("generated source must compile: {e}\n{src}"));
-    compile_program(&program).rules().iter().map(|r| r.hash).collect()
+    compile_program(&program).rules().iter().map(|r| r.1).collect()
 }
 
 fn src_test() -> impl Strategy<Value = Option<SrcTest>> {
@@ -144,7 +144,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Pretty-printing a parsed program and recompiling the output must
-    /// reproduce every rule's content hash *and* its disassembly — the
+    /// reproduce every rule's content hash *and* its canonical bytes — the
     /// printed form is a faithful carrier of rule identity (this is what
     /// lets a client echo a program back through `reload` verbatim).
     #[test]
@@ -159,10 +159,10 @@ proptest! {
         let recode = compile_program(&reprogram);
 
         prop_assert_eq!(code.name_map(), recode.name_map(), "--- src ---\n{}", src);
-        prop_assert_eq!(
-            disassemble_program(&code, &program),
-            disassemble_program(&recode, &reprogram)
-        );
+        let bytes = |p: &parulel_core::Program| -> Vec<Vec<u8>> {
+            p.rules().iter().map(|r| canonical_bytes(r, p)).collect()
+        };
+        prop_assert_eq!(bytes(&program), bytes(&reprogram));
     }
 
     /// Reordering rule declarations changes nothing about any single
