@@ -1,28 +1,19 @@
 //! joinbench — the match hot path under a hot-rule-skewed workload.
 //!
-//! Two questions, two sections:
-//!
-//! 1. **Join throughput** — adds/sec and removes/sec through each match
-//!    engine (RETE, TREAT, and their rule-partitioned forms at 1/2/4/8
-//!    shards), batched like engine cycles with a conflict-set read per
-//!    batch. The workload is a two-class equality join whose key
-//!    distribution is skewed onto a few hot keys, so one rule dominates
-//!    match cost — the regime copy-and-constrain exists for.
-//! 2. **Auto copy-and-constrain** — full engine runs of the closure
-//!    workload (hot `close` rule) on a partitioned matcher with
-//!    `--auto-ccc` off vs on: the engine detects the shard imbalance from
-//!    its own matcher metrics and splits the hot rule mid-run. Rows carry
-//!    the end-of-run `imbalance()` so the rebalancing is visible next to
-//!    the wall-clock.
+//! **Join throughput**: adds/sec and removes/sec through each match
+//! engine (RETE, TREAT, and their rule-partitioned forms at 1/2/4/8
+//! shards), batched like engine cycles with a conflict-set read per
+//! batch. The workload is a two-class equality join whose key
+//! distribution is skewed onto a few hot keys, so one rule dominates
+//! match cost — the regime copy-and-constrain exists for.
 //!
 //! Timing bin: metrics stay OFF so measured walls are on the
 //! uninstrumented hot path.
 
-use parulel_bench::{ms, run_parallel, BenchReport, Table};
+use parulel_bench::{BenchReport, Table};
 use parulel_core::{Program, Value, Wme, WmeId};
-use parulel_engine::{AutoCcc, EngineOptions, Json, MatcherKind};
+use parulel_engine::{Json, MatcherKind};
 use parulel_match::Matcher;
-use parulel_workloads::{Closure, Scenario};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -162,9 +153,9 @@ fn main() {
         "joinbench: hot-rule-skewed join micro-bench\n\
          ({WMES} WMEs, batch {BATCH}, {HOT_SHARE}% of keys in {HOT_KEYS}/{KEYS})\n"
     );
-    let mut rep = BenchReport::new("joinbench", "join throughput, auto copy-and-constrain");
+    let mut rep = BenchReport::new("joinbench", "join throughput");
 
-    // 1. Join throughput across engines and shard counts.
+    // Join throughput across engines and shard counts.
     let mut t = Table::new(&["matcher", "shards", "mode", "adds/s", "removes/s", "peak CS"]);
     for kind in [MatcherKind::Rete, MatcherKind::Treat] {
         let mut m = kind.build(program.clone());
@@ -180,82 +171,6 @@ fn main() {
         }
     }
     println!("## join throughput");
-    t.print();
-    println!();
-
-    // 2. Auto copy-and-constrain on the closure workload's hot rule.
-    // Best-of-5 per configuration: these runs are tens of milliseconds,
-    // where scheduler noise would otherwise swamp the wall column. The
-    // structural effect shows in `imbalance` and `max shard` (work on the
-    // hottest shard at quiescence): the hot shard's load is the match
-    // phase's critical path, so on a multicore host wall-clock follows it.
-    // On a single-CPU host shard work serializes and wall stays flat —
-    // read `max shard` as the parallel wall there.
-    let workers = 8;
-    let mut t = Table::new(&[
-        "auto-ccc",
-        "wall ms",
-        "match ms",
-        "cycles",
-        "imbalance",
-        "max shard",
-        "speedup",
-    ]);
-    let mut base_wall = None;
-    for auto in [false, true] {
-        let s = Closure::new(48, 96, 7);
-        let opts = EngineOptions {
-            matcher: MatcherKind::PartitionedRete(workers),
-            auto_ccc: auto.then_some(AutoCcc {
-                after_cycles: 1,
-                min_imbalance: 1.2,
-                // Factor 2 is the sweet spot fig3 measures for this
-                // workload on this partition: wider splits pay more in
-                // alpha duplication than they win in spread.
-                factor: 2,
-            }),
-            ..Default::default()
-        };
-        let mut best: Option<parulel_bench::RunResult> = None;
-        for _ in 0..5 {
-            let r = run_parallel(&s, opts.clone());
-            if best.as_ref().is_none_or(|b| r.outcome.wall < b.outcome.wall) {
-                best = Some(r);
-            }
-        }
-        let r = best.expect("five runs");
-        let imbalance = r.matcher.imbalance();
-        let max_shard = r
-            .matcher
-            .per_shard
-            .iter()
-            .map(|s| s.work())
-            .max()
-            .unwrap_or(0);
-        let wall = r.outcome.wall.as_secs_f64();
-        let b = *base_wall.get_or_insert(wall);
-        t.row(vec![
-            if auto { "on" } else { "off" }.to_string(),
-            ms(r.outcome.wall),
-            ms(r.stats.match_time),
-            r.outcome.cycles.to_string(),
-            format!("{imbalance:.2}"),
-            max_shard.to_string(),
-            format!("{:.2}x", b / wall.max(1e-9)),
-        ]);
-        rep.run_row(
-            "closure",
-            s.program(),
-            &r,
-            vec![
-                ("auto_ccc", Json::from(auto)),
-                ("imbalance", Json::from(imbalance)),
-                ("max_shard_work", Json::from(max_shard)),
-                ("speedup", Json::from(b / wall.max(1e-9))),
-            ],
-        );
-    }
-    println!("## auto copy-and-constrain (closure, prete:{workers})");
     t.print();
     rep.emit();
 }

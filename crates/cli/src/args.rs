@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing for the `parulel` binary.
 
-use parulel_engine::{AutoCcc, Budgets, GuardMode, MatcherKind, MetricsLevel, Strategy};
+use parulel_engine::{Budgets, GuardMode, MatcherKind, MetricsLevel, Strategy};
 use std::time::Duration;
 
 /// Usage text shown by `--help` and on argument errors.
@@ -18,11 +18,6 @@ RUN OPTIONS:
   --engine parallel|lex|mea     firing policy: PARULEL fire-all, or
                                 OPS5 select-one LEX/MEA    [parallel]
   --matcher rete|treat|naive|prete:N|ptreat:N  (N >= 1)    [rete]
-  --auto-ccc [N]                metrics-driven copy-and-constrain: after
-                                N cycles (default 3), split the hottest
-                                rule across workers if shard work is
-                                imbalanced; prete/ptreat only (inert,
-                                with a warning, otherwise)
   --guard off|ww|serializable   interference guard; fire-all only,
                                 warns under lex/mea        [off]
   --max-cycles N                safety cycle limit         [1000000]
@@ -86,8 +81,6 @@ pub struct RunOpts {
     pub engine: EngineChoice,
     /// Matcher selection.
     pub matcher: MatcherKind,
-    /// Metrics-driven copy-and-constrain (`--auto-ccc [N]`).
-    pub auto_ccc: Option<AutoCcc>,
     /// Guard mode.
     pub guard: GuardMode,
     /// Cycle limit.
@@ -225,7 +218,6 @@ impl Command {
                     file,
                     engine: EngineChoice::Parallel,
                     matcher: MatcherKind::Rete,
-                    auto_ccc: None,
                     guard: GuardMode::Off,
                     max_cycles: 1_000_000,
                     trace: false,
@@ -250,20 +242,6 @@ impl Command {
                             }
                         }
                         "--matcher" => opts.matcher = parse_matcher(&next_val(&mut it, flag)?)?,
-                        // `--auto-ccc` is bare (defaults) or takes an
-                        // optional cycle count, like `--trace [FILE]`.
-                        "--auto-ccc" => match it.clone().next() {
-                            Some(next) if !next.starts_with('-') => {
-                                let after_cycles = next_val(&mut it, flag)?.parse().map_err(
-                                    |_| "--auto-ccc needs an integer cycle count".to_string(),
-                                )?;
-                                opts.auto_ccc = Some(AutoCcc {
-                                    after_cycles,
-                                    ..AutoCcc::default()
-                                });
-                            }
-                            _ => opts.auto_ccc = Some(AutoCcc::default()),
-                        },
                         "--guard" => {
                             opts.guard = match next_val(&mut it, flag)?.as_str() {
                                 "off" => GuardMode::Off,
@@ -556,31 +534,6 @@ mod tests {
         };
         assert!(!o.trace);
         assert_eq!(o.trace_out.as_deref(), Some("t.jsonl"));
-    }
-
-    #[test]
-    fn auto_ccc_flag_is_bare_or_takes_a_cycle_count() {
-        let Ok(Command::Run(o)) = parse(&["run", "x"]) else {
-            panic!()
-        };
-        assert!(o.auto_ccc.is_none(), "off by default");
-        // Bare: library defaults.
-        let Ok(Command::Run(o)) = parse(&["run", "x", "--auto-ccc", "--stats"]) else {
-            panic!()
-        };
-        assert_eq!(o.auto_ccc, Some(AutoCcc::default()));
-        assert!(o.stats);
-        // Trailing bare flag.
-        let Ok(Command::Run(o)) = parse(&["run", "x", "--auto-ccc"]) else {
-            panic!()
-        };
-        assert_eq!(o.auto_ccc, Some(AutoCcc::default()));
-        // With a cycle count.
-        let Ok(Command::Run(o)) = parse(&["run", "x", "--auto-ccc", "7"]) else {
-            panic!()
-        };
-        assert_eq!(o.auto_ccc.unwrap().after_cycles, 7);
-        assert!(parse(&["run", "x", "--auto-ccc", "soonish"]).is_err());
     }
 
     #[test]

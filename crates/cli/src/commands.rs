@@ -3,8 +3,8 @@
 use crate::args::{EngineChoice, RunOpts, ServeOpts, ServeTransport};
 use parulel_core::WorkingMemory;
 use parulel_engine::{
-    Engine, EngineMetrics, EngineOptions, FiringPolicy, GuardMode, MatcherKind, MetricsLevel,
-    Outcome, RunStats, Snapshot, TraceBuffer,
+    Engine, EngineMetrics, EngineOptions, FiringPolicy, GuardMode, MetricsLevel, Outcome, RunStats,
+    Snapshot, TraceBuffer,
 };
 use parulel_match::MatcherMetrics;
 use std::io::Write;
@@ -76,21 +76,8 @@ pub fn run(opts: &RunOpts, out: &mut dyn Write) -> i32 {
             return 1;
         }
     };
-    if opts.auto_ccc.is_some()
-        && !matches!(
-            opts.matcher,
-            MatcherKind::PartitionedRete(_) | MatcherKind::PartitionedTreat(_)
-        )
-    {
-        let _ = writeln!(
-            out,
-            "warning: --auto-ccc has no effect without a partitioned matcher \
-             (use --matcher prete:N or ptreat:N)"
-        );
-    }
     let engine_opts = EngineOptions {
         matcher: opts.matcher,
-        auto_ccc: opts.auto_ccc,
         max_cycles: opts.max_cycles,
         collect_log: !opts.no_log,
         trace: opts.trace,
@@ -496,32 +483,6 @@ mod tests {
         assert_eq!(code, 0);
         assert!(output.contains("cycle    1"), "{output}");
         assert!(output.contains("stepx1"), "{output}");
-        std::fs::remove_file(f).ok();
-    }
-
-    #[test]
-    fn auto_ccc_runs_on_partitioned_matchers_and_warns_otherwise() {
-        let f = temp_file(PROGRAM);
-        // Partitioned matcher: no warning, identical result.
-        let (code, output) = cli(&[
-            "run",
-            f.to_str().unwrap(),
-            "--matcher",
-            "prete:2",
-            "--auto-ccc",
-            "1",
-        ]);
-        assert_eq!(code, 0, "{output}");
-        assert!(!output.contains("warning"), "{output}");
-        assert!(output.contains("3 firings in 3 cycles"), "{output}");
-        // Monolithic matcher: the flag is inert and says so.
-        let (code, output) = cli(&["run", f.to_str().unwrap(), "--auto-ccc"]);
-        assert_eq!(code, 0, "{output}");
-        assert!(
-            output.contains("warning: --auto-ccc has no effect"),
-            "{output}"
-        );
-        assert!(output.contains("3 firings in 3 cycles"), "{output}");
         std::fs::remove_file(f).ok();
     }
 

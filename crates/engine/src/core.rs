@@ -19,7 +19,6 @@
 //! nothing would loop forever, so it counts as quiescence), when a `halt`
 //! fires, or at the cycle limit.
 
-use crate::ccc::copy_and_constrain_appending;
 use crate::fire::{self, EngineError};
 use crate::metrics::{EngineMetrics, Phase, RuleMetrics, TraceBuffer, TraceEvent};
 use crate::policy::{counts_by_rule, FiringPolicy};
@@ -51,11 +50,6 @@ pub struct Engine {
     latest_checkpoint: Option<Snapshot>,
     metrics: EngineMetrics,
     trace_buf: Option<TraceBuffer>,
-    auto_ccc_done: bool,
-    /// Copy-and-constrain splits applied this run, in order: `(original
-    /// rule name, factor)`. Recorded into checkpoints so a post-split
-    /// snapshot round-trips (resume re-applies the transform).
-    applied_splits: Vec<(String, u32)>,
 }
 
 impl Engine {
@@ -102,8 +96,6 @@ impl Engine {
             latest_checkpoint: None,
             metrics,
             trace_buf,
-            auto_ccc_done: false,
-            applied_splits: Vec::new(),
         }
     }
 
@@ -128,37 +120,31 @@ impl Engine {
     /// records what produced it, but the continuation runs whatever
     /// `policy` the caller picks — the captured state is policy-agnostic.
     ///
-    /// Fails with a structured error if the snapshot references classes
-    /// or rules `program` does not define, or if its working memory does
-    /// not validate.
-    ///
-    /// A snapshot captured after metrics-driven copy-and-constrain
-    /// records the applied splits; resume replays the transform against
-    /// `program` (skipping splits already present, so restoring onto an
-    /// engine whose program was already split is a no-op) before binding
-    /// refraction keys — the `name~k` copies the keys reference exist
-    /// again, and the continuation will not re-split.
+    /// Class and rule names in the snapshot are bound against `program`
+    /// as given. Fails with a structured error if the snapshot references
+    /// classes or rules `program` does not define, or if its working
+    /// memory does not validate.
     pub fn resume_with_policy(
         program: &Program,
         snapshot: &Snapshot,
         policy: FiringPolicy,
         opts: EngineOptions,
     ) -> Result<Self, SnapshotError> {
-        let mut program = program.clone();
-        for (name, k) in &snapshot.splits {
-            let already = program
-                .interner
-                .get(&format!("{name}~0"))
-                .and_then(|s| program.rule_by_name(s))
-                .is_some();
-            if already {
-                continue;
-            }
-            let (split, _) = copy_and_constrain_appending(&program, name, *k)
-                .map_err(|e| SnapshotError::SplitFailed(e.to_string()))?;
-            program = split;
-        }
-        let program = Arc::new(program);
+        let program = Arc::new(program.clone());
+        let code = Arc::new(compile_program(&program));
+        Engine::from_snapshot(program, code, snapshot, policy, opts)
+    }
+
+    /// The body of [`resume_with_policy`](Self::resume_with_policy) and
+    /// [`restore`](Self::restore): `code` must be
+    /// `compile_program(&program)`.
+    fn from_snapshot(
+        program: Arc<Program>,
+        code: Arc<ProgramCode>,
+        snapshot: &Snapshot,
+        policy: FiringPolicy,
+        opts: EngineOptions,
+    ) -> Result<Self, SnapshotError> {
         let interner = &program.interner;
         let mut wmes = Vec::with_capacity(snapshot.wmes.len());
         for sw in &snapshot.wmes {
@@ -192,7 +178,6 @@ impl Engine {
                 wmes: sk.wmes.iter().map(|&id| WmeId(id)).collect(),
             });
         }
-        let code = Arc::new(compile_program(&program));
         let mut matcher = opts.matcher.build(program.clone());
         matcher.seed(&wm);
         // Observability state is not part of the snapshot wire format:
@@ -214,11 +199,6 @@ impl Engine {
             latest_checkpoint: None,
             metrics,
             trace_buf,
-            // A resumed post-split run must not split again: the one
-            // decision per run was already taken and is baked into the
-            // resumed program.
-            auto_ccc_done: !snapshot.splits.is_empty(),
-            applied_splits: snapshot.splits.clone(),
         })
     }
 
@@ -226,11 +206,16 @@ impl Engine {
     /// policy, and options (including the matcher kind, which is rebuilt
     /// and reseeded from the restored working memory). The session-serving
     /// entry point: a long-lived engine can be rewound to any checkpoint
-    /// without reconstructing it. On error the engine is left untouched.
+    /// without reconstructing it. The program and its content hashes are
+    /// shared, not recompiled. On error the engine is left untouched.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        let rebuilt =
-            Engine::resume_with_policy(&self.program, snapshot, self.policy, self.opts.clone())?;
-        *self = rebuilt;
+        *self = Engine::from_snapshot(
+            self.program.clone(),
+            self.code.clone(),
+            snapshot,
+            self.policy,
+            self.opts.clone(),
+        )?;
         Ok(())
     }
 
@@ -255,10 +240,6 @@ impl Engine {
         self.latest_checkpoint = None;
         self.metrics = EngineMetrics::new(self.opts.metrics, self.program.rules().len());
         self.trace_buf = self.opts.trace_events.map(TraceBuffer::new);
-        self.auto_ccc_done = false;
-        // `applied_splits` is deliberately kept: it describes the program
-        // (which reset retains), not the run — a checkpoint of the fresh
-        // run must still record how to rebuild the split rule set.
     }
 
     /// Hot-swaps the running program for `replacement` *without*
@@ -387,9 +368,6 @@ impl Engine {
 
         self.program = new_program;
         self.code = new_code;
-        // The split history described the *old* program; the replacement
-        // arrives already in its final (possibly pre-split) form.
-        self.applied_splits.clear();
         if self.opts.metrics.per_rule() {
             self.metrics
                 .per_rule
@@ -451,7 +429,6 @@ impl Engine {
             stats: self.stats.clone(),
             log: self.log.clone(),
             traces: self.traces.clone(),
-            splits: self.applied_splits.clone(),
             rule_hashes: self.code.name_map(),
         }
     }
@@ -562,92 +539,6 @@ impl Engine {
         (removed, added)
     }
 
-    /// Metrics-driven copy-and-constrain (see [`crate::AutoCcc`]): at most
-    /// once per run, after the configured number of cycles, split the
-    /// heaviest rule on the heaviest shard and rebuild only its match
-    /// state.
-    ///
-    /// Determinism: every input is a deterministic function of the run so
-    /// far (match-state populations; never wall-clock), ties break to the
-    /// lowest shard index / rule id, and the transform itself is
-    /// deterministic — so two identical runs split identically.
-    fn maybe_auto_ccc(&mut self) {
-        let Some(cfg) = self.opts.auto_ccc else {
-            return;
-        };
-        if self.auto_ccc_done || self.stats.cycles < cfg.after_cycles {
-            return;
-        }
-        // One decision per run, taken or not — re-sampling every later
-        // cycle would pay the metrics walk for nothing.
-        self.auto_ccc_done = true;
-        let sample = self.matcher.metrics();
-        let imbalance = sample.imbalance();
-        if imbalance < cfg.min_imbalance {
-            return;
-        }
-        let factor = if cfg.factor == 0 {
-            sample.shards as u32
-        } else {
-            cfg.factor
-        };
-        if factor < 2 {
-            return;
-        }
-        // First-max keeps ties on the lowest shard index; per_rule_work is
-        // sorted by rule id, so first-max there is the lowest rule id.
-        let mut hot_shard: Option<&MatcherMetrics> = None;
-        for s in sample.per_shard.iter().filter(|s| s.rules > 0) {
-            if hot_shard.is_none_or(|b| s.work() > b.work()) {
-                hot_shard = Some(s);
-            }
-        }
-        let Some(shard) = hot_shard else { return };
-        let mut hot_rule: Option<(u32, usize)> = None;
-        for &(rule, work) in &shard.per_rule_work {
-            if hot_rule.is_none_or(|(_, w)| work > w) {
-                hot_rule = Some((rule, work));
-            }
-        }
-        let Some((rule_raw, _)) = hot_rule else { return };
-        let old_id = RuleId(rule_raw);
-        let name = self.program.rule_name(old_id);
-        match copy_and_constrain_appending(&self.program, &name, factor) {
-            Err(e) => self.log.push(format!("auto-ccc: skipped: {e}")),
-            Ok((split, appended)) => {
-                let new_program = Arc::new(split);
-                // Checkpoints record the split program's content hashes.
-                self.code = Arc::new(compile_program(&new_program));
-                let mut add = vec![old_id];
-                add.extend(appended.iter().copied());
-                // The split rule's id is in both lists: its definition
-                // changed (copy 0 gained the residue test), so its net is
-                // rebuilt; every other rule's state is untouched.
-                if !self
-                    .matcher
-                    .replace_rules(&new_program, &[old_id], &add, &self.wm)
-                {
-                    let mut m = self.opts.matcher.build(new_program.clone());
-                    m.seed(&self.wm);
-                    self.matcher = m;
-                }
-                self.refraction.expand_rule(old_id, &appended);
-                self.refraction.prune(self.matcher.conflict_set());
-                self.program = new_program;
-                self.applied_splits.push((name.clone(), factor));
-                if self.opts.metrics.per_rule() {
-                    self.metrics
-                        .per_rule
-                        .resize(self.program.rules().len(), RuleMetrics::default());
-                }
-                self.log.push(format!(
-                    "auto-ccc: split rule '{name}' x{factor} after cycle {} (imbalance {imbalance:.2})",
-                    self.stats.cycles
-                ));
-            }
-        }
-    }
-
     /// Executes one cycle. Returns `Ok(true)` if at least one
     /// instantiation fired, `Ok(false)` on quiescence.
     ///
@@ -660,7 +551,6 @@ impl Engine {
     /// stores a [`Snapshot`] in
     /// [`latest_checkpoint`](Self::latest_checkpoint).
     pub fn step(&mut self) -> Result<bool, EngineError> {
-        self.maybe_auto_ccc();
         let cycle_no = self.stats.cycles + 1;
         #[cfg(feature = "fault-inject")]
         self.opts

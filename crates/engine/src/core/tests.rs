@@ -401,6 +401,29 @@ fn checkpoint_resume_continues_bit_identically() {
 }
 
 #[test]
+fn restore_keeps_the_engines_program() {
+    let src = "(literalize count n)
+         (p step (count ^n <n>) (test (< <n> 6)) --> (modify 1 ^n (+ <n> 1)))";
+    let facts = [("count", vec![Value::Int(0)])];
+    let mut full = engine(src, &facts, EngineOptions::default());
+    full.run().unwrap();
+
+    let mut e = engine(src, &facts, EngineOptions::default());
+    e.step().unwrap();
+    let snap = e.checkpoint();
+    e.run().unwrap();
+    let before: *const Program = e.program();
+    let hashes = e.code().name_map();
+    e.restore(&snap).unwrap();
+    // Shared, not cloned and recompiled.
+    assert!(std::ptr::eq(e.program(), before));
+    assert_eq!(e.code().name_map(), hashes);
+    assert_eq!(e.stats().cycles, 1);
+    e.run().unwrap();
+    assert_eq!(e.wm().sorted_snapshot(), full.wm().sorted_snapshot());
+}
+
+#[test]
 fn resume_can_switch_matchers() {
     let src = "(literalize count n)
          (p step (count ^n <n>) (test (< <n> 6)) --> (modify 1 ^n (+ <n> 1)))";

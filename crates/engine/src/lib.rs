@@ -59,7 +59,7 @@ pub mod refraction;
 pub mod snapshot;
 pub mod stats;
 
-pub use ccc::{copy_and_constrain, copy_and_constrain_appending};
+pub use ccc::copy_and_constrain;
 pub use core::Engine;
 pub use fire::EngineError;
 pub use guard::Budgets;
@@ -106,46 +106,6 @@ impl MatcherKind {
     }
 }
 
-/// Metrics-driven copy-and-constrain: let the running engine split its
-/// hottest rule once the match-state skew across shards is observed,
-/// instead of requiring the operator to guess the hot rule up front.
-///
-/// After [`after_cycles`](Self::after_cycles) cycles the engine samples
-/// [`MatcherMetrics`](parulel_match::MatcherMetrics), and if the
-/// max-over-mean work imbalance across rule-owning shards reaches
-/// [`min_imbalance`](Self::min_imbalance), applies
-/// [`copy_and_constrain_appending`] to the heaviest rule on the heaviest
-/// shard and rebuilds *only that rule's* match state via
-/// [`Matcher::replace_rules`]. The decision fires **at most once per run**
-/// and reads only deterministic inputs (match-state populations, never
-/// wall-clock), so runs remain bit-identically reproducible.
-///
-/// Inert for monolithic matchers: with fewer than two rule-owning shards
-/// the observed imbalance is defined as 1.0, below any meaningful
-/// threshold.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AutoCcc {
-    /// Sample the matcher after this many completed cycles (the skew needs
-    /// a few cycles of working-memory growth to become observable).
-    pub after_cycles: u64,
-    /// Only split when `imbalance()` is at least this (max-over-mean;
-    /// 1.0 = balanced). Must be > 1.0 to ever have an effect.
-    pub min_imbalance: f64,
-    /// Number of copies to split the hot rule into; `0` means "use the
-    /// worker count". Resolved factors below 2 skip the split.
-    pub factor: u32,
-}
-
-impl Default for AutoCcc {
-    fn default() -> Self {
-        AutoCcc {
-            after_cycles: 3,
-            min_imbalance: 1.5,
-            factor: 0,
-        }
-    }
-}
-
 /// Run-time options for the unified [`Engine`] (any policy).
 ///
 /// Policy-specific configuration — meta-rule redaction and the
@@ -187,9 +147,6 @@ pub struct EngineOptions {
     /// disables periodic checkpoints (one is still captured when a
     /// budget trips).
     pub checkpoint_every: Option<u64>,
-    /// Metrics-driven copy-and-constrain (off by default: the program the
-    /// engine runs is exactly the program it was given).
-    pub auto_ccc: Option<AutoCcc>,
     /// The deterministic fault schedule (tests only; compiled under the
     /// `fault-inject` feature).
     #[cfg(feature = "fault-inject")]
@@ -207,7 +164,6 @@ impl Default for EngineOptions {
             trace_events: None,
             budgets: Budgets::unlimited(),
             checkpoint_every: None,
-            auto_ccc: None,
             #[cfg(feature = "fault-inject")]
             faults: faults::FaultPlan::none(),
         }

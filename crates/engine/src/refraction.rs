@@ -10,7 +10,7 @@
 //! set, so a match whose support is retracted and later re-asserted is a
 //! *new* instantiation and may fire again.
 
-use parulel_core::{ConflictSet, FxHashSet, InstKey, Instantiation, RuleId};
+use parulel_core::{ConflictSet, FxHashSet, InstKey, Instantiation};
 
 /// The set of fired-and-still-present instantiation keys.
 #[derive(Clone, Debug, Default)]
@@ -46,31 +46,6 @@ impl Refraction {
     /// Drops entries whose instantiation has left the conflict set.
     pub fn prune(&mut self, cs: &ConflictSet) {
         self.fired.retain(|k| cs.contains(k));
-    }
-
-    /// Re-keys entries for rule `old` under each id in `copies` as well.
-    ///
-    /// When copy-and-constrain splits a live rule, an instantiation that
-    /// fired under the old rule reappears in the conflict set under exactly
-    /// one copy's id (the copies partition the original's matches, and
-    /// copy-and-constrain changes neither the CEs' order nor which WMEs
-    /// match). Cloning the fired key to every copy keeps that instantiation
-    /// refracted — without this it would refire after the split. The keys
-    /// cloned to the *wrong* copies match nothing and are dropped by the
-    /// next [`prune`](Self::prune).
-    pub fn expand_rule(&mut self, old: RuleId, copies: &[RuleId]) {
-        let expanded: Vec<InstKey> = self
-            .fired
-            .iter()
-            .filter(|k| k.rule == old)
-            .flat_map(|k| {
-                copies.iter().map(|&c| InstKey {
-                    rule: c,
-                    wmes: k.wmes.clone(),
-                })
-            })
-            .collect();
-        self.fired.extend(expanded);
     }
 
     /// Iterates the live refraction keys (arbitrary order). Used by
@@ -150,29 +125,6 @@ mod tests {
         let restored = Refraction::from_keys(r.keys().cloned());
         assert_eq!(restored.len(), 2);
         assert!(restored.eligible(&cs).is_empty());
-    }
-
-    #[test]
-    fn expand_rule_keeps_split_instantiations_refracted() {
-        let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[1]));
-        cs.insert(inst(0, &[2]));
-        cs.insert(inst(1, &[3]));
-        let mut r = Refraction::new();
-        r.record(r.eligible(&cs).iter());
-
-        // Split rule 0 into copies {0 (in place), 5, 6}: each old match
-        // reappears under exactly one of the three ids.
-        r.expand_rule(RuleId(0), &[RuleId(5), RuleId(6)]);
-        let mut cs2 = ConflictSet::new();
-        cs2.insert(inst(0, &[1])); // landed in residue 0
-        cs2.insert(inst(6, &[2])); // landed in residue 2
-        cs2.insert(inst(1, &[3])); // untouched rule
-        assert!(r.eligible(&cs2).is_empty(), "nothing refires post-split");
-
-        // Prune drops the keys cloned to copies that didn't win the match.
-        r.prune(&cs2);
-        assert_eq!(r.len(), 3);
     }
 
     #[test]

@@ -88,12 +88,6 @@ pub struct MatcherMetrics {
     pub reenumerations: u64,
     /// Lifetime count of full conflict-set recomputes (naive only).
     pub recomputes: u64,
-    /// Per-rule share of [`work`](Self::work): `(rule id, alpha + beta +
-    /// conflict-set entries attributable to that rule)`, sorted by rule
-    /// id. Populated by RETE and TREAT (and concatenated across shards by
-    /// the partitioned matcher); empty for naive. Metrics-driven
-    /// copy-and-constrain reads this to find the hottest rule.
-    pub per_rule_work: Vec<(u32, usize)>,
     /// Per-worker reports (partitioned matchers only).
     pub per_shard: Vec<MatcherMetrics>,
 }
@@ -113,7 +107,6 @@ impl Default for MatcherMetrics {
             alpha_share_hits: 0,
             reenumerations: 0,
             recomputes: 0,
-            per_rule_work: Vec::new(),
             per_shard: Vec::new(),
         }
     }
@@ -208,8 +201,8 @@ pub trait Matcher: Send {
     /// program**; a rule id appearing in both lists is rebuilt (its
     /// definition changed). Returns `false` when the matcher does not
     /// support in-place replacement — the caller must then rebuild the
-    /// whole matcher. Used by metrics-driven copy-and-constrain, which
-    /// splits one hot rule without touching the others' state.
+    /// whole matcher. Called by `Engine::reload`, which rebuilds only the
+    /// changed rules and keeps every unchanged rule's state.
     fn replace_rules(
         &mut self,
         _program: &Arc<Program>,

@@ -290,16 +290,6 @@ impl<M: Matcher> Matcher for Partitioned<M> {
             alpha_share_hits: per_shard.iter().map(|s| s.alpha_share_hits).sum(),
             reenumerations: per_shard.iter().map(|s| s.reenumerations).sum(),
             recomputes: per_shard.iter().map(|s| s.recomputes).sum(),
-            per_rule_work: {
-                // Disjoint partitions: concatenating and sorting yields
-                // the exact per-rule totals.
-                let mut prw: Vec<(u32, usize)> = per_shard
-                    .iter()
-                    .flat_map(|s| s.per_rule_work.iter().copied())
-                    .collect();
-                prw.sort_unstable();
-                prw
-            },
             per_shard: Vec::new(),
         };
         m.per_shard = per_shard;

@@ -307,7 +307,7 @@ impl Rete {
 /// network — and derives its complete token set from the current store in
 /// one batch pass (no per-WME replay: counts and joins are computed from
 /// full node membership). On an empty store this degenerates to the
-/// root-only state; `replace_rules` gets post-split nets for free.
+/// root-only state; on a live store it hands `replace_rules` a seeded net.
 ///
 /// Inserts into `cs` anything the net derives (a leading-negative rule
 /// with no blockers matches the root token; a zero-CE rule has exactly
@@ -757,26 +757,16 @@ impl Matcher for Rete {
             alpha_share_hits: self.alpha.share_hits(),
             ..Default::default()
         };
-        let mut cs_by_rule: FxHashMap<u32, usize> = FxHashMap::default();
-        for inst in self.cs.iter() {
-            *cs_by_rule.entry(inst.rule.0).or_default() += 1;
-        }
         for net in &self.nets {
-            let mut work = cs_by_rule.get(&net.rule.0).copied().unwrap_or(0);
             for level in &net.levels {
                 // Per-subscription accounting (a shared node counts once
-                // per subscribing level), so `alpha_wmes`, per-rule work
-                // and the imbalance signal keep their pre-sharing values
-                // and auto-ccc decisions are unchanged.
-                let members = self.alpha.members(level.node).len();
-                m.alpha_wmes += members;
+                // per subscribing level), so `alpha_wmes` and the
+                // imbalance signal keep their pre-sharing values.
+                m.alpha_wmes += self.alpha.members(level.node).len();
                 m.beta_tokens += level.tokens.len();
                 m.negative_counts += level.neg_counts.len();
-                work += members + level.tokens.len();
             }
-            m.per_rule_work.push((net.rule.0, work));
         }
-        m.per_rule_work.sort_unstable();
         m
     }
 

@@ -409,38 +409,23 @@ impl Matcher for Treat {
     }
 
     fn metrics(&self) -> crate::MatcherMetrics {
-        let mut cs_by_rule: FxHashMap<u32, usize> = FxHashMap::default();
-        for inst in self.cs.iter() {
-            *cs_by_rule.entry(inst.rule.0).or_default() += 1;
-        }
-        // Alpha accounting stays per subscription (a shared node counts
-        // once per subscribing CE), so work/imbalance keep their
-        // pre-sharing values and auto-ccc decisions are unchanged.
-        let mut per_rule_work: Vec<(u32, usize)> = self
-            .rules
-            .iter()
-            .map(|ra| {
-                let alphas: usize = ra.nodes.iter().map(|&n| self.alpha.members(n).len()).sum();
-                (
-                    ra.rule.0,
-                    alphas + cs_by_rule.get(&ra.rule.0).copied().unwrap_or(0),
-                )
-            })
-            .collect();
-        per_rule_work.sort_unstable();
         crate::MatcherMetrics {
             kind: "treat",
             rules: self.rules.len(),
             conflict_set: self.cs.len(),
-            alpha_wmes: per_rule_work
+            // Alpha accounting stays per subscription (a shared node
+            // counts once per subscribing CE), so `alpha_wmes` and the
+            // imbalance signal keep their pre-sharing values.
+            alpha_wmes: self
+                .rules
                 .iter()
-                .map(|&(rid, work)| work - cs_by_rule.get(&rid).copied().unwrap_or(0))
+                .flat_map(|ra| &ra.nodes)
+                .map(|&n| self.alpha.members(n).len())
                 .sum(),
             alpha_nodes: self.alpha.node_count(),
             alpha_subscriptions: self.alpha.subscription_count(),
             alpha_share_hits: self.alpha.share_hits(),
             reenumerations: self.reenumerations,
-            per_rule_work,
             ..Default::default()
         }
     }

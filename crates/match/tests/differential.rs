@@ -14,7 +14,7 @@
 //!    documents (removes first, then adds), so batch size can never
 //!    change match semantics.
 //! 3. `seed` is equivalent to adding every seeded WME incrementally.
-//! 4. `replace_rules` mid-stream (the auto-ccc path) leaves every
+//! 4. `replace_rules` mid-stream (the reload path) leaves every
 //!    matcher agreeing with the oracle, before and after further
 //!    batches.
 //!
@@ -135,7 +135,7 @@ fn run_batched_differential(specs: Vec<RuleSpec>, batches: Vec<Vec<Op>>, workers
 }
 
 /// Property 4: swapping every rule out and back in via `replace_rules`
-/// mid-stream (the path `--auto-ccc` exercises) is a no-op for match
+/// mid-stream (the path `Engine::reload` exercises) is a no-op for match
 /// semantics: each matcher still agrees with the untouched oracle right
 /// after the swap and across further batches. Debug twins assert the
 /// structural invariants — in particular that subscription refcounts

@@ -525,10 +525,11 @@ mod tests {
         let a = shard_of("s1", 4);
         assert_eq!(shard_of("s1", 4), a, "hash must be deterministic");
         assert!(a < 4);
-        // The documented FNV-1a constants: pin a couple of values so an
-        // accidental hash change (which would strand recovered sessions
-        // on the wrong shard) fails loudly.
-        assert_eq!(shard_of("s1", 4), shard_of("s1", 4));
+        // The documented FNV-1a constants: pin s0..s7 at 4 shards so an
+        // accidental hash or reduction change (which would strand
+        // recovered sessions on the wrong shard) fails loudly.
+        let pinned: Vec<usize> = (0..8).map(|i| shard_of(&format!("s{i}"), 4)).collect();
+        assert_eq!(pinned, [2, 1, 0, 3, 2, 1, 0, 3]);
         let spread: std::collections::BTreeSet<usize> =
             (0..64).map(|i| shard_of(&format!("s{i}"), 4)).collect();
         assert!(spread.len() > 1, "64 sessions must not all hash to one shard");

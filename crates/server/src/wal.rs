@@ -779,12 +779,11 @@ mod tests {
         out
     }
 
-    /// A real post-split engine capture and the unsplit program it came
-    /// from: every value tag, refraction keys naming the `~k` copies, a
-    /// log, traces and a recorded split.
-    fn post_split_capture() -> (parulel_core::Program, parulel_engine::Snapshot) {
+    /// A real RETE engine capture and the program it came from: every
+    /// value tag, refraction keys, a `write` log and traces.
+    fn rete_capture() -> (parulel_core::Program, parulel_engine::Snapshot) {
         use parulel_core::{Value, WorkingMemory};
-        use parulel_engine::{AutoCcc, Engine, EngineOptions, MatcherKind};
+        use parulel_engine::{Engine, EngineOptions};
         let src = "
             (literalize edge from to tag w)
             (literalize reach from to)
@@ -800,12 +799,6 @@ mod tests {
             wm.insert(edge, vec![Value::Int(a), Value::Int(b), red, Value::Float(a as f64 / 2.0)]);
         }
         let opts = EngineOptions {
-            matcher: MatcherKind::PartitionedRete(2),
-            auto_ccc: Some(AutoCcc {
-                after_cycles: 1,
-                min_imbalance: 1.0,
-                factor: 2,
-            }),
             trace: true,
             ..EngineOptions::default()
         };
@@ -814,14 +807,14 @@ mod tests {
             engine.step().unwrap();
         }
         let snap = engine.checkpoint();
-        assert_eq!(snap.splits.len(), 1, "the capture must carry a split");
+        assert!(!snap.refraction.is_empty() && !snap.log.is_empty() && !snap.traces.is_empty());
         (program, snap)
     }
 
     #[test]
     fn hostile_bytes_never_panic_the_snapshot_decoders() {
         use parulel_engine::{Engine, EngineOptions, Snapshot};
-        let (program, snap) = post_split_capture();
+        let (program, snap) = rete_capture();
         let snap_bytes = snap.to_bytes();
         let record = SnapshotRecord {
             open_line: "{\"op\":\"open\"}".into(),
@@ -834,7 +827,7 @@ mod tests {
         .encode();
 
         // A decoded snapshot goes on to the `restore` frame's next step:
-        // binding against the unsplit program, which re-applies the split.
+        // binding its names against the program.
         let restore = |bytes: &[u8]| {
             Snapshot::from_bytes(bytes)
                 .ok()
@@ -857,18 +850,27 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_a_split_factor_flipped_to_65282() {
-        // Found by the loop above: flipping the second byte of the
-        // recorded split factor (2 → 0xff02) still decodes, and resume
-        // then materialized 65 282 rule copies until memory ran out.
-        use parulel_engine::{Engine, EngineOptions, Snapshot, SnapshotError};
-        let (program, mut snap) = post_split_capture();
-        snap.splits[0].1 ^= 0xff00;
-        let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(snap.splits[0].1, 0xff02);
+    fn decode_refuses_a_nonempty_split_slot() {
+        // The slot before the encoding tag is always empty. A count of 1
+        // followed by a rule name and a split factor must be refused at
+        // decode time, before anything can act on it.
+        use parulel_engine::{Snapshot, SnapshotError};
+        let (_, snap) = rete_capture();
+        let bytes = snap.to_bytes();
+        let hashes: usize = snap.rule_hashes.iter().map(|(n, _)| 4 + n.len() + 8).sum();
+        let slot = bytes.len() - hashes - 8 - (4 + "bytecode".len()) - 8;
+        assert_eq!(bytes[slot..slot + 8], 0u64.to_le_bytes());
+        assert!(Snapshot::from_bytes(&bytes).is_ok());
+
+        let mut patched = bytes[..slot].to_vec();
+        patched.extend_from_slice(&1u64.to_le_bytes());
+        patched.extend_from_slice(&4u32.to_le_bytes());
+        patched.extend_from_slice(b"mark");
+        patched.extend_from_slice(&2u32.to_le_bytes());
+        patched.extend_from_slice(&bytes[slot + 8..]);
         assert!(matches!(
-            Engine::resume(&program, &snap, EngineOptions::default()),
-            Err(SnapshotError::SplitFailed(_))
+            Snapshot::from_bytes(&patched),
+            Err(SnapshotError::Malformed(_))
         ));
     }
 

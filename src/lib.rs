@@ -69,8 +69,8 @@ pub mod prelude {
         ClassId, ConflictSet, Delta, Instantiation, Program, RuleId, Symbol, Value, WorkingMemory,
     };
     pub use parulel_engine::{
-        AutoCcc, Budgets, Engine, EngineError, EngineOptions, FiringPolicy, MatcherKind,
-        MetricsLevel, Outcome, ReloadReport, Snapshot, SnapshotError, Strategy,
+        Budgets, Engine, EngineError, EngineOptions, FiringPolicy, MatcherKind, MetricsLevel,
+        Outcome, ReloadReport, Snapshot, SnapshotError, Strategy,
     };
     pub use parulel_lang::compile;
     pub use parulel_match::{Matcher, NaiveMatcher, Rete, Treat};
