@@ -23,12 +23,15 @@
 //! * [`ir`] — the compiled intermediate representation of rules, meta-rules
 //!   and whole programs. The surface parser in `parulel-lang` targets this.
 //! * [`inst`] — rule instantiations, conflict sets, and refraction keys.
+//! * [`bytes`] — the one bounded little-endian byte codec ([`Writer`] /
+//!   [`Reader`]) every binary format is written and read with.
 //! * [`hash`] — a deterministic FxHash-style hasher used for every map/set
 //!   in the hot path (HashDoS resistance is irrelevant here; speed and
 //!   cross-run determinism are what matter).
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod classes;
 pub mod expr;
 pub mod hash;
@@ -39,6 +42,7 @@ pub mod value;
 pub mod wm;
 pub mod wme;
 
+pub use bytes::{ReadError, Reader, Writer};
 pub use classes::{ClassDecl, ClassId, ClassRegistry};
 pub use expr::{BinOp, Expr, PredOp, TestExpr};
 pub use hash::{fnv1a, FxBuildHasher, FxHashMap, FxHashSet};

@@ -726,25 +726,8 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// One cooperative slice of a (possibly longer) run: at most `limit`
-    /// cycles, with the wall-clock budget measured from `run_started` —
-    /// the moment the *whole* run was admitted, so a run sliced across
-    /// many quanta sees the same deadline as an uninterrupted one,
-    /// including time spent parked between slices.
-    ///
-    /// Unlike [`run`](Self::run), no `RunEnd` trace event is emitted:
-    /// the scheduler driving the slices calls
-    /// [`note_run_end`](Self::note_run_end) exactly once when the run
-    /// completes, so the trace ring is identical to an unsliced run.
-    /// The returned [`Outcome`] counts this slice's cycles/firings only;
-    /// `hit_cycle_limit` means `limit` was exhausted (the caller decides
-    /// whether that ends the run or parks it for another slice).
-    pub fn run_quantum(&mut self, limit: u64, run_started: Instant) -> Result<Outcome, EngineError> {
-        self.run_bounded(limit, run_started)
-    }
-
     /// Emits the `RunEnd` trace event for a run completed via
-    /// [`run_quantum`](Self::run_quantum) slices (aggregate numbers, one
+    /// [`run_bounded`](Self::run_bounded) slices (aggregate numbers, one
     /// event — exactly what an unsliced [`run`](Self::run) records).
     pub fn note_run_end(&mut self, cycles: u64, firings: u64, status: &'static str) {
         if let Some(buf) = &mut self.trace_buf {
@@ -762,7 +745,20 @@ impl Engine {
         self.opts.max_cycles
     }
 
-    fn run_bounded(&mut self, limit: u64, start: Instant) -> Result<Outcome, EngineError> {
+    /// One slice of a (possibly longer) run: at most `limit` cycles, with
+    /// the wall-clock budget measured from `start` — the moment the
+    /// *whole* run was admitted, so a run sliced across many calls sees
+    /// the same deadline as an uninterrupted one, including time spent
+    /// parked between slices.
+    ///
+    /// Unlike [`run`](Self::run), no `RunEnd` trace event is emitted:
+    /// the caller driving the slices calls
+    /// [`note_run_end`](Self::note_run_end) once when the run completes,
+    /// so the trace ring is identical to an unsliced run. The returned
+    /// [`Outcome`] counts this slice's cycles/firings only;
+    /// `hit_cycle_limit` means `limit` was exhausted (the caller decides
+    /// whether that ends the run or parks it for another slice).
+    pub fn run_bounded(&mut self, limit: u64, start: Instant) -> Result<Outcome, EngineError> {
         let mut quiescent = false;
         let mut hit_cycle_limit = false;
         let first_cycle = self.stats.cycles;

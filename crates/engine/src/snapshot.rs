@@ -22,6 +22,7 @@
 //! foreign or future files instead of misreading them.
 
 use crate::stats::{CycleTrace, RunStats};
+use parulel_core::{ReadError, Reader, Writer};
 use std::fmt;
 use std::time::Duration;
 
@@ -156,15 +157,24 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<ReadError> for SnapshotError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => SnapshotError::Truncated,
+            ReadError::BadUtf8 => SnapshotError::BadUtf8,
+        }
+    }
+}
+
 impl Snapshot {
     /// Serializes to the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        let mut e = Writer::default();
+        e.raw(&SNAPSHOT_MAGIC);
         e.u32(SNAPSHOT_VERSION);
         e.str(&self.policy);
         e.u64(self.cycle);
-        e.bool(self.halted);
+        e.u8(self.halted as u8);
         e.u64(self.next_wme_id);
         e.u64(self.wmes.len() as u64);
         for w in &self.wmes {
@@ -211,7 +221,7 @@ impl Snapshot {
             e.u64(n);
         }
         for d in [s.match_time, s.redact_time, s.fire_time, s.apply_time] {
-            e.duration(d);
+            e.u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         }
         e.u64(self.log.len() as u64);
         for line in &self.log {
@@ -236,12 +246,12 @@ impl Snapshot {
             e.str(name);
             e.u64(*h);
         }
-        e.buf
+        e.into_bytes()
     }
 
     /// Decodes the versioned binary format.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut d = Dec::new(bytes);
+        let mut d = Reader::new(bytes);
         if d.take(4)? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -251,14 +261,18 @@ impl Snapshot {
         }
         let policy = d.str()?;
         let cycle = d.u64()?;
-        let halted = d.bool()?;
+        let halted = match d.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(SnapshotError::Malformed("bad bool")),
+        };
         let next_wme_id = d.u64()?;
-        let n_wmes = d.len()?;
+        let n_wmes = d.count()?;
         let mut wmes = Vec::with_capacity(n_wmes);
         for _ in 0..n_wmes {
             let id = d.u64()?;
             let class = d.str()?;
-            let n_fields = d.len32()?;
+            let n_fields = d.count32()?;
             let mut fields = Vec::with_capacity(n_fields);
             for _ in 0..n_fields {
                 fields.push(match d.u8()? {
@@ -270,11 +284,11 @@ impl Snapshot {
             }
             wmes.push(SnapWme { id, class, fields });
         }
-        let n_keys = d.len()?;
+        let n_keys = d.count()?;
         let mut refraction = Vec::with_capacity(n_keys);
         for _ in 0..n_keys {
             let rule = d.str()?;
-            let n = d.len32()?;
+            let n = d.count32()?;
             let mut ids = Vec::with_capacity(n);
             for _ in 0..n {
                 ids.push(d.u64()?);
@@ -291,17 +305,17 @@ impl Snapshot {
             total_eligible: d.u64()?,
             adds: d.u64()?,
             removes: d.u64()?,
-            match_time: d.duration()?,
-            redact_time: d.duration()?,
-            fire_time: d.duration()?,
-            apply_time: d.duration()?,
+            match_time: Duration::from_nanos(d.u64()?),
+            redact_time: Duration::from_nanos(d.u64()?),
+            fire_time: Duration::from_nanos(d.u64()?),
+            apply_time: Duration::from_nanos(d.u64()?),
         };
-        let n_log = d.len()?;
+        let n_log = d.count()?;
         let mut log = Vec::with_capacity(n_log);
         for _ in 0..n_log {
             log.push(d.str()?);
         }
-        let n_traces = d.len()?;
+        let n_traces = d.count()?;
         let mut traces = Vec::with_capacity(n_traces);
         for _ in 0..n_traces {
             let cycle = d.u64()?;
@@ -310,7 +324,7 @@ impl Snapshot {
             let redacted_guard = d.u64()? as usize;
             let adds = d.u64()? as usize;
             let removes = d.u64()? as usize;
-            let n_fired = d.len32()?;
+            let n_fired = d.count32()?;
             let mut fired_rules = Vec::with_capacity(n_fired);
             for _ in 0..n_fired {
                 let rule = d.str()?;
@@ -330,13 +344,13 @@ impl Snapshot {
             return Err(SnapshotError::Malformed("nonempty reserved slot"));
         }
         d.str()?; // the encoding tag
-        let n_hashes = d.len()?;
+        let n_hashes = d.count()?;
         let mut rule_hashes = Vec::with_capacity(n_hashes);
         for _ in 0..n_hashes {
             let name = d.str()?;
             rule_hashes.push((name, d.u64()?));
         }
-        if !d.done() {
+        if d.remaining() > 0 {
             return Err(SnapshotError::Malformed("trailing bytes"));
         }
         Ok(Snapshot {
@@ -351,99 +365,6 @@ impl Snapshot {
             traces,
             rule_hashes,
         })
-    }
-}
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn duration(&mut self, d: Duration) {
-        self.u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("bad bool")),
-        }
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn duration(&mut self) -> Result<Duration, SnapshotError> {
-        Ok(Duration::from_nanos(self.u64()?))
-    }
-    /// An element count, capped against the remaining input (every
-    /// element encodes to at least one byte) so a corrupt length cannot
-    /// trigger a huge allocation.
-    fn capped(&self, n: u64) -> Result<usize, SnapshotError> {
-        if n > (self.bytes.len() - self.pos) as u64 {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n as usize)
-    }
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        self.capped(n)
-    }
-    fn len32(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.u32()?;
-        self.capped(n as u64)
-    }
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::BadUtf8)
-    }
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
     }
 }
 

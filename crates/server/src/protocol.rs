@@ -184,12 +184,16 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, Failure> {
     }
     let digit = |c: char| {
         c.to_digit(16)
+            .map(|d| d as u8)
             .ok_or_else(|| Failure::new(kind::SNAPSHOT, format!("bad hex digit {c:?}")))
     };
-    let chars: Vec<char> = s.chars().collect();
-    let mut out = Vec::with_capacity(chars.len() / 2);
-    for pair in chars.chunks(2) {
-        out.push(((digit(pair[0])? as u8) << 4) | digit(pair[1])? as u8);
+    // Pairs of chars, not of bytes: a multi-byte char is a bad digit. With
+    // an even byte length, a lone last char is multi-byte and has already
+    // failed as `hi`.
+    let mut chars = s.chars();
+    let mut out = Vec::with_capacity(s.len() / 2);
+    while let Some(hi) = chars.next() {
+        out.push((digit(hi)? << 4) | digit(chars.next().unwrap_or_default())?);
     }
     Ok(out)
 }

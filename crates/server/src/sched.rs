@@ -15,9 +15,13 @@
 //!   `--run-quantum` cycles, then parks on the worker's run queue while
 //!   neighbor frames are served; parked runs advance round-robin, one
 //!   quantum per turn. Frames addressed to a session with a parked run
-//!   are deferred behind it, preserving per-session ordering. The
-//!   response the client finally sees is byte-identical to the blocking
-//!   path's.
+//!   are deferred behind it, preserving per-session ordering. Slicing is
+//!   the server's only run path (quantum `0` is one slice covering the
+//!   whole run), so a sliced run answers exactly as an unsliced one.
+//! * **One parse per frame** — [`Sched::submit`] parses each line once;
+//!   the shard job carries the parsed frame (or its parse error), the
+//!   shard reads its `session` field to decide deferral, and
+//!   [`Server::handle_parsed`] dispatches it.
 //! * **Bounded inboxes** — each shard's inbox is a bounded channel; a
 //!   full inbox refuses the frame with the same `backpressure` error
 //!   kind the per-session inject queue uses. Nothing in the daemon
@@ -33,7 +37,7 @@
 //! as an uninterrupted run.
 
 use crate::protocol::{kind, ok_frame, Failure};
-use crate::server::{Handled, Server};
+use crate::server::Server;
 use parulel_engine::Json;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
@@ -63,9 +67,10 @@ pub fn shard_of(session: &str, shards: usize) -> usize {
 
 /// One unit of work routed to a shard worker.
 enum Job {
-    /// A protocol line for a session owned by this shard (or, with no
-    /// session field, any server-level frame at `workers == 1`).
-    Line { line: String, reply: Reply },
+    /// A parsed frame (or its parse error) for a session owned by this
+    /// shard (or, with no session field, any server-level frame at
+    /// `workers == 1`).
+    Line { frame: ParsedFrame, reply: Reply },
     /// A server-level frame executed on every shard; the dispatcher
     /// merges the per-shard responses.
     Control {
@@ -80,12 +85,15 @@ enum Job {
     },
 }
 
-/// A parked cooperative run's connection-side state: the reply that
+/// A request line as [`Sched::submit`] parsed it.
+type ParsedFrame = Result<Json, String>;
+
+/// A parked run's connection-side state: the reply that
 /// delivers the eventual `run` response, plus frames for the same
 /// session deferred behind it (per-session ordering).
 struct ParkedSession {
     reply: Reply,
-    deferred: VecDeque<(String, Reply)>,
+    deferred: VecDeque<(ParsedFrame, Reply)>,
 }
 
 /// One shard worker: an owned [`Server`], an inbox, and the run queue.
@@ -144,8 +152,8 @@ impl Shard {
     /// Handles one job; returns true when the shard should stop.
     fn handle_job(&mut self, job: Job) -> bool {
         match job {
-            Job::Line { line, reply } => {
-                self.handle_line(line, reply);
+            Job::Line { frame, reply } => {
+                self.handle_line(frame, reply);
                 false
             }
             Job::Control { frame, reply } => {
@@ -161,8 +169,8 @@ impl Shard {
                     for (name, response) in self.server.drain_runs() {
                         if let Some(st) = self.parked.remove(&name) {
                             (st.reply)(Some(response));
-                            for (line, reply) in st.deferred {
-                                self.handle_line(line, reply);
+                            for (frame, reply) in st.deferred {
+                                self.handle_line(frame, reply);
                             }
                         }
                     }
@@ -175,20 +183,18 @@ impl Shard {
         }
     }
 
-    fn handle_line(&mut self, line: String, reply: Reply) {
+    fn handle_line(&mut self, frame: ParsedFrame, reply: Reply) {
+        let session = frame.as_ref().ok().and_then(|f| f.get("session")).and_then(Json::as_str);
         // Frames addressed to a session with a parked run wait behind
         // it: per-session frame ordering is never reordered by slicing.
-        if !self.parked.is_empty() {
-            if let Some(name) = session_of(&line) {
-                if let Some(st) = self.parked.get_mut(&name) {
-                    st.deferred.push_back((line, reply));
-                    return;
-                }
-            }
+        if let Some(st) = session.and_then(|name| self.parked.get_mut(name)) {
+            st.deferred.push_back((frame, reply));
+            return;
         }
-        match self.server.handle_line_coop(&line, self.quantum) {
-            Handled::Done(response) => reply(response),
-            Handled::Parked(name) => {
+        match self.server.handle_parsed(&frame, self.quantum) {
+            Some(response) => reply(Some(response)),
+            None => {
+                let name = session.expect("only a session's run parks").to_string();
                 self.parked.insert(
                     name.clone(),
                     ParkedSession {
@@ -213,27 +219,13 @@ impl Shard {
             Some(response) => {
                 if let Some(st) = self.parked.remove(&name) {
                     (st.reply)(Some(response));
-                    for (line, reply) in st.deferred {
-                        self.handle_line(line, reply);
+                    for (frame, reply) in st.deferred {
+                        self.handle_line(frame, reply);
                     }
                 }
             }
         }
     }
-}
-
-/// Extracts the `session` field from a raw frame (only consulted while
-/// runs are parked, to decide deferral).
-fn session_of(line: &str) -> Option<String> {
-    // Cheap pre-filter before paying for a parse.
-    if !line.contains("\"session\"") {
-        return None;
-    }
-    let frame = Json::parse(line.trim()).ok()?;
-    frame
-        .get("session")
-        .and_then(|v| v.as_str())
-        .map(str::to_string)
 }
 
 /// How a submitted line was routed; see [`Sched::submit`].
@@ -257,7 +249,7 @@ pub struct Sched {
 impl Sched {
     /// Spawns one worker thread per server; each worker owns its server
     /// outright (shared-nothing). `quantum` is the per-slice cycle
-    /// budget for cooperative runs (0 disables slicing); `inbox_cap`
+    /// budget for runs (0: one slice covering the whole run); `inbox_cap`
     /// bounds each shard's inbox.
     pub fn start(servers: Vec<Server>, quantum: u64, inbox_cap: usize) -> Sched {
         assert!(!servers.is_empty(), "scheduler needs at least one shard");
@@ -300,28 +292,24 @@ impl Sched {
     /// refuses the frame with a `backpressure` error, mirroring the
     /// inject queue.
     pub fn submit(&self, line: &str, reply: Reply) -> Submitted {
-        let frame = Json::parse(line.trim()).ok();
-        let op = frame
-            .as_ref()
-            .and_then(|f| f.get("op"))
-            .and_then(|v| v.as_str())
-            .map(str::to_string);
+        let frame = Json::parse(line.trim());
+        let field = |key| {
+            let value = frame.as_ref().ok().and_then(|f| f.get(key));
+            value.and_then(Json::as_str).map(str::to_string)
+        };
+        let op = field("op");
         if op.as_deref() == Some("shutdown") {
             return Submitted::Shutdown(reply);
         }
-        let session = frame
-            .as_ref()
-            .and_then(|f| f.get("session"))
-            .and_then(|v| v.as_str())
-            .map(str::to_string);
+        let session = field("session");
         let shard = match &session {
             Some(name) => shard_of(name, self.inboxes.len()),
             None => {
                 let broadcastable =
                     matches!(op.as_deref(), Some("ping") | Some("metrics") | Some("sync"));
                 if self.inboxes.len() > 1 && broadcastable {
-                    if let Some(frame) = frame {
-                        let merged = self.broadcast(&frame);
+                    if let Ok(frame) = &frame {
+                        let merged = self.broadcast(frame);
                         reply(Some(merged.render()));
                         return Submitted::Dispatched;
                     }
@@ -329,10 +317,7 @@ impl Sched {
                 0
             }
         };
-        match self.inboxes[shard].try_send(Job::Line {
-            line: line.to_string(),
-            reply,
-        }) {
+        match self.inboxes[shard].try_send(Job::Line { frame, reply }) {
             Ok(()) => Submitted::Dispatched,
             Err(TrySendError::Full(Job::Line { reply, .. })) => {
                 let failure = Failure::new(

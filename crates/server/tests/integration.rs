@@ -334,3 +334,36 @@ fn hostile_restore_is_refused_and_the_daemon_keeps_serving() {
         shutdown(addr, daemon);
     }
 }
+
+/// A parked run owns its session until it finishes. A second `run` sent
+/// straight to the server — the scheduler would defer it — is refused
+/// with a `protocol` error, and the parked run still answers exactly as
+/// the same run does unsliced.
+#[test]
+fn a_second_run_on_a_parked_session_is_refused() {
+    let scenario = Closure::new(12, 20, 5);
+    let frames = session_frames("s", scenario.source(), scenario.edges(), "");
+    let (run, setup) = (&frames[frames.len() - 2], &frames[..frames.len() - 2]);
+    let fresh = || {
+        let mut server = Server::new(ServerConfig::default());
+        for frame in setup {
+            server.handle_line(frame).expect("response");
+        }
+        server
+    };
+    let unsliced = fresh().handle_line(run).expect("response");
+    assert!(unsliced.contains(r#""status":"quiescent""#), "{unsliced}");
+
+    let mut server = fresh();
+    assert_eq!(server.handle_parsed(&Json::parse(run), 1), None, "the run parks");
+    let refusal = Json::parse(&server.handle_line(run).expect("response")).expect("JSON");
+    assert_eq!(refusal.get("ok"), Some(&Json::Bool(false)));
+    let err = refusal.get("error").expect("structured error");
+    assert_eq!(err.get("kind").and_then(|k| k.as_str()), Some("protocol"));
+    let response = loop {
+        if let Some(response) = server.resume_run("s", 1) {
+            break response;
+        }
+    };
+    assert_eq!(response, unsliced);
+}

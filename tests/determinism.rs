@@ -217,15 +217,6 @@ struct Golden {
     wm_fnv: u64,
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn observe(out: &Outcome, stats: &parulel::engine::RunStats, wm: &WorkingMemory) -> Golden {
     Golden {
         cycles: stats.cycles,
@@ -241,7 +232,7 @@ fn observe(out: &Outcome, stats: &parulel::engine::RunStats, wm: &WorkingMemory)
         quiescent: out.quiescent,
         hit_cycle_limit: out.hit_cycle_limit,
         wm_len: wm.len(),
-        wm_fnv: fnv1a(&format!("{:?}", wm.canonical_facts())),
+        wm_fnv: parulel::core::fnv1a(format!("{:?}", wm.canonical_facts()).as_bytes()),
     }
 }
 
