@@ -175,11 +175,21 @@ impl ConflictSet {
     /// when a WME dies, so do all matches that used it). Returns how many
     /// were removed.
     pub fn retract_wme(&mut self, id: WmeId) -> usize {
+        self.retract_where(|inst| inst.uses_wme(id))
+    }
+
+    /// Removes every instantiation of `rule` (a matcher dropping or
+    /// rebuilding the rule). Returns how many were removed.
+    pub fn retract_rule(&mut self, rule: RuleId) -> usize {
+        self.retract_where(|inst| inst.rule == rule)
+    }
+
+    fn retract_where(&mut self, dead: impl Fn(&Instantiation) -> bool) -> usize {
         let before = self.by_key.len();
         match &mut self.journal {
-            None => self.by_key.retain(|_, inst| !inst.uses_wme(id)),
+            None => self.by_key.retain(|_, inst| !dead(inst)),
             Some(j) => self.by_key.retain(|k, inst| {
-                let keep = !inst.uses_wme(id);
+                let keep = !dead(inst);
                 if !keep {
                     j.push(CsEvent::Remove(k.clone()));
                 }

@@ -1,4 +1,6 @@
-//! The naive (recompute-everything) matcher: the correctness oracle.
+//! The naive (recompute-everything) matcher: the correctness oracle. It
+//! runs the same kernel walk as RETE and TREAT, over class scans instead
+//! of the shared alpha network's indexes.
 
 use crate::enumerate::enumerate_rule;
 use crate::Matcher;
@@ -47,7 +49,6 @@ impl NaiveMatcher {
             enumerate_rule(
                 rule,
                 &|ce, _, cands| cands.extend(self.by_class[rule.ces[ce].class.index()].values()),
-                None,
                 &mut out,
             );
         }
