@@ -163,11 +163,12 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (must consume the whole input).
+    /// Parses a JSON document (must consume the whole input). Arrays and
+    /// objects nested deeper than [`MAX_DEPTH`] are refused.
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(src, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -245,6 +246,11 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Protocol
+/// frames and reports nest a handful of levels; the cap keeps one hostile
+/// line from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -260,14 +266,18 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|_| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -277,7 +287,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(src, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -299,10 +309,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(src, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(src, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -319,7 +329,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let b = src.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at offset {pos}"));
     }
@@ -360,11 +371,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // step; both are ASCII, so the run ends on a char boundary.
+                let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+                let end = run.map_or(b.len(), |n| *pos + n);
+                out.push_str(src.get(*pos..end).ok_or("invalid UTF-8")?);
+                *pos = end;
             }
         }
     }
@@ -379,7 +391,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
     }
     std::str::from_utf8(&b[start..*pos])
         .ok()
-        .and_then(|s| s.parse().ok())
+        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|x| x.is_finite())
         .ok_or_else(|| format!("bad number at offset {start}"))
 }
 
@@ -442,5 +455,63 @@ mod tests {
             Json::parse(r#""Aé""#).unwrap().as_str(),
             Some("Aé")
         );
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_refused_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let nest = |n: usize, open: &str, close: &str| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1, "[", "]")).is_err());
+        assert!(Json::parse(&nest(MAX_DEPTH, r#"{"a":"#, "}")).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1, r#"{"a":"#, "}")).is_err());
+    }
+
+    #[test]
+    fn a_mebibyte_string_of_mixed_widths_round_trips() {
+        // 1-, 2-, 3- and 4-byte chars plus both escaped ASCII characters.
+        let unit = "ab\"c\\dé€😀\n";
+        let s = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(s.len() >= 1 << 20);
+        let rendered = Json::Str(s.clone()).render();
+        assert_eq!(Json::parse(&rendered), Ok(Json::Str(s)));
+    }
+
+    #[test]
+    fn hostile_text_never_panics_the_parser() {
+        let mut fragments: Vec<&str> = concat!(
+            r#"{ } [ ] : , " \ \u \u12 \ud800 \u00e9 \uzzzz \q "k": "a" "\u00" "#,
+            r#"true fals null 0 - -0 1e999 -1e999 1.5e-300 9007199254740993 .5 1. +1 1e "#,
+            r#"é € 😀 [1,2] {"a":[true,null]}"#,
+        )
+        .split(' ')
+        .collect();
+        fragments.extend([" ", "\n", "\u{1}"]);
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize
+        };
+        let mut accepted = 0;
+        for case in 0..20_000 {
+            let mut text: String = (0..next() % 12)
+                .map(|_| fragments[next() % fragments.len()])
+                .collect();
+            if case % 100 == 0 {
+                // Past the nesting cap, around an otherwise valid value.
+                let depth = MAX_DEPTH - 1 + next() % 3;
+                text = "[".repeat(depth) + "0" + &"]".repeat(depth);
+            }
+            if let Ok(doc) = Json::parse(&text) {
+                accepted += 1;
+                assert_eq!(Json::parse(&doc.render()).as_ref(), Ok(&doc), "{text:?}");
+                assert_eq!(Json::parse(&doc.pretty()).as_ref(), Ok(&doc), "{text:?}");
+            }
+        }
+        assert!(accepted > 500, "only {accepted} documents accepted");
     }
 }

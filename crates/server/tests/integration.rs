@@ -335,6 +335,34 @@ fn hostile_restore_is_refused_and_the_daemon_keeps_serving() {
     }
 }
 
+/// One frame nested far past the JSON parser's depth cap used to
+/// overflow the dispatcher thread's stack and abort the daemon. It is now
+/// answered with a `parse` error, and the daemon keeps serving: `ping`
+/// answers, and so does a `query` on a session opened before it.
+#[test]
+fn a_deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
+    let scenario = Closure::new(8, 12, 3);
+    let edges = scenario.edges().to_vec();
+    for workers in [1, 4] {
+        let (addr, daemon) = start(ServerConfig::default(), workers);
+        let mut client = Client::connect(addr);
+        let frames = session_frames("kept", scenario.source(), &edges, "");
+        for frame in &frames[..frames.len() - 1] {
+            client.send_ok(frame);
+        }
+        let deep = format!(r#"{{"op":"ping","x":{}}}"#, "[".repeat(200_000));
+        let refusal = Json::parse(&client.roundtrip(&deep)).expect("refusal is JSON");
+        assert_eq!(refusal.get("ok"), Some(&Json::Bool(false)));
+        let err = refusal.get("error").expect("structured error");
+        assert_eq!(err.get("kind").and_then(|k| k.as_str()), Some("parse"));
+
+        client.send_ok(r#"{"op":"ping"}"#);
+        let reach = client.send_ok(r#"{"op":"query","session":"kept","class":"reach"}"#);
+        assert!(!reach.contains(r#""count":0"#), "{reach}");
+        shutdown(addr, daemon);
+    }
+}
+
 /// A parked run owns its session until it finishes. A second `run` sent
 /// straight to the server — the scheduler would defer it — is refused
 /// with a `protocol` error, and the parked run still answers exactly as
