@@ -241,7 +241,7 @@ impl Command {
                                 other => return Err(format!("unknown engine '{other}'")),
                             }
                         }
-                        "--matcher" => opts.matcher = parse_matcher(&next_val(&mut it, flag)?)?,
+                        "--matcher" => opts.matcher = next_val(&mut it, flag)?.parse()?,
                         "--guard" => {
                             opts.guard = match next_val(&mut it, flag)?.as_str() {
                                 "off" => GuardMode::Off,
@@ -406,38 +406,6 @@ fn parse_count(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usiz
     next_val(it, flag)?
         .parse()
         .map_err(|_| format!("{flag} needs an integer"))
-}
-
-fn parse_matcher(s: &str) -> Result<MatcherKind, String> {
-    match s {
-        "rete" => Ok(MatcherKind::Rete),
-        "treat" => Ok(MatcherKind::Treat),
-        "naive" => Ok(MatcherKind::Naive),
-        _ => {
-            if let Some(n) = s.strip_prefix("prete:") {
-                Ok(MatcherKind::PartitionedRete(parse_workers(s, n)?))
-            } else if let Some(n) = s.strip_prefix("ptreat:") {
-                Ok(MatcherKind::PartitionedTreat(parse_workers(s, n)?))
-            } else {
-                Err(format!("unknown matcher '{s}'"))
-            }
-        }
-    }
-}
-
-fn parse_workers(matcher: &str, n: &str) -> Result<usize, String> {
-    let n: usize = n
-        .parse()
-        .map_err(|_| format!("bad worker count in '{matcher}'"))?;
-    if n == 0 {
-        // A zero-shard matcher cannot exist; silently running with one
-        // shard would let stats and bench labels lie about parallelism.
-        return Err(format!(
-            "'{matcher}': worker count must be at least 1 \
-             (use 'rete' or 'treat' for a single unpartitioned matcher)"
-        ));
-    }
-    Ok(n)
 }
 
 #[cfg(test)]

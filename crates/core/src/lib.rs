@@ -11,13 +11,13 @@
 //! This crate holds everything the rest of the system shares:
 //!
 //! * [`symbol`] — a thread-safe string interner producing compact
-//!   [`Symbol`](symbol::Symbol) handles.
-//! * [`value`] — the dynamic [`Value`](value::Value) type stored in working
+//!   [`Symbol`] handles.
+//! * [`value`] — the dynamic [`Value`] type stored in working
 //!   memory fields (symbols, integers, floats).
 //! * [`classes`] — WME class declarations (`literalize` in the surface
 //!   language) and the attribute → field-slot mapping.
 //! * [`wme`] / [`wm`] — working-memory elements, the indexed working memory,
-//!   and [`Delta`](wm::Delta)s describing atomic batches of changes.
+//!   and [`Delta`]s describing atomic batches of changes.
 //! * [`expr`] — arithmetic/predicate expressions evaluated against a rule's
 //!   variable bindings (used by `test` CEs and RHS actions).
 //! * [`ir`] — the compiled intermediate representation of rules, meta-rules

@@ -260,7 +260,7 @@ impl Engine {
     /// result, more work). On error the engine is untouched.
     ///
     /// `replacement` must be compiled into the running program's symbol
-    /// space ([`parulel_lang::compile_into`]-style) and may only *extend*
+    /// space (`parulel_lang::compile_into`-style) and may only *extend*
     /// the class table — live WMEs are typed by the old declarations.
     pub fn reload(&mut self, replacement: &Program) -> Result<ReloadReport, ReloadError> {
         if !self.program.interner.shares_table_with(&replacement.interner) {
@@ -343,7 +343,7 @@ impl Engine {
                 && replacement.classes.len() == self.program.classes.len()
                 && self
                     .matcher
-                    .replace_rules(&new_program, &remove_ids, &add_ids, &self.wm));
+                    .replace_rules(&new_program, &remove_ids, &add_ids));
         if !report.incremental {
             let mut m = self.opts.matcher.build(new_program.clone());
             m.seed(&self.wm);

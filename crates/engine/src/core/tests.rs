@@ -306,28 +306,27 @@ fn budget_trip_lands_in_the_trace_ring() {
 #[test]
 fn shard_count_reported_is_the_one_in_effect() {
     // API callers can still pass 0 workers; the matcher clamps to 1
-    // and *reports* 1 — labels never claim unused shards.
+    // and *reports* 1 — labels never claim unused shards. Every matcher
+    // reports its own kind.
     let p = compile("(literalize a x) (p r (a ^x <v>) --> (halt))").unwrap();
-    let e = Engine::new(
-        &p,
-        WorkingMemory::new(&p.classes),
-        EngineOptions {
-            matcher: MatcherKind::PartitionedRete(0),
-            ..Default::default()
-        },
-    );
-    let mm = e.matcher_metrics();
-    assert_eq!(mm.shards, 1);
-    assert_eq!(mm.kind, "partitioned-rete");
-    let e = Engine::new(
-        &p,
-        WorkingMemory::new(&p.classes),
-        EngineOptions {
-            matcher: MatcherKind::PartitionedTreat(4),
-            ..Default::default()
-        },
-    );
-    assert_eq!(e.matcher_metrics().shards, 4);
+    for (matcher, kind, shards) in [
+        (MatcherKind::Naive, "naive", 1),
+        (MatcherKind::Rete, "rete", 1),
+        (MatcherKind::Treat, "treat", 1),
+        (MatcherKind::PartitionedRete(0), "partitioned-rete", 1),
+        (MatcherKind::PartitionedTreat(4), "partitioned-treat", 4),
+    ] {
+        let e = Engine::new(
+            &p,
+            WorkingMemory::new(&p.classes),
+            EngineOptions {
+                matcher,
+                ..Default::default()
+            },
+        );
+        let mm = e.matcher_metrics();
+        assert_eq!((mm.kind, mm.shards), (kind, shards), "{matcher:?}");
+    }
 }
 
 #[test]

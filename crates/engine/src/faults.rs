@@ -199,7 +199,7 @@ impl WalFaults {
 mod tests {
     use super::*;
     use parulel_lang::compile;
-    use parulel_match::Rete;
+    use parulel_match::Incremental;
 
     fn setup() -> (Arc<Program>, WorkingMemory) {
         let p = compile(
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn audit_passes_on_healthy_matcher_and_catches_corruption() {
         let (p, wm) = setup();
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         m.seed(&wm);
         let plan = FaultPlan {
             corrupt_matcher_at: Some(2),
@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn audit_off_never_checks() {
         let (p, wm) = setup();
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         // Unseeded matcher diverges from WM, but audit is off.
         assert!(FaultPlan::none().audit(1, &p, &wm, m.conflict_set()).is_ok());
     }

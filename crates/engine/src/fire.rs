@@ -359,7 +359,7 @@ mod tests {
     use super::*;
     use parulel_core::{Value, WorkingMemory};
     use parulel_lang::compile;
-    use parulel_match::{Matcher, Rete};
+    use parulel_match::{Incremental, Matcher};
 
     /// `src`'s conflict set over the WM `setup` builds, in key order.
     fn insts(
@@ -369,7 +369,7 @@ mod tests {
         let p = compile(src).unwrap();
         let mut wm = WorkingMemory::new(&p.classes);
         setup(&p, &mut wm);
-        let mut m = Rete::new(Arc::new(p.clone()));
+        let mut m = Incremental::rete(Arc::new(p.clone()));
         m.seed(&wm);
         let cs = m.conflict_set().sorted();
         (p, cs)

@@ -124,7 +124,7 @@ mod tests {
     use super::*;
     use parulel_core::{Value, WorkingMemory};
     use parulel_lang::compile;
-    use parulel_match::{Matcher, Rete};
+    use parulel_match::{Incremental, Matcher};
     use std::sync::Arc;
 
     fn surviving_count(src: &str, facts: &[(&str, Vec<i64>)], mode: GuardMode) -> (usize, usize) {
@@ -137,7 +137,7 @@ mod tests {
                 fields.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>(),
             );
         }
-        let mut m = Rete::new(Arc::new(p.clone()));
+        let mut m = Incremental::rete(Arc::new(p.clone()));
         m.seed(&wm);
         let el = m.conflict_set().sorted();
         let out = guard(&p, el, mode);

@@ -73,7 +73,7 @@ pub use stats::{CycleStats, CycleTrace, Outcome, RunStats};
 pub use core::ReloadReport;
 
 use parulel_core::Program;
-use parulel_match::{Matcher, NaiveMatcher, Partitioned, Rete, Treat};
+use parulel_match::{Incremental, Matcher, NaiveMatcher, Partitioned};
 use std::sync::Arc;
 
 /// Which match engine a run uses.
@@ -98,10 +98,39 @@ impl MatcherKind {
     pub fn build(self, program: Arc<Program>) -> Box<dyn Matcher> {
         match self {
             MatcherKind::Naive => Box::new(NaiveMatcher::new(program)),
-            MatcherKind::Rete => Box::new(Rete::new(program)),
-            MatcherKind::Treat => Box::new(Treat::new(program)),
+            MatcherKind::Rete => Box::new(Incremental::rete(program)),
+            MatcherKind::Treat => Box::new(Incremental::treat(program)),
             MatcherKind::PartitionedRete(n) => Box::new(Partitioned::rete(program, n)),
             MatcherKind::PartitionedTreat(n) => Box::new(Partitioned::treat(program, n)),
+        }
+    }
+}
+
+impl std::str::FromStr for MatcherKind {
+    type Err = String;
+
+    /// Parses the CLI and protocol spelling: `rete`, `treat`, `naive`,
+    /// `prete:N` or `ptreat:N` with `N >= 1` workers.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let workers = |n: &str| match n.parse() {
+            Err(_) => Err(format!("bad worker count in '{s}'")),
+            // A zero-shard matcher cannot exist; silently running with one
+            // shard would let stats and bench labels lie about parallelism.
+            Ok(0) => Err(format!(
+                "'{s}': worker count must be at least 1 \
+                 (use 'rete' or 'treat' for a single unpartitioned matcher)"
+            )),
+            Ok(n) => Ok(n),
+        };
+        match s {
+            "rete" => Ok(MatcherKind::Rete),
+            "treat" => Ok(MatcherKind::Treat),
+            "naive" => Ok(MatcherKind::Naive),
+            _ => match s.split_once(':') {
+                Some(("prete", n)) => Ok(MatcherKind::PartitionedRete(workers(n)?)),
+                Some(("ptreat", n)) => Ok(MatcherKind::PartitionedTreat(workers(n)?)),
+                _ => Err(format!("unknown matcher '{s}'")),
+            },
         }
     }
 }

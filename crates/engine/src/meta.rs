@@ -272,7 +272,7 @@ mod tests {
     use super::*;
     use parulel_core::{FxHashSet, InstKey, MetaAction, WorkingMemory};
     use parulel_lang::compile;
-    use parulel_match::{Matcher, Rete};
+    use parulel_match::{Incremental, Matcher};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -288,7 +288,7 @@ mod tests {
                 fields.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>(),
             );
         }
-        let mut m = Rete::new(Arc::new(p.clone()));
+        let mut m = Incremental::rete(Arc::new(p.clone()));
         m.seed(&wm);
         (p.clone(), m.conflict_set().sorted())
     }

@@ -1,12 +1,12 @@
 //! The join kernel: one rule's join plan and the one depth-first walk that
-//! RETE, TREAT and the naive oracle all run.
+//! both presets of the incremental matcher and the naive oracle run.
 //!
 //! A `JoinPlan` is what a rule needs from the shared [`AlphaNetwork`]:
 //! one node subscription per CE in join order, each CE's **env-key
 //! probe** (its equality keys over variables bound by earlier CEs, the
-//! slots whose shared hash index the walk reads) and, for TREAT, the
-//! **pinned key plans** below. The `Walk` is the only code that reads
-//! an index bucket and checks a CE against a candidate:
+//! slots whose shared hash index the walk reads) and, for re-walked
+//! rules, the **pinned key plans** below. The `Walk` is the only code that
+//! reads an index bucket and checks a CE against a candidate:
 //!
 //! * a positive CE binds its variables into the walk's one env and the
 //!   rule tests anchored at it run; a slot a failed candidate wrote is
@@ -15,16 +15,17 @@
 //!   its local bindings never reach a token or an instantiation.
 //!
 //! The walk reports to a `Sink`. Enumeration (`Collect`) keeps only
-//! complete matches; RETE's sink files every level's token in its beta
-//! memories and may prune a branch it already holds, and it resumes walks
-//! at level *k* from a stored token (`Walk::load`).
+//! complete matches; a saved (RETE) rule's sink files every level's
+//! token in its beta memories and may prune a branch it already holds,
+//! and it resumes walks at level *k* from a stored token (`Walk::load`).
 //!
-//! **Pinned key plans** — when TREAT pins a new WME at positive CE *p*,
-//! every CE *j* < *p* is probed through a second index: its env keys plus
-//! each slot sharing an equality variable with a slot of CE *p*, keyed by
-//! the pinned WME's field. An index bucket is only a superset filter:
-//! every CE check re-runs, so the matches are exactly the naive oracle's.
-//! Keys go through `Value::join_key` on both sides, so `3` and `3.0` meet.
+//! **Pinned key plans** — when a re-walked (TREAT) rule pins a new WME at
+//! positive CE *p*, every CE *j* < *p* is probed through a second index:
+//! its env keys plus each slot sharing an equality variable with a slot of
+//! CE *p*, keyed by the pinned WME's field. An index bucket is only a
+//! superset filter: every CE check re-runs, so the matches are exactly the
+//! naive oracle's. Keys go through `Value::join_key` on both sides, so
+//! `3` and `3.0` meet.
 
 use crate::alpha::{AlphaNetwork, KeyVals, NodeId};
 use crate::arena::WmeRef;
@@ -117,7 +118,7 @@ pub(crate) struct JoinPlan {
 
 impl JoinPlan {
     /// Subscribes every CE of `rule` and every index its probes read;
-    /// `pin_plans` adds the pinned key plans TREAT's adds use.
+    /// `pin_plans` adds the pinned key plans re-walked adds use.
     pub(crate) fn subscribe(alpha: &mut AlphaNetwork, rule: &Rule, pin_plans: bool) -> Self {
         let n = rule.ces.len();
         let plan = JoinPlan {
@@ -161,11 +162,6 @@ impl JoinPlan {
             .map(|(j, probe)| (self.nodes[j], &*probe.slots))
     }
 
-    /// The node each CE subscribes to, in join order.
-    pub(crate) fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
     /// The planned rule.
     pub(crate) fn rule(&self) -> &Rule {
         &self.rule
@@ -181,8 +177,8 @@ impl JoinPlan {
         self.nodes.iter().map(|&n| alpha.members(n).len()).sum()
     }
 
-    /// The bucket CE `k`'s env-key probe reads under `env` (RETE files
-    /// its input tokens under the same key).
+    /// The bucket CE `k`'s env-key probe reads under `env` (a saved net
+    /// files its input tokens under the same key).
     pub(crate) fn env_key(&self, k: usize, env: &[Value]) -> KeyVals {
         self.probes[k].key(env, None)
     }
@@ -201,7 +197,7 @@ impl JoinPlan {
     }
 
     /// Appends every instantiation of the rule to `out`, only those using
-    /// the pinned WME at its CE if `pin` is given (TREAT's add).
+    /// the pinned WME at its CE if `pin` is given (a re-walked add).
     pub(crate) fn enumerate(
         &self,
         alpha: &AlphaNetwork,
@@ -328,7 +324,7 @@ pub fn enumerate_rule<'w>(
 
 /// What a walk reports. `H` is the walk's candidate handle.
 pub(crate) trait Sink<H> {
-    /// What the caller keeps per token (RETE: its key).
+    /// What the caller keeps per token (a saved net: its key).
     type Tok;
     /// Whether negative CEs report exact blocker counts; otherwise the
     /// count is 0 or 1 and stops at the first blocker.
@@ -480,6 +476,13 @@ mod tests {
     use super::*;
     use parulel_core::{ClassId, Value, WmeId};
     use parulel_lang::compile;
+
+    impl JoinPlan {
+        /// The node each CE subscribes to, in join order.
+        pub(crate) fn nodes(&self) -> &[NodeId] {
+            &self.nodes
+        }
+    }
 
     fn wme(class: u32, id: u64, fields: Vec<Value>) -> Wme {
         Wme::new(WmeId(id), ClassId(class), fields)

@@ -1,22 +1,29 @@
-//! An incremental RETE network (Forgy 1982), the state-saving matcher
-//! PARULEL's cycle is built on.
+//! The incremental matcher: one shared alpha network, one conflict set,
+//! and per rule either saved beta memories (RETE, Forgy 1982) or a bare
+//! join plan re-walked on demand (TREAT, Miranker 1987).
 //!
-//! ## Structure
+//! Every rule has a `JoinPlan` over the crate-wide [`AlphaNetwork`], and
+//! every join is a kernel `Walk` from [`crate::enumerate`]. The shared
+//! layer is one copy for both kinds of rule: an added WME enters every
+//! node it passes *before* any delivery (so self-joins find it), and the
+//! entered nodes' (rule, CE) endpoints route it to the rules it can reach,
+//! hit CE positions ascending; a removal routes the nodes it left. Reload
+//! ([`Matcher::replace_rules`]) unsubscribes removed rules and builds
+//! added ones from the shared store with one walk. What a rule keeps
+//! between changes decides only its delivery; the presets
+//! [`Incremental::rete`] and [`Incremental::treat`] choose it once per
+//! matcher.
 //!
-//! RETE is a client of the join kernel in [`crate::enumerate`]. Each rule
-//! has a `JoinPlan` over the crate-wide [`AlphaNetwork`] (alpha memories
-//! shared by (class, constant-test) key, WME payloads stored once in a
-//! generational arena), and every join runs as a kernel `Walk`: the
-//! same index probes, CE checks and blocker tests TREAT and the naive
-//! oracle run. What RETE adds is state saving, one set of beta memories
-//! per CE ("level" *k*):
+//! ## Saved: beta memories (the RETE preset)
+//!
+//! One set of beta memories per CE ("level" *k*):
 //!
 //! * A **token** is a consistent match of the first *k* CEs: the matched
 //!   positive WMEs (as arena handles — 8 bytes each, no `Arc` chasing),
 //!   their ids (the token key), and the variable bindings. The kernel
-//!   walk reports every token it builds; RETE files it in `tokens`, the
-//!   removal index `by_wme` and the cascade index `children`, and prunes
-//!   the walk at a token it already holds.
+//!   walk reports every token it builds; the rule files it in `tokens`,
+//!   the removal index `by_wme` and the cascade index `children`, and
+//!   prunes the walk at a token it already holds.
 //! * A token entering level *k* is filed in `left_index` under its
 //!   env-key probe values, so an added or removed WME finds the inputs it
 //!   joins with. A left activation resumes the walk at the level after a
@@ -29,22 +36,37 @@
 //! * The last level's tokens are the rule's instantiations, maintained
 //!   directly in the [`ConflictSet`].
 //!
-//! ## Delivery discipline
-//!
 //! Because the shared network inserts membership *before* any beta
 //! delivery, tokens created during an add compute negative counts that
 //! already include the new WME. Delivery therefore increments only input
 //! tokens that predate the add; tokens created (or re-created) mid-add
 //! always carry the new WME's id, which no older token can, so the two
 //! sets are provably disjoint and nothing is double-counted.
+//!
+//! ## Re-walked: the conflict set is the only join state (the TREAT preset)
+//!
+//! * **Add** — for each positive CE position hit, the rule is enumerated
+//!   with that position pinned to the new WME, through the plan's pinned
+//!   key plans (so only matches involving it are computed: a new `sell`
+//!   pinned at CE 1 probes the `buy` index on `sym` rather than scanning
+//!   every buy). If a *negative* CE's node was entered, existing
+//!   instantiations the new WME blocks there are deleted.
+//! * **Remove** — one sweep deletes every conflict-set entry that
+//!   positively matched the WME (O(conflict set), which is exactly TREAT's
+//!   bet: conflict sets are small). If it left a negative CE's node, the
+//!   rule is re-enumerated (some matches it was blocking may now exist).
+//!
+//! Re-walking trades join *recomputation* on adds for zero beta-memory
+//! maintenance — historically a good trade for remove-heavy OPS5
+//! programs. Figure 2 of the reproduction measures this trade.
 
 use crate::alpha::{AlphaNetwork, KeyVals, NodeId};
 use crate::arena::WmeRef;
 use crate::enumerate::{Indexed, JoinPlan, Sink, Walk};
-use crate::Matcher;
+use crate::{Matcher, MatcherMetrics};
 use parulel_core::{
     ConflictSet, CsEvent, FxHashMap, FxHashSet, InstKey, Instantiation, Program, RuleId, Value,
-    Wme, WmeId, WorkingMemory,
+    Wme, WmeId,
 };
 use std::sync::Arc;
 
@@ -121,10 +143,6 @@ impl RuleNet {
         net
     }
 
-    fn rule(&self) -> RuleId {
-        self.plan.rule().id
-    }
-
     /// The net's memories, borrowed beside its plan and `cs`.
     fn beta<'a>(&'a mut self, cs: &'a mut ConflictSet) -> Beta<'a> {
         Beta {
@@ -134,10 +152,116 @@ impl RuleNet {
             cs,
         }
     }
+
+    /// Verifies every cross-index of the net agrees with the others, with
+    /// the shared store and with the conflict set. Panics with a
+    /// description on violation.
+    fn check_invariants(&self, alpha: &AlphaNetwork, cs: &ConflictSet) {
+        let rule = self.plan.rule().id.0;
+        for (k, level) in self.levels.iter().enumerate() {
+            // Tokens and their removal/cascade indexes agree, and
+            // every token ref resolves to the WME its key names.
+            for (key, tok) in &level.tokens {
+                assert_eq!(key, &tok.key, "r{rule} L{k}: token filed under wrong key");
+                assert_eq!(
+                    tok.key.len(),
+                    tok.wmes.len(),
+                    "r{rule} L{k}: token key/refs width mismatch"
+                );
+                for (id, &wref) in tok.key.iter().zip(&tok.wmes) {
+                    let wme = (alpha.try_wme(wref))
+                        .unwrap_or_else(|| panic!("r{rule} L{k}: token holds stale ref"));
+                    assert_eq!(wme.id, *id, "r{rule} L{k}: token ref/id mismatch");
+                    assert!(
+                        level.by_wme.get(id).is_some_and(|s| s.contains(key)),
+                        "r{rule} L{k}: token missing from by_wme[{id}]"
+                    );
+                }
+            }
+            for (id, keys) in &level.by_wme {
+                assert!(!keys.is_empty(), "r{rule} L{k}: empty by_wme[{id}] bucket");
+                for key in keys {
+                    assert!(
+                        level.tokens.contains_key(key),
+                        "r{rule} L{k}: by_wme[{id}] points at dead token"
+                    );
+                }
+            }
+            for (parent, kids) in &level.children {
+                assert!(!kids.is_empty(), "r{rule} L{k}: empty children bucket");
+                for kid in kids {
+                    assert!(
+                        level.tokens.contains_key(kid),
+                        "r{rule} L{k}: children points at dead token"
+                    );
+                    assert_eq!(
+                        &parent_key(&self.plan, k, kid),
+                        parent,
+                        "r{rule} L{k}: child filed under wrong parent"
+                    );
+                }
+            }
+            // Left inputs are live tokens of the previous level (or
+            // the permanent root entry at level 0), filed under their
+            // probe values.
+            let mut left_keys: FxHashSet<&TokKey> = FxHashSet::default();
+            for (kv, bucket) in &level.left_index {
+                assert!(!bucket.is_empty(), "r{rule} L{k}: empty left bucket");
+                for tkey in bucket {
+                    let tok = match k {
+                        0 => tkey.is_empty().then_some(&self.root),
+                        _ => self.levels[k - 1].tokens.get(tkey),
+                    };
+                    let tok =
+                        tok.unwrap_or_else(|| panic!("r{rule} L{k}: left input not live upstream"));
+                    assert_eq!(
+                        &self.plan.env_key(k, &tok.env),
+                        kv,
+                        "r{rule} L{k}: left input under wrong key"
+                    );
+                    left_keys.insert(tkey);
+                }
+            }
+            if self.plan.negative(k) {
+                // Every live input has exactly one count; no orphans.
+                assert_eq!(
+                    left_keys.len(),
+                    level.neg_counts.len(),
+                    "r{rule} L{k}: neg_counts/left_index desync"
+                );
+                for tkey in level.neg_counts.keys() {
+                    assert!(
+                        left_keys.contains(tkey),
+                        "r{rule} L{k}: orphaned negative count"
+                    );
+                }
+            }
+        }
+        // The last level's outputs are exactly this rule's
+        // conflict-set entries.
+        let id = self.plan.rule().id;
+        let last = self.levels.last().expect("every rule has a CE");
+        for key in last.tokens.keys() {
+            let ik = InstKey {
+                rule: id,
+                wmes: key.clone(),
+            };
+            assert!(
+                cs.contains(&ik),
+                "r{rule}: final token missing from conflict set"
+            );
+        }
+        let in_cs = cs.iter().filter(|i| i.rule == id).count();
+        assert_eq!(
+            in_cs,
+            last.tokens.len(),
+            "r{rule}: conflict set/final level desync"
+        );
+    }
 }
 
-/// A rule net's beta memories and the conflict set: the sink RETE's
-/// kernel walks file tokens into.
+/// A rule net's beta memories and the conflict set: the sink the saved
+/// path's kernel walks file tokens into.
 struct Beta<'a> {
     plan: &'a JoinPlan,
     levels: &'a mut [Level],
@@ -377,152 +501,107 @@ impl Beta<'_> {
     }
 }
 
-/// The incremental RETE matcher: shared alpha network + per-rule beta
-/// nets.
-pub struct Rete {
-    alpha: AlphaNetwork,
-    nets: Vec<RuleNet>,
-    cs: ConflictSet,
+/// Inserts every instantiation of `plan`'s rule into `cs`, only those
+/// using the pinned WME if `pin` is given.
+fn insert_matches(
+    plan: &JoinPlan,
+    alpha: &AlphaNetwork,
+    pin: Option<(usize, WmeRef)>,
+    cs: &mut ConflictSet,
+) {
+    let mut found = Vec::new();
+    plan.enumerate(alpha, pin, &mut found);
+    for inst in found {
+        cs.insert(inst);
+    }
 }
 
-impl Rete {
-    /// Builds a network for every rule of `program`.
-    pub fn new(program: Arc<Program>) -> Self {
-        let rules = (0..program.rules().len() as u32).map(RuleId).collect();
-        Self::with_rules(program, rules)
+/// Re-walked delivery for one added WME, at the CE positions (`hits`,
+/// ascending) whose shared alpha nodes it entered.
+fn rewalk_add(
+    plan: &JoinPlan,
+    hits: &[usize],
+    wref: WmeRef,
+    wme: &Wme,
+    alpha: &AlphaNetwork,
+    cs: &mut ConflictSet,
+) {
+    for &p in hits.iter().filter(|&&p| !plan.negative(p)) {
+        insert_matches(plan, alpha, Some((p, wref)), cs);
     }
-
-    /// Builds networks for a subset of `program`'s rules (the partitioned
-    /// matcher's workers use this).
-    pub fn with_rules(program: Arc<Program>, rules: Vec<RuleId>) -> Self {
-        let mut alpha = AlphaNetwork::new(program.classes.len());
-        let mut cs = ConflictSet::new();
-        let nets = (rules.into_iter())
-            .map(|rid| RuleNet::build(&program, rid, &mut alpha, &mut cs))
+    // The new WME may block existing instantiations: one dies if the
+    // blocker is consistent with its bindings at a negative CE whose node
+    // the WME entered.
+    let blocks = |env: &[Value]| {
+        hits.iter()
+            .any(|&k| plan.negative(k) && plan.blocks(k, env, wme))
+    };
+    if hits.iter().any(|&k| plan.negative(k)) {
+        let victims: Vec<InstKey> = (cs.iter())
+            .filter(|i| i.rule == plan.rule().id && blocks(&i.env))
+            .map(|i| i.key())
             .collect();
-        Rete { alpha, nets, cs }
-    }
-
-    /// Verifies every cross-index of the network agrees (the
-    /// differential suite calls this after each batch in debug builds so
-    /// index leaks/desyncs surface at the op that caused them, not as a
-    /// wrong conflict set much later). Panics with a description on
-    /// violation.
-    pub fn check_invariants(&self) {
-        // Store/node/index/refcount agreement inside the shared layer.
-        self.alpha.check_invariants();
-        for net in &self.nets {
-            net.plan.check_invariants(&self.alpha);
-            let rule = net.rule().0;
-            for (k, level) in net.levels.iter().enumerate() {
-                // Tokens and their removal/cascade indexes agree, and
-                // every token ref resolves to the WME its key names.
-                for (key, tok) in &level.tokens {
-                    assert_eq!(key, &tok.key, "r{rule} L{k}: token filed under wrong key");
-                    assert_eq!(
-                        tok.key.len(),
-                        tok.wmes.len(),
-                        "r{rule} L{k}: token key/refs width mismatch"
-                    );
-                    for (id, &wref) in tok.key.iter().zip(&tok.wmes) {
-                        let wme = (self.alpha.try_wme(wref))
-                            .unwrap_or_else(|| panic!("r{rule} L{k}: token holds stale ref"));
-                        assert_eq!(wme.id, *id, "r{rule} L{k}: token ref/id mismatch");
-                        assert!(
-                            level.by_wme.get(id).is_some_and(|s| s.contains(key)),
-                            "r{rule} L{k}: token missing from by_wme[{id}]"
-                        );
-                    }
-                }
-                for (id, keys) in &level.by_wme {
-                    assert!(!keys.is_empty(), "r{rule} L{k}: empty by_wme[{id}] bucket");
-                    for key in keys {
-                        assert!(
-                            level.tokens.contains_key(key),
-                            "r{rule} L{k}: by_wme[{id}] points at dead token"
-                        );
-                    }
-                }
-                for (parent, kids) in &level.children {
-                    assert!(!kids.is_empty(), "r{rule} L{k}: empty children bucket");
-                    for kid in kids {
-                        assert!(
-                            level.tokens.contains_key(kid),
-                            "r{rule} L{k}: children points at dead token"
-                        );
-                        assert_eq!(
-                            &parent_key(&net.plan, k, kid),
-                            parent,
-                            "r{rule} L{k}: child filed under wrong parent"
-                        );
-                    }
-                }
-                // Left inputs are live tokens of the previous level (or
-                // the permanent root entry at level 0), filed under their
-                // probe values.
-                let mut left_keys: FxHashSet<&TokKey> = FxHashSet::default();
-                for (kv, bucket) in &level.left_index {
-                    assert!(!bucket.is_empty(), "r{rule} L{k}: empty left bucket");
-                    for tkey in bucket {
-                        let tok = match k {
-                            0 => tkey.is_empty().then_some(&net.root),
-                            _ => net.levels[k - 1].tokens.get(tkey),
-                        };
-                        let tok = tok.unwrap_or_else(|| {
-                            panic!("r{rule} L{k}: left input not live upstream")
-                        });
-                        assert_eq!(
-                            &net.plan.env_key(k, &tok.env),
-                            kv,
-                            "r{rule} L{k}: left input under wrong key"
-                        );
-                        left_keys.insert(tkey);
-                    }
-                }
-                if net.plan.negative(k) {
-                    // Every live input has exactly one count; no orphans.
-                    assert_eq!(
-                        left_keys.len(),
-                        level.neg_counts.len(),
-                        "r{rule} L{k}: neg_counts/left_index desync"
-                    );
-                    for tkey in level.neg_counts.keys() {
-                        assert!(
-                            left_keys.contains(tkey),
-                            "r{rule} L{k}: orphaned negative count"
-                        );
-                    }
-                }
-            }
-            // The last level's outputs are exactly this rule's
-            // conflict-set entries.
-            let last = net.levels.last().expect("every rule has a CE");
-            for key in last.tokens.keys() {
-                let ik = InstKey {
-                    rule: net.rule(),
-                    wmes: key.clone(),
-                };
-                assert!(
-                    self.cs.contains(&ik),
-                    "r{rule}: final token missing from conflict set"
-                );
-            }
-            let in_cs = self.cs.iter().filter(|i| i.rule == net.rule()).count();
-            assert_eq!(
-                in_cs,
-                last.tokens.len(),
-                "r{rule}: conflict set/final level desync"
-            );
+        for k in victims {
+            cs.remove(&k);
         }
     }
 }
 
-/// Groups the endpoints of `entered` alpha nodes by rule, yielding each
-/// rule's hit CE positions sorted ascending (the shallow-to-deep delivery
-/// order the beta pass relies on).
-fn hits_by_rule(alpha: &AlphaNetwork, entered: &[NodeId]) -> FxHashMap<RuleId, Vec<usize>> {
+/// What one rule keeps between changes.
+enum RuleState {
+    /// Saved beta memories: the rule's net.
+    Saved(RuleNet),
+    /// Nothing but the conflict set: a bare plan with pinned key plans,
+    /// re-walked on every change.
+    Rewalk(JoinPlan),
+}
+
+impl RuleState {
+    /// Subscribes `rid` under `preset` and seeds it from the shared store.
+    fn build(
+        preset: Preset,
+        program: &Program,
+        rid: RuleId,
+        alpha: &mut AlphaNetwork,
+        cs: &mut ConflictSet,
+    ) -> Self {
+        match preset {
+            Preset::Rete => RuleState::Saved(RuleNet::build(program, rid, alpha, cs)),
+            Preset::Treat => {
+                let plan = JoinPlan::subscribe(alpha, program.rule(rid), true);
+                insert_matches(&plan, alpha, None, cs);
+                RuleState::Rewalk(plan)
+            }
+        }
+    }
+
+    fn plan(&self) -> &JoinPlan {
+        match self {
+            RuleState::Saved(net) => &net.plan,
+            RuleState::Rewalk(plan) => plan,
+        }
+    }
+
+    fn rule(&self) -> RuleId {
+        self.plan().rule().id
+    }
+}
+
+/// The per-rule state a matcher's rules keep, chosen once per matcher.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Preset {
+    /// Every rule saves beta memories.
+    Rete,
+    /// Every rule is re-walked.
+    Treat,
+}
+
+/// Groups the endpoints of `nodes` by rule, yielding each rule's hit CE
+/// positions sorted ascending (the shallow-to-deep delivery order the
+/// beta pass relies on).
+fn hits_by_rule(alpha: &AlphaNetwork, nodes: &[NodeId]) -> FxHashMap<RuleId, Vec<usize>> {
     let mut by_rule: FxHashMap<RuleId, Vec<usize>> = FxHashMap::default();
-    for &nid in entered {
+    for &nid in nodes {
         for ep in alpha.endpoints(nid) {
             by_rule.entry(ep.rule).or_default().push(ep.ce as usize);
         }
@@ -533,16 +612,93 @@ fn hits_by_rule(alpha: &AlphaNetwork, entered: &[NodeId]) -> FxHashMap<RuleId, V
     by_rule
 }
 
-impl Matcher for Rete {
+/// The incremental matcher: the shared alpha network, the conflict set,
+/// and each covered rule's state (saved beta memories or a re-walked
+/// plan), in rule order.
+pub struct Incremental {
+    preset: Preset,
+    alpha: AlphaNetwork,
+    rules: Vec<RuleState>,
+    cs: ConflictSet,
+    /// Lifetime count of full per-rule re-enumerations (the remove-side
+    /// cost a re-walked rule pays when a negative blocker disappears).
+    reenumerations: u64,
+}
+
+impl Incremental {
+    /// The RETE preset over every rule of `program`: every rule saves
+    /// beta memories.
+    pub fn rete(program: Arc<Program>) -> Self {
+        let rules = (0..program.rules().len() as u32).map(RuleId).collect();
+        Self::with_rules(program, rules, Preset::Rete)
+    }
+
+    /// The TREAT preset over every rule of `program`: every rule is
+    /// re-walked, and the conflict set is the only join state.
+    pub fn treat(program: Arc<Program>) -> Self {
+        let rules = (0..program.rules().len() as u32).map(RuleId).collect();
+        Self::with_rules(program, rules, Preset::Treat)
+    }
+
+    /// A matcher over a subset of `program`'s rules (the partitioned
+    /// matcher's workers use this).
+    pub(crate) fn with_rules(program: Arc<Program>, rules: Vec<RuleId>, preset: Preset) -> Self {
+        let mut alpha = AlphaNetwork::new(program.classes.len());
+        let mut cs = ConflictSet::new();
+        let rules = (rules.into_iter())
+            .map(|rid| RuleState::build(preset, &program, rid, &mut alpha, &mut cs))
+            .collect();
+        Incremental {
+            preset,
+            alpha,
+            rules,
+            cs,
+            reenumerations: 0,
+        }
+    }
+
+    /// Verifies the shared layer and every rule's subscriptions agree
+    /// (`conflict_set()` runs this in debug builds).
+    fn check_shared(&self) {
+        // Store/node/index/refcount agreement inside the shared layer.
+        self.alpha.check_invariants();
+        for rule in &self.rules {
+            rule.plan().check_invariants(&self.alpha);
+        }
+    }
+
+    /// Verifies every cross-index of the matcher agrees: the shared layer,
+    /// every rule's subscriptions and every saved net's beta memories
+    /// against the conflict set (the differential suite calls this after
+    /// each batch so index leaks/desyncs surface at the op that caused
+    /// them, not as a wrong conflict set much later). Panics with a
+    /// description on violation.
+    pub fn check_invariants(&self) {
+        self.check_shared();
+        for rule in &self.rules {
+            if let RuleState::Saved(net) = rule {
+                net.check_invariants(&self.alpha, &self.cs);
+            }
+        }
+    }
+}
+
+impl Matcher for Incremental {
     fn add_wme(&mut self, wme: &Wme) {
-        // The shared layer runs each distinct test list once and stores
-        // the payload once; beta delivery fans out to the subscribers.
         let (wref, entered) = self.alpha.add(wme);
         let mut by_rule = hits_by_rule(&self.alpha, &entered);
-        for net in &mut self.nets {
-            if let Some(hits) = by_rule.remove(&net.rule()) {
-                net.beta(&mut self.cs)
-                    .deliver_add(&hits, wref, wme, &self.alpha);
+        for rule in &mut self.rules {
+            let Some(hits) = by_rule.remove(&rule.rule()) else {
+                continue;
+            };
+            match rule {
+                RuleState::Saved(net) => {
+                    net.beta(&mut self.cs)
+                        .deliver_add(&hits, wref, wme, &self.alpha)
+                }
+                RuleState::Rewalk(plan) => {
+                    rewalk_add(plan, &hits, wref, wme, &self.alpha, &mut self.cs)
+                }
             }
         }
     }
@@ -552,15 +708,40 @@ impl Matcher for Rete {
             return; // never added — nothing can reference it
         };
         let mut by_rule = hits_by_rule(&self.alpha, &left);
-        for net in &mut self.nets {
-            if let Some(hits) = by_rule.remove(&net.rule()) {
-                net.beta(&mut self.cs)
-                    .deliver_remove(&hits, &payload, &self.alpha);
+        let mut swept = false;
+        for rule in &mut self.rules {
+            let Some(hits) = by_rule.remove(&rule.rule()) else {
+                continue;
+            };
+            match rule {
+                RuleState::Saved(net) => {
+                    net.beta(&mut self.cs)
+                        .deliver_remove(&hits, &payload, &self.alpha)
+                }
+                RuleState::Rewalk(plan) => {
+                    // One sweep per removal drops every entry that used
+                    // the WME, whichever rule it belongs to; a saved net's
+                    // own retraction then finds its entries already gone.
+                    if !std::mem::replace(&mut swept, true) {
+                        self.cs.retract_wme(wme.id);
+                    }
+                    // A negative CE lost a member, so the rule may gain
+                    // matches: drop its entries and re-derive them.
+                    if hits.iter().any(|&k| plan.negative(k)) {
+                        self.reenumerations += 1;
+                        self.cs.retract_rule(plan.rule().id);
+                        insert_matches(plan, &self.alpha, None, &mut self.cs);
+                    }
+                }
             }
         }
     }
 
     fn conflict_set(&mut self) -> &ConflictSet {
+        // Debug builds re-verify the shared network and every rule's
+        // subscriptions once per read (once per engine cycle).
+        #[cfg(debug_assertions)]
+        self.check_shared();
         &self.cs
     }
 
@@ -568,53 +749,58 @@ impl Matcher for Rete {
         self.cs.drain_journal_or_enable()
     }
 
-    fn metrics(&self) -> crate::MatcherMetrics {
-        let mut m = crate::MatcherMetrics {
-            kind: "rete",
-            rules: self.nets.len(),
+    fn metrics(&self) -> MatcherMetrics {
+        let mut m = MatcherMetrics {
+            kind: match self.preset {
+                Preset::Rete => "rete",
+                Preset::Treat => "treat",
+            },
+            rules: self.rules.len(),
             conflict_set: self.cs.len(),
             alpha_nodes: self.alpha.node_count(),
             alpha_subscriptions: self.alpha.subscription_count(),
             alpha_share_hits: self.alpha.share_hits(),
+            reenumerations: self.reenumerations,
             ..Default::default()
         };
-        for net in &self.nets {
+        for rule in &self.rules {
             // Per-subscription accounting (a shared node counts once per
-            // subscribing level), so `alpha_wmes` and the imbalance
-            // signal keep their pre-sharing values.
-            m.alpha_wmes += net.plan.alpha_wmes(&self.alpha);
-            for level in &net.levels {
-                m.beta_tokens += level.tokens.len();
-                m.negative_counts += level.neg_counts.len();
+            // subscribing CE), so `alpha_wmes` and the imbalance signal
+            // keep their pre-sharing values.
+            m.alpha_wmes += rule.plan().alpha_wmes(&self.alpha);
+            if let RuleState::Saved(net) = rule {
+                for level in &net.levels {
+                    m.beta_tokens += level.tokens.len();
+                    m.negative_counts += level.neg_counts.len();
+                }
             }
         }
         m
     }
 
-    fn replace_rules(
-        &mut self,
-        program: &Arc<Program>,
-        remove: &[RuleId],
-        add: &[RuleId],
-        _wm: &WorkingMemory,
-    ) -> bool {
+    fn replace_rules(&mut self, program: &Arc<Program>, remove: &[RuleId], add: &[RuleId]) -> bool {
         for &rid in remove {
-            // Nodes still used by other rules (a split rule's unchanged
-            // CEs) survive with their membership intact.
-            for net in self.nets.extract_if(.., |n| n.rule() == rid) {
-                net.plan.unsubscribe(&mut self.alpha);
+            // Nodes still subscribed by other rules (a split rule's
+            // unchanged CEs) survive with their membership intact.
+            for rule in self.rules.extract_if(.., |r| r.rule() == rid) {
+                let plan = match rule {
+                    RuleState::Saved(net) => net.plan,
+                    RuleState::Rewalk(plan) => plan,
+                };
+                plan.unsubscribe(&mut self.alpha);
             }
             self.cs.retract_rule(rid);
         }
         for &rid in add {
-            // The build walk derives the new net's tokens from the shared
-            // store — no per-WME replay of working memory.
-            let net = RuleNet::build(program, rid, &mut self.alpha, &mut self.cs);
-            self.nets.push(net);
+            // The build derives the new rule's state from the shared
+            // store: fresh nodes and indexes are seeded on subscription,
+            // shared ones already hold their members.
+            let rule = RuleState::build(self.preset, program, rid, &mut self.alpha, &mut self.cs);
+            self.rules.push(rule);
         }
-        // Net order is not semantically observable (the conflict set is a
+        // Rule order is not semantically observable (the conflict set is a
         // set), but keep it sorted so metrics read deterministically.
-        self.nets.sort_by_key(|n| n.rule());
+        self.rules.sort_by_key(RuleState::rule);
         true
     }
 }
@@ -622,12 +808,14 @@ impl Matcher for Rete {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parulel_core::WorkingMemory;
+    use parulel_core::{FieldCheck, FieldTest, WorkingMemory};
     use parulel_lang::compile;
 
     fn prog(src: &str) -> Arc<Program> {
         Arc::new(compile(src).unwrap())
     }
+
+    // The RETE preset.
 
     #[test]
     fn join_add_and_remove() {
@@ -637,7 +825,7 @@ mod tests {
         );
         let mut wm = WorkingMemory::new(&p.classes);
         let edge = p.classes.id_of(p.interner.intern("edge")).unwrap();
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         let e1 = wm.insert(edge, vec![Value::Int(1), Value::Int(2)]);
         let e2 = wm.insert(edge, vec![Value::Int(2), Value::Int(3)]);
         m.add_wme(&e1);
@@ -663,7 +851,7 @@ mod tests {
         let mut wm = WorkingMemory::new(&p.classes);
         let task = p.classes.id_of(p.interner.intern("task")).unwrap();
         let lock = p.classes.id_of(p.interner.intern("lock")).unwrap();
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         let t = wm.insert(task, vec![Value::Int(7)]);
         m.add_wme(&t);
         assert_eq!(m.conflict_set().len(), 1);
@@ -688,7 +876,7 @@ mod tests {
         let mut wm = WorkingMemory::new(&p.classes);
         let flag = p.classes.id_of(p.interner.intern("flag")).unwrap();
         let item = p.classes.id_of(p.interner.intern("item")).unwrap();
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         let it = wm.insert(item, vec![Value::Int(1)]);
         m.add_wme(&it);
         assert_eq!(m.conflict_set().len(), 1);
@@ -707,7 +895,7 @@ mod tests {
         );
         let mut wm = WorkingMemory::new(&p.classes);
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         for v in [3, 1, 2] {
             let w = wm.insert(n, vec![Value::Int(v)]);
             m.add_wme(&w);
@@ -734,7 +922,7 @@ mod tests {
         let mut reference: Option<Vec<InstKey>> = None;
         let orders = permutations(&[0, 1, 2, 3]);
         for order in orders {
-            let mut m = Rete::new(p.clone());
+            let mut m = Incremental::rete(p.clone());
             for &i in &order {
                 m.add_wme(&wmes[i]);
             }
@@ -779,7 +967,7 @@ mod tests {
         let b = p.classes.id_of(p.interner.intern("b")).unwrap();
         let c = p.classes.id_of(p.interner.intern("c")).unwrap();
         let mut wm = WorkingMemory::new(&p.classes);
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         let wa = wm.insert(a, vec![Value::Int(1)]);
         let wc = wm.insert(c, vec![Value::Int(1)]);
         let wb = wm.insert(b, vec![Value::Int(1)]);
@@ -810,7 +998,7 @@ mod tests {
         let a = p.classes.id_of(p.interner.intern("a")).unwrap();
         let b = p.classes.id_of(p.interner.intern("b")).unwrap();
         let mut wm = WorkingMemory::new(&p.classes);
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         let w1 = wm.insert(a, vec![Value::Int(2)]);
         let w2 = wm.insert(b, vec![Value::Float(2.0)]);
         m.add_wme(&w1);
@@ -830,7 +1018,7 @@ mod tests {
         let a = p.classes.id_of(p.interner.intern("a")).unwrap();
         let b = p.classes.id_of(p.interner.intern("b")).unwrap();
         let mut wm = WorkingMemory::new(&p.classes);
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         let w1 = wm.insert(a, vec![Value::Int(5)]);
         let w2 = wm.insert(a, vec![Value::Int(-1)]);
         let w3 = wm.insert(b, vec![Value::Int(5)]);
@@ -842,7 +1030,10 @@ mod tests {
         }
         assert_eq!(m.conflict_set().len(), 0);
         assert_eq!(m.alpha.store_len(), 0, "arena did not drain");
-        for net in &m.nets {
+        for rule in &m.rules {
+            let RuleState::Saved(net) = rule else {
+                panic!("the RETE preset saves every rule");
+            };
             for (k, level) in net.levels.iter().enumerate() {
                 assert!(
                     m.alpha.members(net.plan.nodes()[k]).is_empty(),
@@ -883,12 +1074,12 @@ mod tests {
         for (a, b) in [(1, 2), (2, 3), (3, 1)] {
             wm.insert(edge, vec![Value::Int(a), Value::Int(b)]);
         }
-        let mut m = Rete::new(p.clone());
+        let mut m = Incremental::rete(p.clone());
         for w in wm.iter() {
             m.add_wme(w);
         }
         let want = m.conflict_set().sorted_keys();
-        assert!(m.replace_rules(&p, &[RuleId(0)], &[RuleId(0)], &wm));
+        assert!(m.replace_rules(&p, &[RuleId(0)], &[RuleId(0)]));
         assert_eq!(m.conflict_set().sorted_keys(), want);
         m.check_invariants();
     }
@@ -904,7 +1095,7 @@ mod tests {
              (p r3 (n ^v 2 ^w <x>) --> (halt))";
         let p = prog(src);
         let n = p.classes.id_of(p.interner.intern("n")).unwrap();
-        let mut shared = Rete::new(p.clone());
+        let mut shared = Incremental::rete(p.clone());
         let mut oracle = crate::NaiveMatcher::new(p.clone());
         let mut wm = WorkingMemory::new(&p.classes);
         for v in [1, 1, 2] {
@@ -925,6 +1116,169 @@ mod tests {
             ms.alpha_wmes, 7,
             "per-subscription accounting: 2 + 2 + 2 members at v=1, 1 at v=2"
         );
+        shared.check_invariants();
+    }
+
+    // The TREAT preset.
+
+    #[test]
+    fn incremental_join() {
+        let p = prog(
+            "(literalize edge from to)
+             (p hop (edge ^from <a> ^to <b>) (edge ^from <b> ^to <c>) --> (halt))",
+        );
+        let edge = p.classes.id_of(p.interner.intern("edge")).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let mut m = Incremental::treat(p.clone());
+        let e1 = wm.insert(edge, vec![Value::Int(1), Value::Int(2)]);
+        let e2 = wm.insert(edge, vec![Value::Int(2), Value::Int(3)]);
+        m.add_wme(&e1);
+        m.add_wme(&e2);
+        assert_eq!(m.conflict_set().len(), 1);
+        m.remove_wme(&e1);
+        assert_eq!(m.conflict_set().len(), 0);
+    }
+
+    #[test]
+    fn self_loop_joins_itself() {
+        let p = prog(
+            "(literalize edge from to)
+             (p hop (edge ^from <a> ^to <b>) (edge ^from <b> ^to <c>) --> (halt))",
+        );
+        let edge = p.classes.id_of(p.interner.intern("edge")).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let mut m = Incremental::treat(p.clone());
+        let e = wm.insert(edge, vec![Value::Int(5), Value::Int(5)]);
+        m.add_wme(&e);
+        assert_eq!(m.conflict_set().len(), 1, "5->5->5 via the same WME");
+    }
+
+    #[test]
+    fn negative_blocker_add_and_remove() {
+        let p = prog(
+            "(literalize task id)
+             (literalize lock id)
+             (p free (task ^id <t>) -(lock ^id <t>) --> (halt))",
+        );
+        let task = p.classes.id_of(p.interner.intern("task")).unwrap();
+        let lock = p.classes.id_of(p.interner.intern("lock")).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let mut m = Incremental::treat(p.clone());
+        let t = wm.insert(task, vec![Value::Int(1)]);
+        m.add_wme(&t);
+        assert_eq!(m.conflict_set().len(), 1);
+        let l = wm.insert(lock, vec![Value::Int(1)]);
+        m.add_wme(&l);
+        assert_eq!(m.conflict_set().len(), 0);
+        m.remove_wme(&l);
+        assert_eq!(m.conflict_set().len(), 1);
+    }
+
+    #[test]
+    fn blocker_only_kills_consistent_matches() {
+        let p = prog(
+            "(literalize task id)
+             (literalize lock id)
+             (p free (task ^id <t>) -(lock ^id <t>) --> (halt))",
+        );
+        let task = p.classes.id_of(p.interner.intern("task")).unwrap();
+        let lock = p.classes.id_of(p.interner.intern("lock")).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let mut m = Incremental::treat(p.clone());
+        let t1 = wm.insert(task, vec![Value::Int(1)]);
+        let t2 = wm.insert(task, vec![Value::Int(2)]);
+        m.add_wme(&t1);
+        m.add_wme(&t2);
+        assert_eq!(m.conflict_set().len(), 2);
+        let l = wm.insert(lock, vec![Value::Int(1)]);
+        m.add_wme(&l);
+        let cs = m.conflict_set();
+        assert_eq!(cs.len(), 1);
+        assert!(cs.iter().all(|i| i.wmes[0].id == t2.id));
+    }
+
+    #[test]
+    fn split_and_unsplit_leaves_no_index_behind() {
+        // `hop` is split in two by a hash constraint on CE 0 (residue 0
+        // keeps its id, residue 1 is appended), then un-split. `walk`
+        // shares `hop`'s second node and index, so leaked or doubly
+        // dropped refcounts would show.
+        let p = prog(
+            "(literalize edge from to)
+             (p hop (edge ^from <a> ^to <b>) (edge ^from <b> ^to <c>) --> (halt))
+             (p walk (edge ^to <a>) (edge ^from <a> ^to <c>) --> (halt))",
+        );
+        let mut split = Program::new(p.interner.clone(), p.classes.clone());
+        let copy = |residue| {
+            let mut r = p.rules()[0].clone();
+            r.name = p.interner.intern(&format!("hop~{residue}"));
+            r.ces[0].tests.push(FieldTest {
+                slot: 0,
+                check: FieldCheck::HashMod {
+                    divisor: 2,
+                    residue,
+                },
+            });
+            r
+        };
+        split.add_rule(copy(0)).unwrap();
+        split.add_rule(p.rules()[1].clone()).unwrap();
+        split.add_rule(copy(1)).unwrap();
+        let split = Arc::new(split);
+
+        let edge = p.classes.id_of(p.interner.intern("edge")).unwrap();
+        let mut wm = WorkingMemory::new(&p.classes);
+        let mut m = Incremental::treat(p.clone());
+        for (a, b) in [(1, 2), (2, 3), (3, 1), (2, 2)] {
+            m.add_wme(&wm.insert(edge, vec![Value::Int(a), Value::Int(b)]));
+        }
+        let before = m.alpha.index_census();
+        let want = m.conflict_set().sorted_keys();
+
+        let (hop, copy1) = (RuleId(0), RuleId(2));
+        assert!(m.replace_rules(&split, &[hop], &[hop, copy1]));
+        m.check_invariants();
+        assert_ne!(
+            m.alpha.index_census(),
+            before,
+            "the split subscribes new nodes"
+        );
+        assert_eq!(m.conflict_set().len(), want.len());
+
+        assert!(m.replace_rules(&p, &[hop, copy1], &[hop]));
+        m.check_invariants();
+        assert_eq!(m.alpha.index_census(), before);
+        assert_eq!(m.conflict_set().sorted_keys(), want);
+    }
+
+    #[test]
+    fn shared_nodes_route_adds_without_full_rule_scan() {
+        // Two rules sharing a constant test plus one rule that cannot
+        // match the added class at all: sharing dedups the node, and the
+        // conflict set agrees with the naive oracle.
+        let src = "(literalize n v w)
+             (literalize other x)
+             (p r1 (n ^v 1 ^w <x>) (n ^v 1 ^w <y>) --> (halt))
+             (p r2 (n ^v 1 ^w <x>) --> (halt))
+             (p r3 (other ^x <z>) --> (halt))";
+        let p = prog(src);
+        let n = p.classes.id_of(p.interner.intern("n")).unwrap();
+        let mut shared = Incremental::treat(p.clone());
+        let mut oracle = crate::NaiveMatcher::new(p.clone());
+        let mut wm = WorkingMemory::new(&p.classes);
+        for v in [1, 1, 2] {
+            let w = wm.insert(n, vec![Value::Int(v), Value::Int(0)]);
+            shared.add_wme(&w);
+            oracle.add_wme(&w);
+        }
+        assert_eq!(
+            shared.conflict_set().sorted_keys(),
+            oracle.conflict_set().sorted_keys()
+        );
+        let ms = shared.metrics();
+        assert_eq!(ms.alpha_subscriptions, 4);
+        assert_eq!(ms.alpha_nodes, 2, "r1's CEs and r2's CE collapse into one");
+        assert!(ms.alpha_share_hits > 0);
         shared.check_invariants();
     }
 }

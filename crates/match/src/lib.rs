@@ -6,44 +6,46 @@
 //! *state-saving* match: each cycle only the working-memory delta is
 //! pushed through the network.
 //!
-//! Four engines, one [`Matcher`] trait, and one join kernel
+//! Three matchers, one [`Matcher`] trait, and one join kernel
 //! ([`enumerate`]): a per-rule `JoinPlan` over the
 //! shared [`alpha`] network and the one depth-first walk that probes its
-//! indexes and checks every CE. RETE, TREAT and the naive oracle all join
-//! through that walk; they differ only in what they keep between changes.
+//! indexes and checks every CE. Every matcher joins through that walk;
+//! they differ only in what they keep between changes.
 //!
 //! * [`NaiveMatcher`] — recomputes the conflict set from scratch on demand
 //!   (the walk over class scans). Exists as the correctness oracle the
-//!   incremental engines are property-tested against, and as the "no
+//!   incremental matchers are property-tested against, and as the "no
 //!   state saving" baseline in the Figure 2 ablation.
-//! * [`Rete`] — the classic state-saving network (Forgy 1982): the kernel
-//!   walk plus beta token memories and counted negative nodes, resumed at
-//!   a stored token on each change. Add *and* remove are incremental.
-//! * [`Treat`] — Miranker's alpha-memory-only alternative: no beta
-//!   memories; the conflict set itself is the only join state. Adds run
-//!   the walk pinned at each matching CE position; removes delete
-//!   conflict-set entries directly. Cheaper on remove-heavy programs,
-//!   pays join recomputation on adds.
+//! * [`Incremental`] — one alpha network, one conflict set, and per rule
+//!   what it keeps between changes, set by one of two presets:
+//!   - [`Incremental::rete`] — the classic state-saving network (Forgy
+//!     1982): beta token memories and counted negative nodes, the walk
+//!     resumed at a stored token on each change. Add *and* remove are
+//!     incremental.
+//!   - [`Incremental::treat`] — Miranker's alpha-memory-only alternative:
+//!     the conflict set itself is the only join state. Adds run the walk
+//!     pinned at each matching CE position; removes delete conflict-set
+//!     entries directly. Cheaper on remove-heavy programs, pays join
+//!     recomputation on adds.
 //! * [`Partitioned`] — PARULEL's parallel match: rules are partitioned
-//!   across workers, each owning a private RETE (or TREAT) over the same
-//!   WME stream; deltas are applied to all workers in parallel (rayon) and
-//!   the conflict set is the union. Combine with the copy-and-constrain
-//!   transform (in `parulel-engine`) to split hot rules across workers.
+//!   across workers, each owning a private incremental matcher (either
+//!   preset) over the same WME stream; deltas are applied to all workers
+//!   in parallel (rayon) and the conflict set is the union. Combine with
+//!   the copy-and-constrain transform (in `parulel-engine`) to split hot
+//!   rules across workers.
 
 #![warn(missing_docs)]
 
 pub mod alpha;
 pub mod arena;
 pub mod enumerate;
+pub mod incremental;
 pub mod naive;
 pub mod partitioned;
-pub mod rete;
-pub mod treat;
 
+pub use incremental::Incremental;
 pub use naive::NaiveMatcher;
 pub use partitioned::Partitioned;
-pub use rete::Rete;
-pub use treat::Treat;
 
 use parulel_core::{ConflictSet, CsEvent, Program, RuleId, Wme, WorkingMemory};
 use std::sync::Arc;
@@ -70,10 +72,10 @@ pub struct MatcherMetrics {
     /// WMEs held in alpha memories, summed across CEs (a WME passing
     /// several CEs' constant tests counts once per memory).
     pub alpha_wmes: usize,
-    /// Partial-match tokens held in beta memories (RETE only; zero for
-    /// TREAT/naive, which keep no beta state).
+    /// Partial-match tokens held in beta memories (RETE preset only; zero
+    /// for TREAT/naive, which keep no beta state).
     pub beta_tokens: usize,
-    /// Entries in counted-negative-node tables (RETE only).
+    /// Entries in counted-negative-node tables (RETE preset only).
     pub negative_counts: usize,
     /// Live nodes in the shared alpha network: distinct (class,
     /// constant-test) memories after deduplication (zero for naive,
@@ -86,8 +88,8 @@ pub struct MatcherMetrics {
     /// out to more than one subscriber — work the per-rule layout would
     /// have repeated. `> 0` proves sharing is live.
     pub alpha_share_hits: u64,
-    /// Lifetime count of full per-rule re-enumerations (TREAT only:
-    /// the cost paid when a negative blocker disappears).
+    /// Lifetime count of full per-rule re-enumerations (TREAT preset
+    /// only: the cost paid when a negative blocker disappears).
     pub reenumerations: u64,
     /// Lifetime count of full conflict-set recomputes (naive only).
     pub recomputes: u64,
@@ -192,26 +194,27 @@ pub trait Matcher: Send {
     }
 
     /// A snapshot of the matcher's internal population. The default is an
-    /// empty report; the four shipped matchers all override it.
+    /// empty report; the naive, incremental and partitioned matchers all
+    /// override it.
     fn metrics(&self) -> MatcherMetrics {
         MatcherMetrics::default()
     }
 
     /// Surgically swaps a set of rules for another against the *new*
     /// program `_program`: nets/memories for `_remove` are dropped (their
-    /// conflict-set entries purged) and nets for `_add` are built and
-    /// seeded from `_wm`. Both lists name rules by their ids **in the new
-    /// program**; a rule id appearing in both lists is rebuilt (its
-    /// definition changed). Returns `false` when the matcher does not
-    /// support in-place replacement — the caller must then rebuild the
-    /// whole matcher. Called by `Engine::reload`, which rebuilds only the
-    /// changed rules and keeps every unchanged rule's state.
+    /// conflict-set entries purged) and state for `_add` is built and
+    /// seeded from the matcher's own store of the live WMEs. Both lists
+    /// name rules by their ids **in the new program**; a rule id appearing
+    /// in both lists is rebuilt (its definition changed). Returns `false`
+    /// when the matcher does not support in-place replacement — the
+    /// caller must then rebuild the whole matcher. Called by
+    /// `Engine::reload`, which rebuilds only the changed rules and keeps
+    /// every unchanged rule's state.
     fn replace_rules(
         &mut self,
         _program: &Arc<Program>,
         _remove: &[RuleId],
         _add: &[RuleId],
-        _wm: &WorkingMemory,
     ) -> bool {
         false
     }

@@ -1,6 +1,6 @@
 //! The naive (recompute-everything) matcher: the correctness oracle. It
-//! runs the same kernel walk as RETE and TREAT, over class scans instead
-//! of the shared alpha network's indexes.
+//! runs the same kernel walk as the incremental matcher, over class scans
+//! instead of the shared alpha network's indexes.
 
 use crate::enumerate::enumerate_rule;
 use crate::Matcher;

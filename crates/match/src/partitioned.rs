@@ -1,7 +1,8 @@
 //! PARULEL's parallel match: rule-level partitioning across workers.
 //!
-//! Each worker owns a private matcher (RETE or TREAT) built over a subset
-//! of the program's rules; every working-memory delta is applied to all
+//! Each worker owns a private [`Incremental`] matcher (RETE or TREAT
+//! preset, the same for every worker) built over a subset of the
+//! program's rules; every working-memory delta is applied to all
 //! workers **in parallel** (a rayon fork-join per batch), and the conflict
 //! set is the union of the workers' sets.
 //!
@@ -12,24 +13,26 @@
 //! exactly what the *copy-and-constrain* transform (`parulel-engine`)
 //! addresses by splitting hot rules into hash-disjoint copies first.
 
-use crate::{Matcher, Rete, Treat};
+use crate::incremental::Preset;
+use crate::{Incremental, Matcher};
 use parulel_core::{ConflictSet, CsEvent, Program, RuleId, Wme, WorkingMemory};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// A matcher that distributes rules across `n` inner matchers and applies
-/// deltas to them in parallel.
+/// A matcher that distributes rules across `n` incremental matchers and
+/// applies deltas to them in parallel.
 ///
 /// The merged conflict set is maintained **incrementally**: after every
 /// delta each worker's conflict-set journal ([`Matcher::drain_cs_events`])
 /// is absorbed, and `conflict_set()` replays the buffered events against
 /// the merged set instead of re-unioning every worker's set from scratch.
 /// Rule partitions are disjoint, so workers can never disagree about a
-/// key and in-order replay yields exactly the union. Workers that don't
-/// journal (the trait default) force a full rebuild, as does
+/// key and in-order replay yields exactly the union. A worker whose
+/// journal is not yet on forces a full rebuild, as does
 /// [`replace_rules`](Matcher::replace_rules).
-pub struct Partitioned<M: Matcher> {
-    workers: Vec<M>,
+pub struct Partitioned {
+    preset: Preset,
+    workers: Vec<Incremental>,
     /// Which rules each worker owns (parallel to `workers`).
     assignments: Vec<Vec<RuleId>>,
     merged: ConflictSet,
@@ -53,10 +56,9 @@ pub fn round_robin(num_rules: usize, n: usize) -> Vec<Vec<RuleId>> {
     parts
 }
 
-impl<M: Matcher> Partitioned<M> {
-    /// Builds a partitioned matcher with `n` workers over `program`,
-    /// constructing each worker with `make(program, rules)` (every worker
-    /// shares the one `Arc`'d program).
+impl Partitioned {
+    /// `n` workers under the RETE preset over `program`, every worker
+    /// sharing the one `Arc`'d program.
     ///
     /// `n == 0` is clamped to one worker (a zero-worker matcher cannot
     /// exist); callers that consider `0` an input error must reject it
@@ -64,18 +66,25 @@ impl<M: Matcher> Partitioned<M> {
     /// visible via [`num_workers`](Self::num_workers) and
     /// [`metrics`](Matcher::metrics), so reports never claim a shard
     /// count that was never used.
-    pub fn new_with(
-        program: &Arc<Program>,
-        n: usize,
-        make: impl Fn(Arc<Program>, Vec<RuleId>) -> M,
-    ) -> Self {
+    pub fn rete(program: Arc<Program>, n: usize) -> Self {
+        Self::new(program, n, Preset::Rete)
+    }
+
+    /// `n` workers under the TREAT preset over `program`; see
+    /// [`rete`](Self::rete) for how `n` is read.
+    pub fn treat(program: Arc<Program>, n: usize) -> Self {
+        Self::new(program, n, Preset::Treat)
+    }
+
+    fn new(program: Arc<Program>, n: usize, preset: Preset) -> Self {
         let parts = round_robin(program.rules().len(), n);
-        let workers: Vec<M> = parts
+        let workers: Vec<Incremental> = parts
             .iter()
-            .map(|rules| make(program.clone(), rules.clone()))
+            .map(|rules| Incremental::with_rules(program.clone(), rules.clone(), preset))
             .collect();
         let n = workers.len();
         Partitioned {
+            preset,
             workers,
             assignments: parts,
             merged: ConflictSet::new(),
@@ -98,7 +107,7 @@ impl<M: Matcher> Partitioned<M> {
     }
 
     /// Absorbs each worker's conflict-set journal into the per-worker
-    /// pending buffers. A worker with no journal support forces a rebuild;
+    /// pending buffers. A worker whose journal was off forces a rebuild;
     /// a worker with an empty journal contributes nothing — in particular,
     /// a quiescent delta leaves the merged set clean (`dirty` stays
     /// false), so `conflict_set()` is free.
@@ -120,21 +129,7 @@ impl<M: Matcher> Partitioned<M> {
     }
 }
 
-impl Partitioned<Rete> {
-    /// `n` RETE workers over `program`.
-    pub fn rete(program: Arc<Program>, n: usize) -> Self {
-        Self::new_with(&program, n, Rete::with_rules)
-    }
-}
-
-impl Partitioned<Treat> {
-    /// `n` TREAT workers over `program`.
-    pub fn treat(program: Arc<Program>, n: usize) -> Self {
-        Self::new_with(&program, n, Treat::with_rules)
-    }
-}
-
-impl<M: Matcher> Matcher for Partitioned<M> {
+impl Matcher for Partitioned {
     fn add_wme(&mut self, wme: &Wme) {
         for w in &mut self.workers {
             w.add_wme(wme);
@@ -158,12 +153,7 @@ impl<M: Matcher> Matcher for Partitioned<M> {
 
     fn seed(&mut self, wm: &WorkingMemory) {
         let all: Vec<Wme> = wm.iter().cloned().collect();
-        self.workers.par_iter_mut().for_each(|w| {
-            for wme in &all {
-                w.add_wme(wme);
-            }
-        });
-        self.absorb_deltas();
+        self.apply(&[], &all);
     }
 
     fn conflict_set(&mut self) -> &ConflictSet {
@@ -219,13 +209,7 @@ impl<M: Matcher> Matcher for Partitioned<M> {
         &self.merged
     }
 
-    fn replace_rules(
-        &mut self,
-        program: &Arc<Program>,
-        remove: &[RuleId],
-        add: &[RuleId],
-        wm: &WorkingMemory,
-    ) -> bool {
+    fn replace_rules(&mut self, program: &Arc<Program>, remove: &[RuleId], add: &[RuleId]) -> bool {
         // Every removed rule keeps pointing at its owner; added rules are
         // spread from the first removed rule's owner onward so the new
         // copies land on distinct workers (the whole point of the split).
@@ -252,9 +236,8 @@ impl<M: Matcher> Matcher for Partitioned<M> {
             if rm.is_empty() && ad.is_empty() {
                 continue;
             }
-            if !self.workers[i].replace_rules(program, rm, ad, wm) {
-                return false;
-            }
+            // Incremental workers always replace in place.
+            self.workers[i].replace_rules(program, rm, ad);
             self.assignments[i].retain(|r| !rm.contains(r));
             self.assignments[i].extend(ad.iter().copied());
             self.assignments[i].sort();
@@ -268,10 +251,9 @@ impl<M: Matcher> Matcher for Partitioned<M> {
         let per_shard: Vec<crate::MatcherMetrics> =
             self.workers.iter().map(|w| w.metrics()).collect();
         let mut m = crate::MatcherMetrics {
-            kind: match per_shard.first().map(|s| s.kind) {
-                Some("rete") => "partitioned-rete",
-                Some("treat") => "partitioned-treat",
-                _ => "partitioned",
+            kind: match self.preset {
+                Preset::Rete => "partitioned-rete",
+                Preset::Treat => "partitioned-treat",
             },
             shards: self.workers.len(),
             // Rule partitions are disjoint, so sums across shards are
@@ -397,7 +379,7 @@ mod tests {
         let (p, wm) = setup();
         let all: Vec<Wme> = wm.sorted_snapshot();
         let mut inc = Partitioned::rete(p.clone(), 3);
-        let mut mono = Rete::new(p.clone());
+        let mut mono = Incremental::rete(p.clone());
         inc.seed(&wm);
         mono.seed(&wm);
         assert_eq!(
@@ -462,11 +444,11 @@ mod tests {
         let mut m = Partitioned::rete(p.clone(), 2);
         m.seed(&wm);
         let want = m.conflict_set().sorted_keys();
-        assert!(m.replace_rules(&p, &[RuleId(2)], &[RuleId(2)], &wm));
+        assert!(m.replace_rules(&p, &[RuleId(2)], &[RuleId(2)]));
         assert_eq!(m.conflict_set().sorted_keys(), want);
         let mut t = Partitioned::treat(p.clone(), 2);
         t.seed(&wm);
-        assert!(t.replace_rules(&p, &[RuleId(2)], &[RuleId(2)], &wm));
+        assert!(t.replace_rules(&p, &[RuleId(2)], &[RuleId(2)]));
         assert_eq!(t.conflict_set().sorted_keys(), want);
     }
 }

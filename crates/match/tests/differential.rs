@@ -31,7 +31,7 @@ mod common;
 
 use common::{build_program, op, rule_spec, Op, RuleSpec};
 use parulel_core::{RuleId, Value, Wme, WorkingMemory};
-use parulel_match::{Matcher, NaiveMatcher, Partitioned, Rete, Treat};
+use parulel_match::{Incremental, Matcher, NaiveMatcher, Partitioned};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -88,8 +88,8 @@ fn run_batched_differential(specs: Vec<RuleSpec>, batches: Vec<Vec<Op>>, workers
 
     let mut naive = NaiveMatcher::new(program.clone());
     let mut matchers: Vec<(&str, Box<dyn Matcher>)> = vec![
-        ("rete", Box::new(Rete::new(program.clone()))),
-        ("treat", Box::new(Treat::new(program.clone()))),
+        ("rete", Box::new(Incremental::rete(program.clone()))),
+        ("treat", Box::new(Incremental::treat(program.clone()))),
         (
             "partitioned-rete",
             Box::new(Partitioned::rete(program.clone(), workers)),
@@ -105,9 +105,9 @@ fn run_batched_differential(specs: Vec<RuleSpec>, batches: Vec<Vec<Op>>, workers
     // hygiene) are checked at the batch that violates them — the boxed
     // instances only get compared by conflict set.
     #[cfg(debug_assertions)]
-    let mut rete_chk = Rete::new(program.clone());
+    let mut rete_chk = Incremental::rete(program.clone());
     #[cfg(debug_assertions)]
-    let mut treat_chk = Treat::new(program.clone());
+    let mut treat_chk = Incremental::treat(program.clone());
 
     for (step, batch) in batches.into_iter().enumerate() {
         let (removed, added) = materialize(&mut wm, &mut live, batch);
@@ -153,8 +153,8 @@ fn run_replace_rules_churn(
 
     let mut naive = NaiveMatcher::new(program.clone());
     let mut matchers: Vec<(&str, Box<dyn Matcher>)> = vec![
-        ("rete", Box::new(Rete::new(program.clone()))),
-        ("treat", Box::new(Treat::new(program.clone()))),
+        ("rete", Box::new(Incremental::rete(program.clone()))),
+        ("treat", Box::new(Incremental::treat(program.clone()))),
         (
             "partitioned-rete",
             Box::new(Partitioned::rete(program.clone(), workers)),
@@ -165,9 +165,9 @@ fn run_replace_rules_churn(
         ),
     ];
     #[cfg(debug_assertions)]
-    let mut rete_chk = Rete::new(program.clone());
+    let mut rete_chk = Incremental::rete(program.clone());
     #[cfg(debug_assertions)]
-    let mut treat_chk = Treat::new(program.clone());
+    let mut treat_chk = Incremental::treat(program.clone());
 
     let step_all = |naive: &mut NaiveMatcher,
                         matchers: &mut Vec<(&str, Box<dyn Matcher>)>,
@@ -201,7 +201,7 @@ fn run_replace_rules_churn(
     // identical memories from the WME store.
     let want = naive.conflict_set().sorted_keys();
     for (name, m) in matchers.iter_mut() {
-        m.replace_rules(&program, &rules, &rules, &wm);
+        m.replace_rules(&program, &rules, &rules);
         assert_eq!(
             m.conflict_set().sorted_keys(),
             want,
@@ -210,9 +210,9 @@ fn run_replace_rules_churn(
     }
     #[cfg(debug_assertions)]
     {
-        rete_chk.replace_rules(&program, &rules, &rules, &wm);
+        rete_chk.replace_rules(&program, &rules, &rules);
         rete_chk.check_invariants();
-        treat_chk.replace_rules(&program, &rules, &rules, &wm);
+        treat_chk.replace_rules(&program, &rules, &rules);
         treat_chk.check_invariants();
     }
 
@@ -245,13 +245,13 @@ fn run_apply_vs_per_op(specs: Vec<RuleSpec>, batches: Vec<Vec<Op>>, workers: usi
         ),
         (
             "rete",
-            Box::new(Rete::new(program.clone())),
-            Box::new(Rete::new(program.clone())),
+            Box::new(Incremental::rete(program.clone())),
+            Box::new(Incremental::rete(program.clone())),
         ),
         (
             "treat",
-            Box::new(Treat::new(program.clone())),
-            Box::new(Treat::new(program.clone())),
+            Box::new(Incremental::treat(program.clone())),
+            Box::new(Incremental::treat(program.clone())),
         ),
         (
             "partitioned-rete",
@@ -268,7 +268,7 @@ fn run_apply_vs_per_op(specs: Vec<RuleSpec>, batches: Vec<Vec<Op>>, workers: usi
     // Invariant-checked RETE twin on the *per-WME* path, so leaks
     // reachable only through add_wme/remove_wme (not apply) surface too.
     #[cfg(debug_assertions)]
-    let mut rete_chk = Rete::new(program.clone());
+    let mut rete_chk = Incremental::rete(program.clone());
 
     for (step, batch) in batches.into_iter().enumerate() {
         let (removed, added) = materialize(&mut wm, &mut live, batch);
@@ -316,8 +316,8 @@ fn run_seed_vs_incremental(specs: Vec<RuleSpec>, adds: Vec<Op>, workers: usize) 
     type Builder = fn(Arc<parulel_core::Program>, usize) -> Box<dyn Matcher>;
     let builders: Vec<(&str, Builder)> = vec![
         ("naive", |p, _| Box::new(NaiveMatcher::new(p))),
-        ("rete", |p, _| Box::new(Rete::new(p))),
-        ("treat", |p, _| Box::new(Treat::new(p))),
+        ("rete", |p, _| Box::new(Incremental::rete(p))),
+        ("treat", |p, _| Box::new(Incremental::treat(p))),
         ("partitioned-rete", |p, n| Box::new(Partitioned::rete(p, n))),
         ("partitioned-treat", |p, n| {
             Box::new(Partitioned::treat(p, n))
@@ -445,7 +445,7 @@ fn treat_agrees_with_naive(src: &str, facts: &[(&str, Vec<Value>)]) {
         }
         let mut wm = WorkingMemory::new(&program.classes);
         let mut naive = NaiveMatcher::new(program.clone());
-        let mut treat = Treat::new(program.clone());
+        let mut treat = Incremental::treat(program.clone());
         let mut added = Vec::new();
         for (class, fields) in order {
             let cid = program

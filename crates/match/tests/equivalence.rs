@@ -7,7 +7,7 @@ mod common;
 
 use common::{build_program, op, rule_spec, CeSpec, CheckSpec, Op, RuleSpec};
 use parulel_core::{Value, Wme, WorkingMemory};
-use parulel_match::{Matcher, NaiveMatcher, Partitioned, Rete, Treat};
+use parulel_match::{Incremental, Matcher, NaiveMatcher, Partitioned};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -15,8 +15,8 @@ fn run_equivalence(specs: Vec<RuleSpec>, ops: Vec<Op>, workers: usize) {
     let program = Arc::new(build_program(&specs));
     let mut wm = WorkingMemory::new(&program.classes);
     let mut naive = NaiveMatcher::new(program.clone());
-    let mut rete = Rete::new(program.clone());
-    let mut treat = Treat::new(program.clone());
+    let mut rete = Incremental::rete(program.clone());
+    let mut treat = Incremental::treat(program.clone());
     let mut part = Partitioned::rete(program.clone(), workers);
     let mut live: Vec<Wme> = Vec::new();
 

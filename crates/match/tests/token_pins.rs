@@ -9,7 +9,7 @@
 //! must leave every number here unchanged.
 
 use parulel_core::{fnv1a, ClassId, ConflictSet, Program, Value, Wme, WorkingMemory};
-use parulel_match::{Matcher, Rete, Treat};
+use parulel_match::{Incremental, Matcher};
 use parulel_workloads::{Closure, Market, Scenario};
 use std::sync::Arc;
 
@@ -144,12 +144,12 @@ struct Pin {
 
 fn observe(name: &str, program: Program, mut wm: WorkingMemory) -> Vec<Pin> {
     let program = Arc::new(program);
-    let mut rete = Rete::new(program.clone());
-    let mut treat = Treat::new(program.clone());
+    let mut rete = Incremental::rete(program.clone());
+    let mut treat = Incremental::treat(program.clone());
     rete.seed(&wm);
     treat.seed(&wm);
     let mut pins = Vec::new();
-    let mut record = |rete: &mut Rete, treat: &mut Treat| {
+    let mut record = |rete: &mut Incremental, treat: &mut Incremental| {
         rete.check_invariants();
         treat.check_invariants();
         let cs = cs_digest(rete.conflict_set());

@@ -74,9 +74,9 @@ pub struct Failure {
     pub kind: &'static str,
     /// Human-readable detail.
     pub msg: String,
-    /// For `engine` failures: the [`EngineError::kind`]
-    /// (`parulel_engine::EngineError::kind`) tag and the cycle it
-    /// tripped on.
+    /// For `engine` failures: the
+    /// [`EngineError::kind`](parulel_engine::EngineError::kind) tag and
+    /// the cycle it tripped on.
     pub engine: Option<(&'static str, u64)>,
     /// True when the failure killed the session (graceful degradation:
     /// one session dies, the daemon keeps serving the rest).
@@ -128,16 +128,38 @@ pub fn req_str<'a>(frame: &'a Json, key: &str) -> Result<&'a str, Failure> {
         .ok_or_else(|| Failure::new(kind::PROTOCOL, format!("missing string field {key:?}")))
 }
 
+/// The refusal of request field `key`, which is not `want`.
+fn wrong_type(key: &str, want: &str) -> Failure {
+    Failure::new(kind::PROTOCOL, format!("field {key:?} must be {want}"))
+}
+
+/// Optional string field of a request frame: absent or `null` is `None`,
+/// any other non-string is refused.
+pub fn opt_str<'a>(frame: &'a Json, key: &str) -> Result<Option<&'a str>, Failure> {
+    match frame.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Str(s)) => Ok(Some(s)),
+        Some(_) => Err(wrong_type(key, "a string")),
+    }
+}
+
+/// Optional boolean field of a request frame: absent or `null` is
+/// `None`, any other non-boolean is refused.
+pub fn opt_bool(frame: &Json, key: &str) -> Result<Option<bool>, Failure> {
+    match frame.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Bool(b)) => Ok(Some(*b)),
+        Some(_) => Err(wrong_type(key, "a boolean")),
+    }
+}
+
 /// Optional non-negative integer field of a request frame.
 pub fn opt_u64(frame: &Json, key: &str) -> Result<Option<u64>, Failure> {
     match frame.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => match v.as_f64() {
             Some(n) if n >= 0.0 && n == n.trunc() => Ok(Some(n as u64)),
-            _ => Err(Failure::new(
-                kind::PROTOCOL,
-                format!("field {key:?} must be a non-negative integer"),
-            )),
+            _ => Err(wrong_type(key, "a non-negative integer")),
         },
     }
 }

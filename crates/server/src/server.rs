@@ -698,11 +698,11 @@ impl Server {
         if let Some(n) = protocol::opt_u64(frame, "max_delta")? {
             budgets.max_delta = Some(n as usize);
         }
-        let matcher = match frame.get("matcher").and_then(|v| v.as_str()) {
+        let matcher = match protocol::opt_str(frame, "matcher")? {
             None => MatcherKind::Rete,
-            Some(s) => parse_matcher(s)?,
+            Some(s) => s.parse().map_err(|e| Failure::new(kind::PROTOCOL, e))?,
         };
-        let metrics = match frame.get("metrics").and_then(|v| v.as_str()) {
+        let metrics = match protocol::opt_str(frame, "metrics")? {
             None => self.config.metrics,
             Some("off") => MetricsLevel::Off,
             Some("rules") => MetricsLevel::Rules,
@@ -956,7 +956,7 @@ fn unknown_session(name: &str) -> Failure {
 /// Parses the `open` frame's `policy`/`guard`/`meta` fields into a
 /// [`FiringPolicy`].
 fn parse_policy(frame: &Json) -> Result<FiringPolicy, Failure> {
-    let guard = match frame.get("guard").and_then(|v| v.as_str()) {
+    let guard = match protocol::opt_str(frame, "guard")? {
         None | Some("off") => GuardMode::Off,
         Some("ww") => GuardMode::WriteWrite,
         Some("serializable") => GuardMode::Serializable,
@@ -967,8 +967,8 @@ fn parse_policy(frame: &Json) -> Result<FiringPolicy, Failure> {
             ))
         }
     };
-    let meta = frame.get("meta") != Some(&Json::Bool(false));
-    match frame.get("policy").and_then(|v| v.as_str()) {
+    let meta = protocol::opt_bool(frame, "meta")?.unwrap_or(true);
+    match protocol::opt_str(frame, "policy")? {
         None | Some("parallel") => Ok(FiringPolicy::FireAll { meta, guard }),
         Some("lex") => Ok(FiringPolicy::SelectOne(Strategy::Lex)),
         Some("mea") => Ok(FiringPolicy::SelectOne(Strategy::Mea)),
@@ -976,37 +976,6 @@ fn parse_policy(frame: &Json) -> Result<FiringPolicy, Failure> {
             kind::PROTOCOL,
             format!("unknown policy {other:?} (want parallel|lex|mea)"),
         )),
-    }
-}
-
-/// Parses the CLI's matcher syntax (`rete`, `treat`, `naive`, `prete:N`,
-/// `ptreat:N`).
-fn parse_matcher(s: &str) -> Result<MatcherKind, Failure> {
-    let workers = |n: &str| -> Result<usize, Failure> {
-        match n.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(Failure::new(
-                kind::PROTOCOL,
-                format!("bad worker count in matcher {s:?} (want an integer >= 1)"),
-            )),
-        }
-    };
-    match s {
-        "rete" => Ok(MatcherKind::Rete),
-        "treat" => Ok(MatcherKind::Treat),
-        "naive" => Ok(MatcherKind::Naive),
-        _ => {
-            if let Some(n) = s.strip_prefix("prete:") {
-                Ok(MatcherKind::PartitionedRete(workers(n)?))
-            } else if let Some(n) = s.strip_prefix("ptreat:") {
-                Ok(MatcherKind::PartitionedTreat(workers(n)?))
-            } else {
-                Err(Failure::new(
-                    kind::PROTOCOL,
-                    format!("unknown matcher {s:?}"),
-                ))
-            }
-        }
     }
 }
 

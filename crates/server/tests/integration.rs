@@ -395,3 +395,53 @@ fn a_second_run_on_a_parked_session_is_refused() {
     };
     assert_eq!(response, unsliced);
 }
+
+/// Asserts `response` is a `protocol` refusal of the `open` frame.
+fn assert_open_refused(frame: &str, response: &str) {
+    let refusal = Json::parse(response).expect("refusal is JSON");
+    assert_eq!(refusal.get("op").and_then(|o| o.as_str()), Some("open"));
+    let kind = refusal.get("error").and_then(|e| e.get("kind")?.as_str());
+    assert_eq!(kind, Some("protocol"), "{frame} -> {response}");
+}
+
+/// The `open` frame's `matcher` uses the CLI's spelling; a worker count
+/// of zero, a non-numeric one and an unknown name are each refused as a
+/// `protocol` error, and the daemon keeps serving.
+#[test]
+fn an_unknown_matcher_is_refused_and_the_daemon_keeps_serving() {
+    let source = escape(Closure::new(8, 12, 3).source());
+    let (addr, daemon) = start(ServerConfig::default(), 1);
+    let mut client = Client::connect(addr);
+    for matcher in ["prete:0", "prete:x", "bogus"] {
+        let open =
+            format!(r#"{{"op":"open","session":"m","program":"{source}","matcher":"{matcher}"}}"#);
+        assert_open_refused(&open, &client.roundtrip(&open));
+        client.send_ok(r#"{"op":"ping"}"#);
+    }
+    shutdown(addr, daemon);
+}
+
+/// An `open` option of the wrong JSON type is refused, not read as its
+/// default: `"matcher": 5` used to open a RETE session and
+/// `"policy": ["lex"]` a fire-all one. A refused open leaves no session
+/// behind, so a well-formed open of the same name then succeeds.
+#[test]
+fn ill_typed_open_options_are_refused() {
+    let source = escape(Closure::new(8, 12, 3).source());
+    let mut server = Server::new(ServerConfig::default());
+    let open =
+        |option: &str| format!(r#"{{"op":"open","session":"t","program":"{source}",{option}}}"#);
+    for option in [
+        r#""matcher":5"#,
+        r#""metrics":true"#,
+        r#""guard":1"#,
+        r#""policy":["lex"]"#,
+        r#""meta":"false""#,
+        r#""meta":0"#,
+    ] {
+        let open = open(option);
+        assert_open_refused(&open, &server.handle_line(&open).expect("response"));
+    }
+    let reopen = server.handle_line(&open(r#""meta":null"#));
+    assert!(reopen.expect("response").starts_with(r#"{"ok":true"#));
+}

@@ -15,17 +15,17 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`core`](parulel_core) — symbols, values, working memory, rule IR.
-//! * [`lang`](parulel_lang) — the surface language: lexer, parser, compiler.
-//! * [`rmatch`](parulel_match) — RETE / TREAT / naive match engines and the
-//!   partitioned parallel matcher.
-//! * [`engine`](parulel_engine) — the single cycle kernel with pluggable
+//! * [`core`] — symbols, values, working memory, rule IR.
+//! * [`lang`] — the surface language: lexer, parser, compiler.
+//! * [`rmatch`](parulel_match) — the incremental matcher (RETE and TREAT
+//!   presets), the naive oracle and the partitioned parallel matcher.
+//! * [`engine`] — the single cycle kernel with pluggable
 //!   firing policies (PARULEL fire-all and the serial OPS5 baseline),
 //!   meta-rule evaluation, and copy-and-constrain.
-//! * [`workloads`](parulel_workloads) — benchmark rule programs.
-//! * [`sim`](parulel_sim) — an analytic model of the DADO-class parallel
+//! * [`workloads`] — benchmark rule programs.
+//! * [`sim`] — an analytic model of the DADO-class parallel
 //!   machine the paper evaluated on, driven by measured cycle profiles.
-//! * [`server`](parulel_server) — the `parulel serve` daemon: sessions
+//! * [`server`] — the `parulel serve` daemon: sessions
 //!   multiplexed over a line-delimited JSON protocol (stdio/TCP/Unix).
 //!
 //! ## Quickstart
@@ -73,5 +73,5 @@ pub mod prelude {
         Outcome, ReloadReport, Snapshot, SnapshotError, Strategy,
     };
     pub use parulel_lang::compile;
-    pub use parulel_match::{Matcher, NaiveMatcher, Rete, Treat};
+    pub use parulel_match::{Incremental, Matcher, NaiveMatcher};
 }
