@@ -50,6 +50,8 @@ pub struct Engine {
     latest_checkpoint: Option<Snapshot>,
     metrics: EngineMetrics,
     trace_buf: Option<TraceBuffer>,
+    /// The run in progress, if a slice left one.
+    run: Option<RunProgress>,
 }
 
 impl Engine {
@@ -96,6 +98,7 @@ impl Engine {
             latest_checkpoint: None,
             metrics,
             trace_buf,
+            run: None,
         }
     }
 
@@ -199,6 +202,7 @@ impl Engine {
             latest_checkpoint: None,
             metrics,
             trace_buf,
+            run: None,
         })
     }
 
@@ -207,7 +211,9 @@ impl Engine {
     /// and reseeded from the restored working memory). The session-serving
     /// entry point: a long-lived engine can be rewound to any checkpoint
     /// without reconstructing it. The program and its content hashes are
-    /// shared, not recompiled. On error the engine is left untouched.
+    /// shared, not recompiled. A run in progress is discarded: the next
+    /// [`run_slice`](Self::run_slice) starts a new run from the restored
+    /// state. On error the engine is left untouched.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
         *self = Engine::from_snapshot(
             self.program.clone(),
@@ -217,29 +223,6 @@ impl Engine {
             self.opts.clone(),
         )?;
         Ok(())
-    }
-
-    /// Resets the engine to a fresh run over `wm`: the matcher is rebuilt
-    /// and reseeded, and refraction, statistics, log, traces, halt flag,
-    /// checkpoints, and observability counters all start over. Program,
-    /// policy, and options are kept — the other session-serving entry
-    /// point, for reusing a compiled program across runs.
-    pub fn reset(&mut self, wm: WorkingMemory) {
-        let mut matcher = self.opts.matcher.build(self.program.clone());
-        matcher.seed(&wm);
-        self.wm = wm;
-        self.matcher = matcher;
-        self.refraction = Refraction::new();
-        self.stats = RunStats::default();
-        self.log.clear();
-        if let Some(warning) = self.policy.dropped_machinery_warning(&self.program) {
-            self.log.push(warning);
-        }
-        self.traces.clear();
-        self.halted = false;
-        self.latest_checkpoint = None;
-        self.metrics = EngineMetrics::new(self.opts.metrics, self.program.rules().len());
-        self.trace_buf = self.opts.trace_events.map(TraceBuffer::new);
     }
 
     /// Hot-swaps the running program for `replacement` *without*
@@ -715,50 +698,41 @@ impl Engine {
         Ok(true)
     }
 
-    /// Runs to quiescence, halt, or the cycle limit.
+    /// Runs to quiescence, halt, or the cycle limit: one
+    /// [`run_slice`](Self::run_slice) at quantum `0`, so it also finishes
+    /// a run that earlier slices left in progress.
     ///
     /// The wall-clock budget is checked before each cycle; periodic
     /// checkpoints (`EngineOptions::checkpoint_every`) are captured after
     /// each completed cycle.
     pub fn run(&mut self) -> Result<Outcome, EngineError> {
-        let outcome = self.run_bounded(self.opts.max_cycles, Instant::now())?;
-        self.note_run_end(outcome.cycles, outcome.firings, outcome.status());
-        Ok(outcome)
+        Ok(self.run_slice(0)?.expect("a run at quantum 0 always ends"))
     }
 
-    /// Emits the `RunEnd` trace event for a run completed via
-    /// [`run_bounded`](Self::run_bounded) slices (aggregate numbers, one
-    /// event — exactly what an unsliced [`run`](Self::run) records).
-    pub fn note_run_end(&mut self, cycles: u64, firings: u64, status: &'static str) {
-        if let Some(buf) = &mut self.trace_buf {
-            buf.push(TraceEvent::RunEnd {
-                cycles,
-                firings,
-                status,
-            });
-        }
-    }
-
-    /// The configured per-`run` cycle limit (`EngineOptions::max_cycles`):
-    /// the run-level cap a scheduler must enforce across quantum slices.
-    pub fn max_cycles(&self) -> u64 {
-        self.opts.max_cycles
-    }
-
-    /// One slice of a (possibly longer) run: at most `limit` cycles, with
-    /// the wall-clock budget measured from `start` — the moment the
-    /// *whole* run was admitted, so a run sliced across many calls sees
-    /// the same deadline as an uninterrupted one, including time spent
-    /// parked between slices.
+    /// Advances the run in progress by at most `quantum` cycles (`0`: to
+    /// its end), starting a run if none is in progress. Returns `None`
+    /// while the run goes on, and the whole run's [`Outcome`] once it
+    /// ends at quiescence, halt or the cycle limit.
     ///
-    /// Unlike [`run`](Self::run), no `RunEnd` trace event is emitted:
-    /// the caller driving the slices calls
-    /// [`note_run_end`](Self::note_run_end) once when the run completes,
-    /// so the trace ring is identical to an unsliced run. The returned
-    /// [`Outcome`] counts this slice's cycles/firings only;
-    /// `hit_cycle_limit` means `limit` was exhausted (the caller decides
-    /// whether that ends the run or parks it for another slice).
-    pub fn run_bounded(&mut self, limit: u64, start: Instant) -> Result<Outcome, EngineError> {
+    /// A run sliced across many calls behaves as one uninterrupted run:
+    /// `EngineOptions::max_cycles` caps the run, not the slice; the
+    /// wall-clock budget counts from the run's start, including time
+    /// between slices; the outcome counts only the run's own cycles and
+    /// firings, not a [`step`](Self::step) taken between slices; and one
+    /// `RunEnd` trace event is recorded when the run ends. An engine
+    /// error ends the run.
+    pub fn run_slice(&mut self, quantum: u64) -> Result<Option<Outcome>, EngineError> {
+        let mut run = self.run.take().unwrap_or_else(|| RunProgress {
+            started: Instant::now(),
+            cycles: 0,
+            firings: 0,
+        });
+        let left = self.opts.max_cycles - run.cycles;
+        let limit = if quantum == 0 {
+            left
+        } else {
+            quantum.min(left)
+        };
         let mut quiescent = false;
         let mut hit_cycle_limit = false;
         let first_cycle = self.stats.cycles;
@@ -774,7 +748,7 @@ impl Engine {
             if let Err(e) = self
                 .opts
                 .budgets
-                .check_deadline(self.stats.cycles + 1, start)
+                .check_deadline(self.stats.cycles + 1, run.started)
             {
                 return Err(self.trip(e));
             }
@@ -791,18 +765,42 @@ impl Engine {
                 }
             }
         }
-        // Per-call numbers: a caller that injects facts and runs again
+        run.cycles += self.stats.cycles - first_cycle;
+        run.firings += self.stats.firings - first_firings;
+        if !(self.halted || quiescent || run.cycles >= self.opts.max_cycles) {
+            self.run = Some(run);
+            return Ok(None);
+        }
+        // Per-run numbers: a caller that injects facts and runs again
         // gets this continuation's cycles, not the lifetime total (which
         // lives in `stats`).
-        Ok(Outcome {
-            cycles: self.stats.cycles - first_cycle,
-            firings: self.stats.firings - first_firings,
+        let outcome = Outcome {
+            cycles: run.cycles,
+            firings: run.firings,
             halted: self.halted,
             quiescent,
             hit_cycle_limit,
-            wall: start.elapsed(),
-        })
+            wall: run.started.elapsed(),
+        };
+        if let Some(buf) = &mut self.trace_buf {
+            buf.push(TraceEvent::RunEnd {
+                cycles: outcome.cycles,
+                firings: outcome.firings,
+                status: outcome.status(),
+            });
+        }
+        Ok(Some(outcome))
     }
+}
+
+/// A run between [`Engine::run_slice`] calls.
+struct RunProgress {
+    /// When the run started: the wall-clock budget's origin.
+    started: Instant,
+    /// Cycles executed by completed slices.
+    cycles: u64,
+    /// Firings by completed slices.
+    firings: u64,
 }
 
 /// What one [`Engine::reload`] did, keyed by rule *name*. Rules are

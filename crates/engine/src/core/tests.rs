@@ -129,6 +129,109 @@ fn cycle_limit_catches_runaways() {
     assert_eq!(out.cycles, 10);
 }
 
+/// Drives `e`'s run to its end in slices of `quantum` cycles; returns
+/// the whole-run outcome and how many slices it took.
+fn run_sliced(e: &mut Engine, quantum: u64) -> (Outcome, usize) {
+    for slices in 1.. {
+        if let Some(outcome) = e.run_slice(quantum).unwrap() {
+            return (outcome, slices);
+        }
+    }
+    unreachable!()
+}
+
+/// The `RunEnd` events in `e`'s trace ring, as `(cycles, firings, status)`.
+fn run_ends(e: &Engine) -> Vec<(u64, u64, &'static str)> {
+    use crate::metrics::TraceEvent;
+    let buf = e.trace_events().expect("ring enabled");
+    buf.events()
+        .filter_map(|ev| match ev {
+            TraceEvent::RunEnd {
+                cycles,
+                firings,
+                status,
+            } => Some((*cycles, *firings, *status)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_sliced_run_matches_one_uninterrupted_run() {
+    let src = "(literalize count id n)
+         (p step (count ^id <i> ^n <n>) (test (< <n> 6)) --> (modify 1 ^n (+ <n> 1)))";
+    let facts = [
+        ("count", vec![Value::Int(1), Value::Int(0)]),
+        ("count", vec![Value::Int(2), Value::Int(3)]),
+    ];
+    let opts = || EngineOptions {
+        trace_events: Some(256),
+        ..Default::default()
+    };
+    // Wall times differ run to run; every count must not.
+    let counts = |e: &Engine| RunStats {
+        match_time: Default::default(),
+        redact_time: Default::default(),
+        fire_time: Default::default(),
+        apply_time: Default::default(),
+        ..e.stats().clone()
+    };
+    let wmes = |e: &Engine| {
+        let mut wmes: Vec<Wme> = e.wm().iter().cloned().collect();
+        wmes.sort_by_key(|w| w.id);
+        wmes
+    };
+    let mut whole = engine(src, &facts, opts());
+    let expected = whole.run().unwrap();
+    assert_eq!((expected.cycles, expected.firings), (6, 9));
+    assert_eq!(run_ends(&whole), [(6, 9, "quiescent")]);
+    for quantum in [1, 2] {
+        let mut sliced = engine(src, &facts, opts());
+        let (outcome, slices) = run_sliced(&mut sliced, quantum);
+        assert!(slices > 1, "quantum {quantum} ran in one slice");
+        let fields = |o: &Outcome| {
+            (
+                o.cycles,
+                o.firings,
+                o.halted,
+                o.quiescent,
+                o.hit_cycle_limit,
+            )
+        };
+        assert_eq!(fields(&outcome), fields(&expected), "quantum {quantum}");
+        assert_eq!(counts(&sliced), counts(&whole), "quantum {quantum}");
+        assert_eq!(wmes(&sliced), wmes(&whole), "quantum {quantum}");
+        assert_eq!(run_ends(&sliced), run_ends(&whole), "quantum {quantum}");
+    }
+}
+
+#[test]
+fn a_sliced_run_stops_at_the_runs_cycle_limit() {
+    let mut e = engine(
+        "(literalize count n)
+         (p grow (count ^n <n>) --> (modify 1 ^n (+ <n> 1)))",
+        &[("count", vec![Value::Int(0)])],
+        EngineOptions {
+            max_cycles: 5,
+            trace_events: Some(256),
+            ..Default::default()
+        },
+    );
+    assert!(
+        e.run_slice(2).unwrap().is_none(),
+        "2 of 5 cycles: the run goes on"
+    );
+    // A cycle taken between slices is not the run's: the run still gets
+    // its own 5 cycles.
+    assert!(e.step().unwrap());
+    let (outcome, slices) = run_sliced(&mut e, 2);
+    assert_eq!(slices, 2, "2 more cycles, then the last 1");
+    assert_eq!((outcome.cycles, outcome.firings), (5, 5));
+    assert_eq!(outcome.status(), "cycle-limit");
+    assert_eq!(e.stats().cycles, 6);
+    assert_eq!(run_ends(&e), [(5, 5, "cycle-limit")]);
+}
+
 #[test]
 fn refraction_prevents_refiring_pure_makes() {
     let mut e = engine(

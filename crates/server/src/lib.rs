@@ -10,10 +10,12 @@
 //!
 //! * [`protocol`] — the frame format: request/response shapes, stable
 //!   error kinds, snapshot hex transport, WM fingerprints.
-//! * [`session`] — one served session: a private [`parulel_engine::Engine`]
-//!   plus a *bounded* inject queue (backpressure is an explicit error
-//!   frame, not unbounded buffering).
-//! * [`server`] — the synchronous core: admission control
+//! * [`session`] — one served session, the one record the server keeps
+//!   per session: a private [`parulel_engine::Engine`], a *bounded*
+//!   inject queue (backpressure is an explicit error frame, not
+//!   unbounded buffering), its write-ahead log handle, and its run while
+//!   one is parked between slices.
+//! * [`server`] — the synchronous core: one session map, admission control
 //!   (`max_sessions`), per-session budgets mapped onto the kernel's
 //!   `EngineError` machinery, and graceful degradation — a budget trip,
 //!   RHS failure, or panic kills one session with a structured error

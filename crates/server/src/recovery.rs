@@ -20,11 +20,11 @@
 //!    logged `reload` frames (the program swap is not part of the engine
 //!    snapshot), and restores engine state via the versioned snapshot
 //!    format; frame records run through `handle_frame` with WAL I/O
-//!    suppressed.
+//!    suppressed (the session has no log handle yet).
 //! 4. **Reattach**: a session that survived replay gets a resumed log
-//!    handle (appends continue where the log left off); a session whose
-//!    replay closed or killed it has nothing to recover, so its file is
-//!    deleted.
+//!    handle in its [`Session`](crate::Session) record (appends continue
+//!    where the log left off); a session whose replay closed or killed
+//!    it has nothing to recover, so its file is deleted.
 //!
 //! Files that cannot be recovered (foreign magic, unsupported version,
 //! zero length, undecodable name) are *left on disk* and reported in
@@ -175,7 +175,7 @@ fn recover_file(
             return;
         }
     };
-    if server.session_mut(&session).is_none() {
+    let Some(live) = server.session_mut(&session) else {
         // The log faithfully replays to a closed (or engine-killed)
         // session: nothing is live, nothing to keep.
         let _ = std::fs::remove_file(path);
@@ -183,7 +183,7 @@ fn recover_file(
             .notes
             .push(format!("{file_name}: replays to a closed session; removed"));
         return;
-    }
+    };
     let tail_records = scan
         .records
         .iter()
@@ -192,7 +192,7 @@ fn recover_file(
         .count() as u64;
     match SessionWal::resume(config, &session, &open_line, scan.valid_len, tail_records) {
         Ok(wal) => {
-            server.attach_wal(&session, wal);
+            live.wal = Some(wal);
             server.note_recovered();
             report.sessions_recovered += 1;
         }

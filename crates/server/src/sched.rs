@@ -15,9 +15,14 @@
 //!   `--run-quantum` cycles, then parks on the worker's run queue while
 //!   neighbor frames are served; parked runs advance round-robin, one
 //!   quantum per turn. Frames addressed to a session with a parked run
-//!   are deferred behind it, preserving per-session ordering. Slicing is
-//!   the server's only run path (quantum `0` is one slice covering the
+//!   are deferred behind it, preserving per-session ordering (the
+//!   server itself would refuse the mutating ones). Slicing is the
+//!   server's only run path (quantum `0` is one slice covering the
 //!   whole run), so a sliced run answers exactly as an unsliced one.
+//!   The run itself lives in the server's session record and its
+//!   engine; a shard keeps only transport state per parked run — the
+//!   reply that delivers its response and the frames deferred behind
+//!   it.
 //! * **One parse per frame** — [`Sched::submit`] parses each line once;
 //!   the shard job carries the parsed frame (or its parse error), the
 //!   shard reads its `session` field to decide deferral, and

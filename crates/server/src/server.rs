@@ -1,5 +1,9 @@
 //! The daemon core: a session table and a synchronous frame handler.
 //!
+//! The table holds one [`Session`] record per session, and that record
+//! owns everything the session has: its engine, inject queue, log handle
+//! and parked run.
+//!
 //! [`Server::handle_parsed`] is the whole protocol — [`Server::handle_line`]
 //! parses and calls it, the stdio pump and the scheduler's shard workers
 //! are thin loops around them, and tests drive them directly. One request
@@ -8,12 +12,17 @@
 //! cycle limit).
 //!
 //! Every `run` / `run-to-fixpoint` takes one path: it is admitted, then
-//! advanced in slices of at most `quantum` cycles, each ending at a
-//! match → redact → fire-all cycle boundary. At quantum `0` the first
-//! slice is the whole run, which is how [`Server::handle_line`] and WAL
-//! replay ([`Server::handle_frame`]) run; the scheduler passes its
+//! advanced by [`Engine::run_slice`] in slices of at most `quantum`
+//! cycles, each ending at a match → redact → fire-all cycle boundary.
+//! The engine keeps the run's cycle cap, counts and wall-clock start
+//! between slices. At quantum `0` the first slice is the whole run, which
+//! is how [`Server::handle_line`] and WAL replay
+//! ([`Server::handle_frame`]) run; the scheduler passes its
 //! `--run-quantum` and drives a parked run on with
-//! [`Server::resume_run`] while other frames interleave.
+//! [`Server::resume_run`] while other frames interleave. A parked run
+//! owns its session until it ends: every mutating frame for that session
+//! is refused with a `protocol` error (the scheduler defers them
+//! instead).
 //!
 //! Graceful degradation: verbs that advance a session's engine run
 //! behind `catch_unwind`. A budget trip or RHS failure surfaces as a
@@ -25,13 +34,16 @@
 //! frame is appended to the owning session's write-ahead log *before* it
 //! is applied. Because the core is deterministic, replaying the log
 //! through this same dispatch path rebuilds the exact session — that is
-//! the whole recovery story (see [`crate::recovery`]). During replay the
-//! [`Server`] runs with WAL I/O suppressed so recovery cannot re-log
-//! what it replays.
+//! the whole recovery story (see [`crate::recovery`]). Each log step
+//! happens around the verb in one place: append before it, then compact
+//! a surviving session whose log is due (never mid-run), or delete the
+//! log of a session that closed or died. During replay the sessions have
+//! no log handle yet and the [`Server`] creates none, so recovery cannot
+//! re-log what it replays.
 
 use crate::protocol::{self, kind, ok_frame, Failure};
-use crate::session::{engine_failure, Session};
-use crate::wal::{SessionWal, SnapshotRecord, WalConfig};
+use crate::session::{engine_failure, ActiveRun, Session};
+use crate::wal::{SessionWal, WalConfig};
 use parulel_core::Delta;
 use parulel_engine::{
     Budgets, Engine, EngineOptions, FiringPolicy, GuardMode, Json, MatcherKind,
@@ -41,7 +53,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server-wide policy knobs (CLI flags map onto this).
 #[derive(Clone, Debug)]
@@ -76,8 +88,8 @@ impl Default for ServerConfig {
 }
 
 /// Verbs that mutate session state and therefore hit the WAL
-/// (log-before-apply). `open` is handled separately: its log file does
-/// not exist until the open is accepted.
+/// (log-before-apply), and that a parked run refuses. `open` is handled
+/// separately: its log file does not exist until the open is accepted.
 const MUTATING_VERBS: [&str; 7] = [
     "inject",
     "step",
@@ -87,27 +99,6 @@ const MUTATING_VERBS: [&str; 7] = [
     "reload",
     "close",
 ];
-
-/// Bookkeeping for an admitted `run`/`run-to-fixpoint` between its
-/// slices (see [`Server::resume_run`]).
-struct ActiveRun {
-    /// The request's verb (`run` or `run-to-fixpoint`), echoed in error
-    /// frames.
-    op: String,
-    /// Injects drained when the run was admitted.
-    drained: usize,
-    /// The run-level cycle cap (the session's `max_cycles`), enforced
-    /// across slices.
-    cap: u64,
-    /// Cycles executed by completed slices.
-    cycles: u64,
-    /// Firings by completed slices.
-    firings: u64,
-    /// When the run was admitted. The wall-clock budget deadline is
-    /// measured from here — *including* time spent parked — so a sliced
-    /// run sees the same deadline as an uninterrupted one.
-    started: Instant,
-}
 
 /// The daemon core. See the [module docs](self).
 pub struct Server {
@@ -120,8 +111,6 @@ pub struct Server {
     /// its slot immediately — `open` admission never counts
     /// closed-but-not-yet-reaped sessions.
     admission: Arc<AtomicUsize>,
-    /// Parked runs (same keys as `sessions` while parked).
-    runs: BTreeMap<String, ActiveRun>,
     peak_sessions: usize,
     frames: u64,
     errors: u64,
@@ -131,11 +120,8 @@ pub struct Server {
     /// Durability configuration; `None` means the daemon runs exactly as
     /// before and nothing below touches disk.
     wal: Option<WalConfig>,
-    /// One log handle per live session (same keys as `sessions` when
-    /// durability is on).
-    wals: BTreeMap<String, SessionWal>,
-    /// True while recovery replays logged frames: suppresses all WAL
-    /// I/O so replay cannot re-log (or compact, or delete) what it
+    /// True while recovery replays logged frames: `open` creates no log
+    /// and `shutdown` persists nothing, so replay cannot re-log what it
     /// replays.
     replaying: bool,
     /// Lifetime WAL records appended.
@@ -153,13 +139,11 @@ impl Server {
             config,
             sessions: BTreeMap::new(),
             admission: Arc::new(AtomicUsize::new(0)),
-            runs: BTreeMap::new(),
             peak_sessions: 0,
             frames: 0,
             errors: 0,
             shutdown: Arc::new(AtomicBool::new(false)),
             wal: None,
-            wals: BTreeMap::new(),
             replaying: false,
             wal_records: 0,
             wal_snapshots: 0,
@@ -183,20 +167,15 @@ impl Server {
     }
 
     /// Toggles replay mode (recovery only): while on, the dispatch path
-    /// applies frames without any WAL I/O.
+    /// creates no log and persists nothing.
     pub(crate) fn set_replaying(&mut self, on: bool) {
         self.replaying = on;
     }
 
     /// Direct session access for recovery (snapshot restore, counter
-    /// reinstatement).
+    /// reinstatement, the resumed log handle).
     pub(crate) fn session_mut(&mut self, name: &str) -> Option<&mut Session> {
         self.sessions.get_mut(name)
-    }
-
-    /// Attaches a resumed log handle to a recovered session.
-    pub(crate) fn attach_wal(&mut self, name: &str, wal: SessionWal) {
-        self.wals.insert(name.to_string(), wal);
     }
 
     /// Bumps the recovered-session counter (reported in `ping`).
@@ -281,7 +260,14 @@ impl Server {
     /// session), `None` while it stays parked or when `name` has no
     /// parked run.
     pub fn resume_run(&mut self, name: &str, quantum: u64) -> Option<String> {
-        let response = self.run_slice(name, quantum)?;
+        let op = self.sessions.get(name)?.run.as_ref()?.op.clone();
+        let result = self.session_verb(&op, name, None, |_, session| {
+            run_slice(session, name, quantum)
+        });
+        let response = match result.transpose()? {
+            Ok(response) => response,
+            Err(failure) => failure.to_frame(Some(&op), Some(name)),
+        };
         Some(self.finish(response))
     }
 
@@ -291,7 +277,12 @@ impl Server {
     /// boundary and their responses are delivered *before* the server
     /// persists — a shutdown never abandons a run mid-flight.
     pub fn drain_runs(&mut self) -> Vec<(String, String)> {
-        let names: Vec<String> = self.runs.keys().cloned().collect();
+        let names: Vec<String> = self
+            .sessions
+            .iter()
+            .filter(|(_, session)| session.run.is_some())
+            .map(|(name, _)| name.clone())
+            .collect();
         names
             .into_iter()
             .filter_map(|name| {
@@ -352,7 +343,6 @@ impl Server {
                 }
                 self.admission.fetch_sub(closed, Ordering::SeqCst);
                 self.sessions.clear();
-                self.wals.clear();
                 Ok(response)
             }
             "sync" => self.sync_wal(session.as_deref()),
@@ -369,26 +359,18 @@ impl Server {
                         )
                     }
                 };
-                if matches!(op.as_str(), "run" | "run-to-fixpoint") {
-                    match self.admit_run(&op, name, frame) {
-                        Ok(()) => return self.run_slice(name, quantum),
-                        Err(failure) => Err(failure),
+                let result = self.session_verb(&op, name, Some(frame), |server, session| {
+                    if !matches!(op.as_str(), "run" | "run-to-fixpoint") {
+                        return server.run_session_verb(&op, name, frame, session).map(Some);
                     }
-                } else {
-                    // Log-before-apply: an accepted mutating frame must
-                    // be on disk before it can change the session.
-                    // (Refused frames are logged too — they refuse
-                    // identically on replay, because replay drives this
-                    // same dispatch with the same state.)
-                    if let Err(failure) = self.wal_append(&op, name, frame) {
-                        return Some(failure.to_frame(Some(&op), Some(name)));
-                    }
-                    let result = self.session_verb(&op, name, |server, session| {
-                        server.run_session_verb(&op, name, frame, session)
+                    let drained = session.drain();
+                    session.run = Some(ActiveRun {
+                        op: op.clone(),
+                        drained,
                     });
-                    self.wal_after_verb(name);
-                    result
-                }
+                    run_slice(session, name, quantum)
+                });
+                result.transpose()?
             }
             other => Err(Failure::new(kind::PROTOCOL, format!("unknown verb {other:?}"))),
         };
@@ -398,153 +380,19 @@ impl Server {
         })
     }
 
-    /// Admits a run: log-before-apply, drain the inject queue, and record
-    /// the run-level cycle cap.
-    fn admit_run(&mut self, op: &str, name: &str, frame: &Json) -> Result<(), Failure> {
-        // A second run under a parked one would advance the same engine
-        // twice. The scheduler defers such frames; a direct caller is
-        // refused — before logging, since replay never parks and would
-        // run a logged refusal.
-        if self.runs.contains_key(name) {
-            return Err(Failure::new(
-                kind::PROTOCOL,
-                format!("session {name:?} already has a run in progress"),
-            ));
-        }
-        self.wal_append(op, name, frame)?;
-        let session = self.sessions.get_mut(name).ok_or_else(|| unknown_session(name))?;
-        let run = ActiveRun {
-            op: op.to_string(),
-            drained: session.drain(),
-            cap: session.engine.max_cycles(),
-            cycles: 0,
-            firings: 0,
-            started: Instant::now(),
-        };
-        self.runs.insert(name.to_string(), run);
-        Ok(())
-    }
-
-    /// Advances an admitted run by one slice of at most `quantum` cycles
-    /// (the rest of the run at quantum `0`). `None` while the run stays
-    /// parked; otherwise its response frame — the `run` result, or the
-    /// engine-failure or panic obituary of its session.
-    fn run_slice(&mut self, name: &str, quantum: u64) -> Option<Json> {
-        let mut run = self.runs.remove(name)?;
-        let op = run.op.clone();
-        let result = self.session_verb(&op, name, |_, session| {
-            let left = run.cap - run.cycles;
-            let slice = if quantum == 0 { left } else { quantum.min(left) };
-            let outcome = session
-                .engine
-                .run_bounded(slice, run.started)
-                .map_err(|e| engine_failure(&e))?;
-            run.cycles += outcome.cycles;
-            run.firings += outcome.firings;
-            if !(outcome.halted || outcome.quiescent || run.cycles >= run.cap) {
-                return Ok(None);
-            }
-            session.engine.note_run_end(run.cycles, run.firings, outcome.status());
-            Ok(Some(
-                ok_frame("run")
-                    .set("session", name)
-                    .set("drained", run.drained)
-                    .set("status", outcome.status())
-                    .set("cycles", run.cycles)
-                    .set("firings", run.firings)
-                    .set("wm", session.engine.wm().len())
-                    .set("fingerprint", session.fingerprint()),
-            ))
-        });
-        let response = match result {
-            Ok(None) => {
-                self.runs.insert(name.to_string(), run);
-                return None;
-            }
-            Ok(Some(response)) => response,
-            Err(failure) => failure.to_frame(Some(&op), Some(name)),
-        };
-        self.wal_after_verb(name);
-        Some(response)
-    }
-
-    /// Appends a mutating session frame to its WAL, if durability is on,
-    /// replay is not running, and the session exists (frames for unknown
-    /// sessions mutate nothing and need no record).
-    fn wal_append(&mut self, op: &str, name: &str, frame: &Json) -> Result<(), Failure> {
-        if self.wal.is_none() || self.replaying || !MUTATING_VERBS.contains(&op) {
-            return Ok(());
-        }
-        let Some(wal) = self.wals.get_mut(name) else {
-            return Ok(());
-        };
-        wal.append_frame(&frame.render())
-            .map_err(|e| Failure::new(kind::WAL, format!("WAL append failed: {e}")))?;
-        self.wal_records += 1;
-        Ok(())
-    }
-
-    /// Post-verb WAL lifecycle: a session that no longer exists (closed,
-    /// or killed by an engine failure/panic) has nothing left to
-    /// recover, so its log is deleted; a surviving session whose replay
-    /// tail has grown past `snapshot_every` is compacted.
-    fn wal_after_verb(&mut self, name: &str) {
-        if self.wal.is_none() || self.replaying {
-            return;
-        }
-        if !self.sessions.contains_key(name) {
-            if let Some(wal) = self.wals.remove(name) {
-                let _ = wal.delete();
-            }
-            return;
-        }
-        let every = self.wal.as_ref().map(|c| c.snapshot_every).unwrap_or(0);
-        let due = every > 0
-            && self
-                .wals
-                .get(name)
-                .is_some_and(|w| w.records_since_snapshot >= every);
-        if due {
-            let _ = self.compact_session(name);
-        }
-    }
-
-    /// Compacts one session's log to `header + snapshot record`.
-    fn compact_session(&mut self, name: &str) -> std::io::Result<()> {
-        let (Some(session), Some(wal)) = (self.sessions.get(name), self.wals.get_mut(name))
-        else {
-            return Ok(());
-        };
-        let record = SnapshotRecord {
-            open_line: wal.open_line.clone(),
-            snapshot: session.engine.checkpoint().to_bytes(),
-            injected_adds: session.injected_adds,
-            injected_removes: session.injected_removes,
-            pending: session.pending_lines().to_vec(),
-            reloads: session.reload_lines().to_vec(),
-        };
-        wal.compact(&record)?;
-        self.wal_snapshots += 1;
-        Ok(())
-    }
-
     /// Compacts and fsyncs every live session's log (graceful shutdown:
-    /// the `shutdown` frame, and SIGTERM/SIGINT on socket transports).
-    /// Returns how many sessions were persisted.
-    pub fn persist_all(&mut self) -> usize {
-        // Parked runs finish first: a snapshot captured
-        // mid-run would persist half-run state while the logged run
-        // frame replays *again* at recovery — the fingerprint would
-        // diverge from an uninterrupted run.
-        let _ = self.drain_runs();
-        let names: Vec<String> = self.sessions.keys().cloned().collect();
+    /// the `shutdown` frame, and SIGTERM/SIGINT on socket transports,
+    /// which send one). Parked runs must have been drained first: a
+    /// snapshot captured mid-run would persist half-run state while the
+    /// logged run frame replays *again* at recovery. Returns how many
+    /// sessions were persisted.
+    fn persist_all(&mut self) -> usize {
         let mut persisted = 0;
-        for name in names {
-            if self.compact_session(&name).is_ok() {
-                if let Some(wal) = self.wals.get_mut(&name) {
-                    if wal.sync().is_ok() {
-                        persisted += 1;
-                    }
+        for session in self.sessions.values_mut() {
+            if let Ok(true) = session.compact() {
+                self.wal_snapshots += 1;
+                if session.wal.as_mut().is_some_and(|wal| wal.sync().is_ok()) {
+                    persisted += 1;
                 }
             }
         }
@@ -566,13 +414,13 @@ impl Server {
         };
         match session {
             Some(name) => {
-                let wal = self.wals.get_mut(name).ok_or_else(|| unknown_session(name))?;
-                sync_one(wal)?;
+                let wal = self.sessions.get_mut(name).and_then(|s| s.wal.as_mut());
+                sync_one(wal.ok_or_else(|| unknown_session(name))?)?;
                 Ok(ok_frame("sync").set("session", name).set("synced", 1usize))
             }
             None => {
                 let mut synced = 0usize;
-                for wal in self.wals.values_mut() {
+                for wal in self.sessions.values_mut().filter_map(|s| s.wal.as_mut()) {
                     sync_one(wal)?;
                     synced += 1;
                 }
@@ -597,7 +445,7 @@ impl Server {
             response = response
                 .set("wal_sync", cfg.sync.tag())
                 .set("wal_records", self.wal_records)
-                .set("wal_bytes", self.wals.values().map(|w| w.bytes).sum::<u64>())
+                .set("wal_bytes", self.wal_bytes())
                 .set("wal_snapshots", self.wal_snapshots)
                 .set("recovered_sessions", self.recovered);
         }
@@ -660,22 +508,24 @@ impl Server {
         // the open frame recorded once the open is known to be accepted,
         // but before the session exists. If the disk refuses, so does
         // the open.
+        let mut wal = None;
         if let (Some(cfg), false) = (self.wal.as_ref(), self.replaying) {
             let line = frame.render();
-            let mut wal = SessionWal::create(cfg, name, &line)
-                .map_err(|e| Failure::new(kind::WAL, format!("WAL create failed: {e}")))?;
-            wal.append_frame(&line)
+            let log = wal.insert(
+                SessionWal::create(cfg, name, &line)
+                    .map_err(|e| Failure::new(kind::WAL, format!("WAL create failed: {e}")))?,
+            );
+            log.append_frame(&line)
                 .map_err(|e| Failure::new(kind::WAL, format!("WAL append failed: {e}")))?;
             self.wal_records += 1;
-            self.wals.insert(name.to_string(), wal);
         }
         let response = ok_frame("open")
             .set("session", name)
             .set("policy", policy.tag())
             .set("rules", program.rules().len())
             .set("wm", engine.wm().len());
-        self.sessions
-            .insert(name.to_string(), Session::new(engine, self.config.inject_queue));
+        let session = Session::new(engine, self.config.inject_queue, wal);
+        self.sessions.insert(name.to_string(), session);
         // The gauge is the daemon-wide live count (it equals
         // `sessions.len()` when this server stands alone).
         self.peak_sessions = self.peak_sessions.max(self.admission.load(Ordering::SeqCst));
@@ -720,27 +570,42 @@ impl Server {
             budgets,
             max_cycles: protocol::opt_u64(frame, "max_cycles")?.unwrap_or(self.config.max_cycles),
             // Long-lived sessions must stay bounded: `write` output is
-            // dropped unless the client opts in, and trace events live
-            // in a fixed ring.
-            collect_log: frame.get("log") == Some(&Json::Bool(true)),
+            // dropped (no verb returns it), and trace events live in a
+            // fixed ring.
+            collect_log: false,
             trace_events: Some(self.config.trace_ring),
             ..EngineOptions::default()
         })
     }
 
     /// Runs `verb` on one existing session, taken out of the table while
-    /// its engine runs: on success it is reinserted, on an engine failure
-    /// or a panic it is dropped — the structured error frame is the
-    /// session's obituary, and every other session is untouched. A
-    /// session that does not survive releases its admission slot here:
-    /// the gauge counts live sessions only.
+    /// its engine runs, and keeps the session's log in step with it:
+    ///
+    /// - a new mutating `frame` is refused while the session's run is
+    ///   parked, and is otherwise logged before `verb` applies it
+    ///   (refused frames are logged too — they refuse identically on
+    ///   replay, which drives this same dispatch with the same state);
+    /// - a surviving session is reinserted, and its log compacted when
+    ///   due and no run is parked (a mid-run snapshot would drop the
+    ///   logged run frame that recovery must replay);
+    /// - a session that closed or died on an engine failure or panic is
+    ///   dropped: it releases its admission slot (the gauge counts live
+    ///   sessions only) and its log is deleted. The structured error frame
+    ///   is the session's obituary; every other session is untouched.
     fn session_verb<T>(
         &mut self,
         op: &str,
         name: &str,
+        frame: Option<&Json>,
         verb: impl FnOnce(&Self, &mut Session) -> Result<T, Failure>,
     ) -> Result<T, Failure> {
         let mut session = self.sessions.remove(name).ok_or_else(|| unknown_session(name))?;
+        if let Some(frame) = frame.filter(|_| MUTATING_VERBS.contains(&op)) {
+            if let Err(failure) = self.log_frame(&mut session, name, frame) {
+                self.sessions.insert(name.to_string(), session);
+                return Err(failure);
+            }
+        }
         let result = catch_unwind(AssertUnwindSafe(|| verb(self, &mut session))).unwrap_or_else(
             |_| {
                 let mut failure = Failure::new(
@@ -757,11 +622,58 @@ impl Server {
             Err(failure) => !failure.closed,
         };
         if survives {
+            let every = self.wal.as_ref().map_or(0, |cfg| cfg.snapshot_every);
+            let due = every > 0
+                && session.run.is_none()
+                && session
+                    .wal
+                    .as_ref()
+                    .is_some_and(|w| w.records_since_snapshot >= every);
+            if due && session.compact().is_ok() {
+                self.wal_snapshots += 1;
+            }
             self.sessions.insert(name.to_string(), session);
         } else {
             self.admission.fetch_sub(1, Ordering::SeqCst);
+            if let Some(wal) = session.wal.take() {
+                let _ = wal.delete();
+            }
         }
         result
+    }
+
+    /// Log-before-apply for one mutating session frame. A parked run owns
+    /// its session, so the frame is refused — before logging, since
+    /// replay never parks and would apply a logged frame the live
+    /// session refused.
+    fn log_frame(
+        &mut self,
+        session: &mut Session,
+        name: &str,
+        frame: &Json,
+    ) -> Result<(), Failure> {
+        if session.run.is_some() {
+            return Err(Failure::new(
+                kind::PROTOCOL,
+                format!("session {name:?} already has a run in progress"),
+            ));
+        }
+        let Some(wal) = session.wal.as_mut() else {
+            return Ok(());
+        };
+        wal.append_frame(&frame.render())
+            .map_err(|e| Failure::new(kind::WAL, format!("WAL append failed: {e}")))?;
+        self.wal_records += 1;
+        Ok(())
+    }
+
+    /// Bytes in every live session's log.
+    fn wal_bytes(&self) -> u64 {
+        self.sessions
+            .values()
+            .filter_map(|s| s.wal.as_ref())
+            .map(|w| w.bytes)
+            .sum()
     }
 
     fn run_session_verb(
@@ -874,7 +786,7 @@ impl Server {
                 // matcher internals, phase times) only on request: it
                 // carries wall-clock fields, and the compact frame stays
                 // deterministic for golden transcripts.
-                if frame.get("report") == Some(&Json::Bool(true)) {
+                if protocol::opt_bool(frame, "report")?.unwrap_or(false) {
                     let report = session.engine.metrics().to_json(
                         session.engine.program(),
                         &session.engine.matcher_metrics(),
@@ -946,6 +858,29 @@ impl Server {
             .set("returned", facts.len())
             .set("facts", facts))
     }
+}
+
+/// Advances `session`'s parked run by one slice of at most `quantum`
+/// cycles: `None` while the run goes on, its `run` response once it ends.
+fn run_slice(session: &mut Session, name: &str, quantum: u64) -> Result<Option<Json>, Failure> {
+    let outcome = session
+        .engine
+        .run_slice(quantum)
+        .map_err(|e| engine_failure(&e))?;
+    let Some(outcome) = outcome else {
+        return Ok(None);
+    };
+    let run = session.run.take().expect("only a parked run is sliced");
+    Ok(Some(
+        ok_frame("run")
+            .set("session", name)
+            .set("drained", run.drained)
+            .set("status", outcome.status())
+            .set("cycles", outcome.cycles)
+            .set("firings", outcome.firings)
+            .set("wm", session.engine.wm().len())
+            .set("fingerprint", session.fingerprint()),
+    ))
 }
 
 /// The `unknown_session` failure for `name`.

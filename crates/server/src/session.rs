@@ -1,5 +1,8 @@
-//! One served session: a long-lived [`Engine`] plus its bounded inject
-//! queue and lifetime counters.
+//! One served session: the one record the server keeps per session.
+//!
+//! A session owns a long-lived [`Engine`], its bounded inject queue and
+//! lifetime counters, its write-ahead log handle when the daemon is
+//! durable, and its `run` while one is in progress between slices.
 //!
 //! A session is the unit of isolation. Each owns a private engine
 //! (program, working memory, matcher, refraction, budgets, trace ring) —
@@ -11,6 +14,7 @@
 //! `step` or `run`, which is the only point the engine advances anyway.
 
 use crate::protocol::{self, Failure};
+use crate::wal::{SessionWal, SnapshotRecord};
 use parulel_core::Delta;
 use parulel_engine::{Engine, EngineError};
 use std::collections::VecDeque;
@@ -42,12 +46,26 @@ pub struct Session {
     /// the interning order (and thus every symbol id live WMEs refer to)
     /// identical to the original run.
     reload_lines: Vec<String>,
+    /// The session's write-ahead log; `None` when durability is off, and
+    /// while recovery replays the log.
+    pub(crate) wal: Option<SessionWal>,
+    /// The `run` in progress; its cycle count, cap and start instant
+    /// live in the engine ([`Engine::run_slice`]).
+    pub(crate) run: Option<ActiveRun>,
+}
+
+/// A `run`/`run-to-fixpoint` admitted on a session and not yet ended.
+pub(crate) struct ActiveRun {
+    /// The request's verb, echoed in error frames.
+    pub(crate) op: String,
+    /// Injects drained when the run was admitted.
+    pub(crate) drained: usize,
 }
 
 impl Session {
     /// Wraps a freshly built engine with an empty queue of capacity
-    /// `cap` changes.
-    pub fn new(engine: Engine, cap: usize) -> Session {
+    /// `cap` changes, logging to `wal` when durability is on.
+    pub fn new(engine: Engine, cap: usize, wal: Option<SessionWal>) -> Session {
         Session {
             engine,
             queue: VecDeque::new(),
@@ -57,6 +75,8 @@ impl Session {
             injected_removes: 0,
             pending_lines: Vec::new(),
             reload_lines: Vec::new(),
+            wal,
+            run: None,
         }
     }
 
@@ -84,28 +104,34 @@ impl Session {
     }
 
     /// Records the rendered inject frame backing the most recent
-    /// [`Session::enqueue`] (durability bookkeeping; see
-    /// [`Session::pending_lines`]).
+    /// [`Session::enqueue`] (durability bookkeeping for compaction).
     pub fn note_pending(&mut self, line: String) {
         self.pending_lines.push(line);
     }
 
-    /// The rendered inject frames still queued (for WAL compaction
-    /// records).
-    pub fn pending_lines(&self) -> &[String] {
-        &self.pending_lines
-    }
-
-    /// Records an accepted `reload` frame (durability bookkeeping; see
-    /// [`Session::reload_lines`]).
+    /// Records an accepted `reload` frame (durability bookkeeping for
+    /// compaction).
     pub fn note_reload(&mut self, line: String) {
         self.reload_lines.push(line);
     }
 
-    /// Every accepted `reload` frame, in order (for WAL compaction
-    /// records).
-    pub fn reload_lines(&self) -> &[String] {
-        &self.reload_lines
+    /// Compacts the session's log, if it has one, to `header + snapshot
+    /// record` of the session as it stands. Returns whether a log was
+    /// compacted.
+    pub(crate) fn compact(&mut self) -> std::io::Result<bool> {
+        let Some(wal) = self.wal.as_mut() else {
+            return Ok(false);
+        };
+        let record = SnapshotRecord {
+            open_line: wal.open_line.clone(),
+            snapshot: self.engine.checkpoint().to_bytes(),
+            injected_adds: self.injected_adds,
+            injected_removes: self.injected_removes,
+            pending: self.pending_lines.clone(),
+            reloads: self.reload_lines.clone(),
+        };
+        wal.compact(&record)?;
+        Ok(true)
     }
 
     /// Applies every queued delta through the kernel's incremental

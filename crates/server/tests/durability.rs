@@ -214,11 +214,143 @@ fn close_and_engine_death_delete_the_wal() {
     assert_eq!(err_kind(&mut server, r#"{"op":"run","session":"doomed"}"#), "engine");
     assert!(!doomed_path.exists(), "engine death left the WAL behind");
 
+    // So is a death in a later slice of a sliced run: the session, its
+    // log and its admission slot all go when the slice that trips ends.
+    ok(
+        &mut server,
+        r#"{"op":"open","session":"sliced","program":"(literalize c n)\n(p grow (c ^n <n>) --> (make c ^n (+ <n> 1)))","max_wm":4}"#,
+    );
+    ok(
+        &mut server,
+        r#"{"op":"inject","session":"sliced","adds":[{"class":"c","fields":[0]}]}"#,
+    );
+    let sliced_path = dir.join(wal::wal_file_name("sliced"));
+    assert_eq!(server.session_count(), 1);
+    let run = Json::parse(r#"{"op":"run","session":"sliced"}"#);
+    assert_eq!(server.handle_parsed(&run, 1), None, "the first slice parks");
+    assert!(sliced_path.exists());
+    let death = loop {
+        if let Some(response) = server.resume_run("sliced", 1) {
+            break Json::parse(&response).unwrap();
+        }
+    };
+    let kind = death
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(|k| k.as_str());
+    assert_eq!(kind, Some("engine"), "{}", death.render());
+    assert!(
+        !sliced_path.exists(),
+        "a death in a later slice left the WAL behind"
+    );
+    assert_eq!(server.session_count(), 0);
+    let gauge = server.admission_gauge();
+    assert_eq!(gauge.load(std::sync::atomic::Ordering::SeqCst), 0);
+
     // Nothing to recover afterwards.
     drop(server);
     let mut restored = durable(&dir);
     let report = recover(&mut restored, &wal_config(&dir));
     assert_eq!(report.sessions_recovered, 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Opens a closure session with every edge injected and takes one
+/// `step`; returns the `run` frame for it.
+fn closure_session_after_a_step(server: &mut Server, session: &str) -> String {
+    let scenario = Closure::new(12, 18, 7);
+    ok(
+        server,
+        &format!(
+            r#"{{"op":"open","session":"{session}","program":"{}"}}"#,
+            escape(scenario.source())
+        ),
+    );
+    let adds: Vec<String> = scenario
+        .edges()
+        .iter()
+        .map(|(a, b)| format!(r#"{{"class":"edge","fields":[{a},{b}]}}"#))
+        .collect();
+    ok(
+        server,
+        &format!(
+            r#"{{"op":"inject","session":"{session}","adds":[{}]}}"#,
+            adds.join(",")
+        ),
+    );
+    ok(server, &format!(r#"{{"op":"step","session":"{session}"}}"#));
+    format!(r#"{{"op":"run","session":"{session}"}}"#)
+}
+
+/// Drives `session`'s parked run to its end one cycle at a time.
+fn finish_run(server: &mut Server, session: &str) -> String {
+    loop {
+        if let Some(response) = server.resume_run(session, 1) {
+            assert!(response.starts_with(r#"{"ok":true"#), "{response}");
+            break response;
+        }
+    }
+}
+
+/// A parked run owns its session: a `restore` sent straight to the server
+/// (the scheduler would defer it) is refused before it is logged, so the
+/// recovered session ends where the live one did.
+#[test]
+fn a_parked_run_refuses_a_restore_and_recovery_agrees() {
+    let dir = tmp_dir("parked-restore");
+    let mut server = durable(&dir);
+    let run = closure_session_after_a_step(&mut server, "p");
+    let snapshot = ok(&mut server, r#"{"op":"snapshot","session":"p"}"#);
+    let hex = snapshot
+        .get("snapshot")
+        .and_then(|s| s.as_str())
+        .unwrap()
+        .to_string();
+    assert_eq!(
+        server.handle_parsed(&Json::parse(&run), 1),
+        None,
+        "the run parks"
+    );
+    let restore = format!(r#"{{"op":"restore","session":"p","snapshot":"{hex}"}}"#);
+    assert_eq!(err_kind(&mut server, &restore), "protocol");
+    finish_run(&mut server, "p");
+    let live = fingerprint(&mut server, "p");
+    drop(server);
+
+    let mut restored = durable(&dir);
+    let report = recover(&mut restored, &wal_config(&dir));
+    assert_eq!(report.sessions_recovered, 1, "{:?}", report.notes);
+    assert_eq!(fingerprint(&mut restored, "p"), live);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A frame that reads a parked session leaves its log alone even when a
+/// compaction is due: a snapshot taken mid-run would drop the logged
+/// `run` frame, and recovery would end at the half-run state.
+#[test]
+fn a_read_during_a_parked_run_does_not_compact_its_log() {
+    let dir = tmp_dir("parked-compact");
+    let mut cfg = wal_config(&dir);
+    cfg.snapshot_every = 1;
+    let mut server = Server::with_wal(ServerConfig::default(), cfg.clone());
+    let run = closure_session_after_a_step(&mut server, "q");
+    assert_eq!(
+        server.handle_parsed(&Json::parse(&run), 1),
+        None,
+        "the run parks"
+    );
+    ok(
+        &mut server,
+        r#"{"op":"query","session":"q","class":"reach"}"#,
+    );
+    finish_run(&mut server, "q");
+    let live = fingerprint(&mut server, "q");
+    drop(server);
+
+    let mut restored = Server::with_wal(ServerConfig::default(), cfg.clone());
+    let report = recover(&mut restored, &cfg);
+    assert_eq!(report.sessions_recovered, 1, "{:?}", report.notes);
+    assert_eq!(fingerprint(&mut restored, "q"), live);
     let _ = fs::remove_dir_all(&dir);
 }
 

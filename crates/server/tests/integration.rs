@@ -445,3 +445,88 @@ fn ill_typed_open_options_are_refused() {
     let reopen = server.handle_line(&open(r#""meta":null"#));
     assert!(reopen.expect("response").starts_with(r#"{"ok":true"#));
 }
+
+/// A parked run owns its session until it ends: sent straight to the
+/// server (the scheduler would defer them), every mutating verb is
+/// refused with a `protocol` error and changes nothing, while reads still
+/// answer. The run then answers exactly as it does unsliced.
+#[test]
+fn every_mutating_frame_on_a_parked_session_is_refused() {
+    let scenario = Closure::new(12, 20, 5);
+    let frames = session_frames("s", scenario.source(), scenario.edges(), "");
+    let (run, setup) = (&frames[frames.len() - 2], &frames[..frames.len() - 2]);
+    let fresh = || {
+        let mut server = Server::new(ServerConfig::default());
+        for frame in setup {
+            server.handle_line(frame).expect("response");
+        }
+        server
+    };
+    let unsliced = fresh().handle_line(run).expect("response");
+
+    let mut server = fresh();
+    let snapshot = server
+        .handle_line(r#"{"op":"snapshot","session":"s"}"#)
+        .expect("response");
+    let hex = Json::parse(&snapshot)
+        .unwrap()
+        .get("snapshot")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    assert_eq!(
+        server.handle_parsed(&Json::parse(run), 1),
+        None,
+        "the run parks"
+    );
+    let program = escape(scenario.source());
+    for frame in [
+        r#"{"op":"inject","session":"s","adds":[{"class":"edge","fields":[0,1]}]}"#.to_string(),
+        r#"{"op":"step","session":"s"}"#.to_string(),
+        r#"{"op":"run-to-fixpoint","session":"s"}"#.to_string(),
+        format!(r#"{{"op":"restore","session":"s","snapshot":"{hex}"}}"#),
+        format!(r#"{{"op":"reload","session":"s","program":"{program}"}}"#),
+        r#"{"op":"close","session":"s"}"#.to_string(),
+    ] {
+        let refusal = Json::parse(&server.handle_line(&frame).expect("response")).unwrap();
+        let kind = refusal.get("error").and_then(|e| e.get("kind")?.as_str());
+        assert_eq!(kind, Some("protocol"), "{frame} -> {}", refusal.render());
+    }
+    for read in [
+        r#"{"op":"query","session":"s","class":"reach"}"#,
+        r#"{"op":"metrics","session":"s"}"#,
+    ] {
+        let response = server.handle_line(read).expect("response");
+        assert!(
+            response.starts_with(r#"{"ok":true"#),
+            "{read} -> {response}"
+        );
+    }
+    let response = loop {
+        if let Some(response) = server.resume_run("s", 1) {
+            break response;
+        }
+    };
+    assert_eq!(response, unsliced);
+}
+
+/// The session `metrics` frame's `report` flag is read as a boolean:
+/// `"report":1` and `"report":"true"` used to answer the compact frame as
+/// if the flag were false.
+#[test]
+fn an_ill_typed_report_flag_is_refused() {
+    let scenario = Closure::new(8, 12, 3);
+    let frames = session_frames("r", scenario.source(), scenario.edges(), "");
+    let mut server = Server::new(ServerConfig::default());
+    server.handle_line(&frames[0]).expect("response");
+    for flag in ["1", r#""true""#] {
+        let frame = format!(r#"{{"op":"metrics","session":"r","report":{flag}}}"#);
+        let refusal = Json::parse(&server.handle_line(&frame).expect("response")).unwrap();
+        let kind = refusal.get("error").and_then(|e| e.get("kind")?.as_str());
+        assert_eq!(kind, Some("protocol"), "{frame} -> {}", refusal.render());
+    }
+    let frame = r#"{"op":"metrics","session":"r","report":true}"#;
+    let response = Json::parse(&server.handle_line(frame).expect("response")).unwrap();
+    assert!(response.get("report").is_some(), "{}", response.render());
+}
