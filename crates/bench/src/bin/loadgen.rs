@@ -115,7 +115,7 @@ fn scale_leg(workers: usize, quantum: u64, total: usize, conns: usize) -> ScaleR
             ..ServerConfig::default()
         });
         if let Some(first) = servers.first() {
-            server.share_admission(first.admission_gauge(), first.shutdown_signal());
+            server.share_admission(first.admission_gauge());
         }
         servers.push(server);
     }

@@ -336,7 +336,7 @@ fn wal_config(opts: &ServeOpts) -> Result<Option<parulel_server::WalConfig>, Str
 
 /// Builds one server per scheduler shard. All shards share one
 /// admission gauge (so `--max-sessions` bounds the daemon, not each
-/// shard) and one shutdown flag. With `--wal-dir`, each shard recovers
+/// shard). With `--wal-dir`, each shard recovers
 /// exactly the WAL files whose sessions hash to it — the same
 /// partition the scheduler routes live frames by — before any
 /// transport accepts a frame.
@@ -351,7 +351,7 @@ fn build_shard_servers(opts: &ServeOpts) -> Result<Vec<parulel_server::Server>, 
             None => parulel_server::Server::new(config.clone()),
         };
         if let Some(first) = servers.first() {
-            server.share_admission(first.admission_gauge(), first.shutdown_signal());
+            server.share_admission(first.admission_gauge());
         }
         if let Some(w) = &wal {
             let report = parulel_server::recover_shard(&mut server, w, shard, opts.workers);

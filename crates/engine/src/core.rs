@@ -709,6 +709,12 @@ impl Engine {
         Ok(self.run_slice(0)?.expect("a run at quantum 0 always ends"))
     }
 
+    /// True while a run that [`run_slice`](Self::run_slice) started has
+    /// not ended.
+    pub fn run_in_progress(&self) -> bool {
+        self.run.is_some()
+    }
+
     /// Advances the run in progress by at most `quantum` cycles (`0`: to
     /// its end), starting a run if none is in progress. Returns `None`
     /// while the run goes on, and the whole run's [`Outcome`] once it

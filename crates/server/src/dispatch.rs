@@ -21,8 +21,8 @@
 //! "C"` declarations the signal handling already uses (std links libc;
 //! the build stays offline with zero new dependencies).
 
-use crate::sched::{Reply, Sched, Submitted};
-use crate::server::Server;
+use crate::sched::{Sched, Submitted};
+use crate::server::{Reply, Server};
 use crate::transport::{install_signal_handlers, register_signal_wake, signal_requested};
 use parulel_engine::Json;
 use std::collections::BTreeMap;
@@ -66,12 +66,12 @@ const POLL_FOREVER: i32 = -1;
 /// Worker→dispatcher completion channel: finished responses plus the
 /// self-pipe poke that wakes `poll(2)`.
 struct Completions {
-    queue: Mutex<Vec<(u64, u64, Option<String>)>>,
+    queue: Mutex<Vec<(u64, u64, String)>>,
     wake_fd: i32,
 }
 
 impl Completions {
-    fn push(&self, conn: u64, seq: u64, response: Option<String>) {
+    fn push(&self, conn: u64, seq: u64, response: String) {
         self.queue
             .lock()
             .expect("completion queue poisoned")
@@ -143,11 +143,40 @@ impl Sock {
     }
 }
 
+/// A connection's input bytes after its last complete line, and how many
+/// of them were already scanned for a `\n`.
+#[derive(Default)]
+struct LineBuf {
+    bytes: Vec<u8>,
+    scanned: usize,
+}
+
+impl LineBuf {
+    /// Appends `chunk` and returns the lines it completes, without their
+    /// `\n`. Each byte is scanned once, and the consumed prefix is
+    /// dropped once per call, so a long line costs linear time however
+    /// many reads it spans.
+    fn split(&mut self, chunk: &[u8]) -> Vec<String> {
+        self.bytes.extend_from_slice(chunk);
+        let mut lines = Vec::new();
+        let mut start = 0;
+        while let Some(at) = self.bytes[self.scanned..].iter().position(|&b| b == b'\n') {
+            let end = self.scanned + at;
+            lines.push(String::from_utf8_lossy(&self.bytes[start..end]).into_owned());
+            start = end + 1;
+            self.scanned = start;
+        }
+        self.bytes.drain(..start);
+        self.scanned = self.bytes.len();
+        lines
+    }
+}
+
 /// One connection's dispatcher-side state.
 struct Conn {
     sock: Sock,
-    /// Partial input line (bytes up to the last unterminated `\n`).
-    rbuf: Vec<u8>,
+    /// Input not yet split into lines.
+    rbuf: LineBuf,
     /// Bytes queued for write (response frames, newline-terminated).
     wbuf: Vec<u8>,
     /// Next sequence number assigned to an incoming frame.
@@ -165,7 +194,7 @@ impl Conn {
     fn new(sock: Sock) -> Conn {
         Conn {
             sock,
-            rbuf: Vec::new(),
+            rbuf: LineBuf::default(),
             wbuf: Vec::new(),
             next_seq: 0,
             next_flush: 0,
@@ -180,13 +209,11 @@ impl Conn {
 
     /// Files a completed response and flushes every consecutively-ready
     /// response into the write buffer (per-connection request order).
-    fn complete(&mut self, seq: u64, response: Option<String>) {
-        self.pending.insert(seq, response.unwrap_or_default());
+    fn complete(&mut self, seq: u64, response: String) {
+        self.pending.insert(seq, response);
         while let Some(r) = self.pending.remove(&self.next_flush) {
-            if !r.is_empty() {
-                self.wbuf.extend_from_slice(r.as_bytes());
-                self.wbuf.push(b'\n');
-            }
+            self.wbuf.extend_from_slice(r.as_bytes());
+            self.wbuf.push(b'\n');
             self.next_flush += 1;
         }
     }
@@ -328,7 +355,7 @@ fn event_loop(mut sched: Sched, listener: Listener) -> io::Result<()> {
                     }
                     ReadOutcome::Shutdown(reply) => {
                         let merged = sched.shutdown(&Json::obj().set("op", "shutdown"));
-                        reply(Some(merged.render()));
+                        reply(merged.render());
                         deliver(&completions, &mut conns);
                         down = true;
                         break;
@@ -402,7 +429,7 @@ fn drain_pipe(fd: i32) {
 }
 
 fn deliver(completions: &Completions, conns: &mut BTreeMap<u64, Conn>) {
-    let batch: Vec<(u64, u64, Option<String>)> = {
+    let batch: Vec<(u64, u64, String)> = {
         let mut queue = completions.queue.lock().expect("completion queue poisoned");
         std::mem::take(&mut *queue)
     };
@@ -436,11 +463,7 @@ fn read_frames(
                 return ReadOutcome::Closed;
             }
             Ok(n) => {
-                conn.rbuf.extend_from_slice(&buf[..n]);
-                // Split complete lines out of the read buffer.
-                while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line_bytes[..pos]).into_owned();
+                for line in conn.rbuf.split(&buf[..n]) {
                     if line.trim().is_empty() {
                         continue;
                     }
@@ -497,4 +520,56 @@ pub fn serve_sched_unix(
     listener.set_nonblocking(true)?;
     let sched = Sched::start(servers, quantum, inbox_cap);
     event_loop(sched, Listener::Unix(listener, path.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::LineBuf;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Splits `stream` through a [`LineBuf`] fed `chunk()` bytes at a
+    /// time.
+    fn split(stream: &[u8], mut chunk: impl FnMut() -> usize) -> Vec<String> {
+        let mut buf = LineBuf::default();
+        let mut lines = Vec::new();
+        let mut rest = stream;
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at(chunk().clamp(1, rest.len()));
+            lines.extend(buf.split(head));
+            rest = tail;
+        }
+        lines
+    }
+
+    #[test]
+    fn lines_do_not_depend_on_how_reads_chunk_the_stream() {
+        for seed in 0..20 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut stream = Vec::new();
+            for _ in 0..rng.gen_range(0..40usize) {
+                let len = match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => rng.gen_range(1..16usize),
+                    2 => rng.gen_range(16..5000usize),
+                    _ => rng.gen_range(5000..20000usize),
+                };
+                let text: String = (0..len)
+                    .map(|_| ['a', ' ', '{', 'é', '"'][rng.gen_range(0..5usize)])
+                    .collect();
+                stream.extend_from_slice(text.as_bytes());
+                stream.push(b'\n');
+            }
+            // An unterminated tail is never a line.
+            stream.extend_from_slice(&b"tail"[..rng.gen_range(0..5usize)]);
+            let text = String::from_utf8(stream.clone()).unwrap();
+            let mut expected: Vec<String> = text.split('\n').map(str::to_string).collect();
+            expected.pop();
+            assert_eq!(split(&stream, || 1), expected, "seed {seed}, 1-byte reads");
+            assert_eq!(split(&stream, || 4096), expected, "seed {seed}, 4 KiB reads");
+            let mut sizes = SmallRng::seed_from_u64(seed ^ 0x5eed);
+            let random = split(&stream, || sizes.gen_range(1..9000usize));
+            assert_eq!(random, expected, "seed {seed}, random reads");
+        }
+    }
 }

@@ -64,7 +64,7 @@ pub use dispatch::{serve_sched_unix, spawn_sched_tcp};
 pub use protocol::{fingerprint_hex, wm_fingerprint, Failure};
 pub use recovery::{recover, recover_shard, RecoveryReport};
 pub use sched::{shard_of, Sched};
-pub use server::{Server, ServerConfig};
+pub use server::{Reply, Server, ServerConfig};
 pub use session::Session;
 pub use transport::{serve_lines, serve_stdio};
 pub use wal::{SyncPolicy, WalConfig};

@@ -12,46 +12,36 @@
 //!   (per-session frame ordering is exactly the old single-server
 //!   guarantee).
 //! * **Step-quantum runs** — a `run`/`run-to-fixpoint` frame executes
-//!   `--run-quantum` cycles, then parks on the worker's run queue while
-//!   neighbor frames are served; parked runs advance round-robin, one
-//!   quantum per turn. Frames addressed to a session with a parked run
-//!   are deferred behind it, preserving per-session ordering (the
-//!   server itself would refuse the mutating ones). Slicing is the
-//!   server's only run path (quantum `0` is one slice covering the
-//!   whole run), so a sliced run answers exactly as an unsliced one.
-//!   The run itself lives in the server's session record and its
-//!   engine; a shard keeps only transport state per parked run — the
-//!   reply that delivers its response and the frames deferred behind
-//!   it.
-//! * **One parse per frame** — [`Sched::submit`] parses each line once;
-//!   the shard job carries the parsed frame (or its parse error), the
-//!   shard reads its `session` field to decide deferral, and
-//!   [`Server::handle_parsed`] dispatches it.
+//!   `--run-quantum` cycles, then parks while neighbor frames are
+//!   served; parked runs advance round-robin, one quantum per turn.
+//!   The server owns all of it: each session record holds its parked
+//!   run's reply and the frames queued behind the run, and
+//!   [`Server::submit`] / [`Server::advance`] decide when a session's
+//!   frames execute. A shard worker is a plain loop over its inbox: it
+//!   blocks on the inbox while no run is parked, and otherwise takes up
+//!   to `JOBS_PER_TURN` jobs, then advances one run by one quantum.
+//! * **One parse per frame** — [`Sched::submit`] parses each line once
+//!   and the shard job carries the parsed frame (or its parse error).
 //! * **Bounded inboxes** — each shard's inbox is a bounded channel; a
 //!   full inbox refuses the frame with the same `backpressure` error
-//!   kind the per-session inject queue uses. Nothing in the daemon
-//!   buffers without bound.
+//!   kind the per-session inject queue uses. Two buffers are not
+//!   bounded: a connection's unread input and unwritten responses in
+//!   the dispatcher, and the frames queued behind a parked run.
 //!
 //! Server-level control frames (`ping`, `metrics`, `sync`) broadcast to
 //! every shard *through the same inboxes* (so they order correctly
 //! against session frames already queued) and merge deterministically;
 //! with one worker they pass through a single server untouched, which
-//! keeps the golden transcripts byte-for-byte. `shutdown` first drains
-//! every shard's parked runs — delivering their responses — then
-//! persists, so a shutdown mid-`run` recovers with the same fingerprint
-//! as an uninterrupted run.
+//! keeps the golden transcripts byte-for-byte. `shutdown` reaches every
+//! shard the same way: each server first finishes its parked runs —
+//! delivering their responses — then persists, so a shutdown mid-`run`
+//! recovers with the same fingerprint as an uninterrupted run.
 
 use crate::protocol::{kind, ok_frame, Failure};
-use crate::server::Server;
+use crate::server::{ParsedFrame, Reply, Server};
 use parulel_engine::Json;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread;
-
-/// A response callback: called exactly once with the rendered response
-/// frame. Transports capture their connection/sequence bookkeeping in
-/// it; tests capture a channel sender.
-pub type Reply = Box<dyn FnOnce(Option<String>) + Send + 'static>;
 
 /// How many queued jobs a worker handles per turn while runs are
 /// parked. Bounds how long a flood of new frames can starve the run
@@ -76,159 +66,44 @@ enum Job {
     /// shard (or, with no session field, any server-level frame at
     /// `workers == 1`).
     Line { frame: ParsedFrame, reply: Reply },
-    /// A server-level frame executed on every shard; the dispatcher
-    /// merges the per-shard responses.
+    /// A server-level frame executed on every shard: a broadcast the
+    /// dispatcher merges, or `shutdown`, after which the worker stops.
     Control {
         frame: Json,
         reply: SyncSender<Json>,
     },
-    /// Drain parked runs (delivering their responses), execute the
-    /// shutdown frame (persisting when durable), reply, and stop.
-    Shutdown {
-        frame: Json,
-        reply: SyncSender<Json>,
-    },
 }
 
-/// A request line as [`Sched::submit`] parsed it.
-type ParsedFrame = Result<Json, String>;
-
-/// A parked run's connection-side state: the reply that
-/// delivers the eventual `run` response, plus frames for the same
-/// session deferred behind it (per-session ordering).
-struct ParkedSession {
-    reply: Reply,
-    deferred: VecDeque<(ParsedFrame, Reply)>,
+/// One shard worker: serves `inbox` through `server` until a `shutdown`
+/// frame, or until the inbox disconnects (daemon teardown) with no run
+/// parked. No polling and no timeouts: with no run parked the worker
+/// blocks on its inbox; otherwise it interleaves a bounded batch of jobs
+/// (so a frame flood cannot starve the runs) with one quantum of the
+/// next run.
+fn shard(mut server: Server, quantum: u64, inbox: Receiver<Job>) {
+    while !server.shutting_down() {
+        if !server.has_parked_runs() {
+            let Ok(job) = inbox.recv() else {
+                return;
+            };
+            run_job(&mut server, job, quantum);
+            continue;
+        }
+        for job in inbox.try_iter().take(JOBS_PER_TURN) {
+            run_job(&mut server, job, quantum);
+            if server.shutting_down() {
+                return;
+            }
+        }
+        server.advance(quantum);
+    }
 }
 
-/// One shard worker: an owned [`Server`], an inbox, and the run queue.
-struct Shard {
-    server: Server,
-    quantum: u64,
-    inbox: Receiver<Job>,
-    parked: BTreeMap<String, ParkedSession>,
-    /// Round-robin order over `parked`.
-    rr: VecDeque<String>,
-}
-
-impl Shard {
-    fn run(mut self) {
-        loop {
-            if self.rr.is_empty() {
-                // Nothing runnable: block. No polling, no timeouts — an
-                // idle shard wakes only for work or daemon teardown
-                // (channel disconnect).
-                match self.inbox.recv() {
-                    Ok(job) => {
-                        if self.handle_job(job) {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
-                }
-            } else {
-                // Runs are parked: interleave queued frames (bounded,
-                // so a frame flood cannot starve the runs) with one
-                // quantum of the next run.
-                let mut down = false;
-                for _ in 0..JOBS_PER_TURN {
-                    match self.inbox.try_recv() {
-                        Ok(job) => {
-                            if self.handle_job(job) {
-                                down = true;
-                                break;
-                            }
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            down = true;
-                            break;
-                        }
-                    }
-                }
-                if down {
-                    break;
-                }
-                self.turn();
-            }
-        }
-    }
-
-    /// Handles one job; returns true when the shard should stop.
-    fn handle_job(&mut self, job: Job) -> bool {
-        match job {
-            Job::Line { frame, reply } => {
-                self.handle_line(frame, reply);
-                false
-            }
-            Job::Control { frame, reply } => {
-                let response = self.server.handle_frame(&frame);
-                let _ = reply.send(response);
-                false
-            }
-            Job::Shutdown { frame, reply } => {
-                // Drain in-flight runs to a cycle boundary and deliver
-                // their responses (then any frames deferred behind
-                // them, in order) before the shutdown itself executes.
-                while !self.parked.is_empty() {
-                    for (name, response) in self.server.drain_runs() {
-                        if let Some(st) = self.parked.remove(&name) {
-                            (st.reply)(Some(response));
-                            for (frame, reply) in st.deferred {
-                                self.handle_line(frame, reply);
-                            }
-                        }
-                    }
-                }
-                self.rr.clear();
-                let response = self.server.handle_frame(&frame);
-                let _ = reply.send(response);
-                true
-            }
-        }
-    }
-
-    fn handle_line(&mut self, frame: ParsedFrame, reply: Reply) {
-        let session = frame.as_ref().ok().and_then(|f| f.get("session")).and_then(Json::as_str);
-        // Frames addressed to a session with a parked run wait behind
-        // it: per-session frame ordering is never reordered by slicing.
-        if let Some(st) = session.and_then(|name| self.parked.get_mut(name)) {
-            st.deferred.push_back((frame, reply));
-            return;
-        }
-        match self.server.handle_parsed(&frame, self.quantum) {
-            Some(response) => reply(Some(response)),
-            None => {
-                let name = session.expect("only a session's run parks").to_string();
-                self.parked.insert(
-                    name.clone(),
-                    ParkedSession {
-                        reply,
-                        deferred: VecDeque::new(),
-                    },
-                );
-                self.rr.push_back(name);
-            }
-        }
-    }
-
-    /// One scheduler turn: advance the next parked run by one quantum;
-    /// on completion deliver its response and replay its deferred
-    /// frames.
-    fn turn(&mut self) {
-        let Some(name) = self.rr.pop_front() else {
-            return;
-        };
-        match self.server.resume_run(&name, self.quantum) {
-            None => self.rr.push_back(name),
-            Some(response) => {
-                if let Some(st) = self.parked.remove(&name) {
-                    (st.reply)(Some(response));
-                    for (frame, reply) in st.deferred {
-                        self.handle_line(frame, reply);
-                    }
-                }
-            }
+fn run_job(server: &mut Server, job: Job, quantum: u64) {
+    match job {
+        Job::Line { frame, reply } => server.submit(frame, reply, quantum),
+        Job::Control { frame, reply } => {
+            let _ = reply.send(server.handle_frame(&frame));
         }
     }
 }
@@ -264,17 +139,10 @@ impl Sched {
         for (i, server) in servers.into_iter().enumerate() {
             let (tx, rx) = sync_channel(inbox_cap.max(1));
             inboxes.push(tx);
-            let shard = Shard {
-                server,
-                quantum,
-                inbox: rx,
-                parked: BTreeMap::new(),
-                rr: VecDeque::new(),
-            };
             handles.push(
                 thread::Builder::new()
                     .name(format!("parulel-shard-{i}"))
-                    .spawn(move || shard.run())
+                    .spawn(move || shard(server, quantum, rx))
                     .expect("spawn shard worker"),
             );
         }
@@ -314,84 +182,62 @@ impl Sched {
                     matches!(op.as_deref(), Some("ping") | Some("metrics") | Some("sync"));
                 if self.inboxes.len() > 1 && broadcastable {
                     if let Ok(frame) = &frame {
-                        let merged = self.broadcast(frame);
-                        reply(Some(merged.render()));
+                        let responses = self.on_every_shard(frame);
+                        reply(merge_control(frame, responses).render());
                         return Submitted::Dispatched;
                     }
                 }
                 0
             }
         };
-        match self.inboxes[shard].try_send(Job::Line { frame, reply }) {
-            Ok(()) => Submitted::Dispatched,
-            Err(TrySendError::Full(Job::Line { reply, .. })) => {
-                let failure = Failure::new(
+        let refusal = match self.inboxes[shard].try_send(Job::Line { frame, reply }) {
+            Ok(()) => return Submitted::Dispatched,
+            Err(TrySendError::Full(job)) => (
+                job,
+                Failure::new(
                     kind::BACKPRESSURE,
                     format!("shard {shard} inbox full; retry after responses drain"),
-                );
-                reply(Some(
-                    failure
-                        .to_frame(op.as_deref(), session.as_deref())
-                        .render(),
-                ));
-                Submitted::Dispatched
+                ),
+            ),
+            Err(TrySendError::Disconnected(job)) => {
+                (job, Failure::new(kind::PROTOCOL, "server is shutting down"))
             }
-            Err(TrySendError::Disconnected(Job::Line { reply, .. })) => {
-                let failure = Failure::new(kind::PROTOCOL, "server is shutting down");
-                reply(Some(
-                    failure
-                        .to_frame(op.as_deref(), session.as_deref())
-                        .render(),
-                ));
-                Submitted::Dispatched
-            }
-            Err(_) => Submitted::Dispatched,
+        };
+        if let (Job::Line { reply, .. }, failure) = refusal {
+            reply(failure.to_frame(op.as_deref(), session.as_deref()).render());
         }
+        Submitted::Dispatched
     }
 
-    /// Broadcasts a control frame to every shard through its inbox (so
-    /// it orders after frames already queued there) and merges the
-    /// responses deterministically.
-    fn broadcast(&self, frame: &Json) -> Json {
+    /// Executes a server-level frame on every shard, through its inbox
+    /// (so it orders after frames already queued there), and returns the
+    /// shards' responses.
+    fn on_every_shard(&self, frame: &Json) -> Vec<Json> {
         let mut receivers = Vec::with_capacity(self.inboxes.len());
         for tx in &self.inboxes {
             let (rtx, rrx) = sync_channel(1);
             // A blocking send keeps ordering simple; control frames are
             // rare and shards drain their inboxes promptly (runs park).
-            if tx
-                .send(Job::Control {
-                    frame: frame.clone(),
-                    reply: rtx,
-                })
-                .is_ok()
-            {
+            let job = Job::Control {
+                frame: frame.clone(),
+                reply: rtx,
+            };
+            if tx.send(job).is_ok() {
                 receivers.push(rrx);
             }
         }
-        let responses: Vec<Json> = receivers.into_iter().filter_map(|r| r.recv().ok()).collect();
-        merge_control(frame, responses)
+        receivers
+            .into_iter()
+            .filter_map(|r| r.recv().ok())
+            .collect()
     }
 
-    /// Executes a daemon shutdown: every shard drains its parked runs
+    /// Executes a daemon shutdown: every shard finishes its parked runs
     /// (delivering their responses through their replies), persists when
     /// durable, and stops; workers are joined. Returns the merged
     /// shutdown response frame.
     pub fn shutdown(&mut self, frame: &Json) -> Json {
-        let mut receivers = Vec::with_capacity(self.inboxes.len());
-        for tx in &self.inboxes {
-            let (rtx, rrx) = sync_channel(1);
-            if tx
-                .send(Job::Shutdown {
-                    frame: frame.clone(),
-                    reply: rtx,
-                })
-                .is_ok()
-            {
-                receivers.push(rrx);
-            }
-        }
-        let responses: Vec<Json> = receivers.into_iter().filter_map(|r| r.recv().ok()).collect();
-        let merged = merge_shutdown(responses, self.durable);
+        let merged = merge_shutdown(self.on_every_shard(frame), self.durable);
         self.join();
         merged
     }
@@ -447,9 +293,10 @@ fn merge_control(request: &Json, mut responses: Vec<Json>) -> Json {
         "ping" => {
             let mut merged = ok_frame("ping");
             if let Some(wal) = responses[0].get("wal").and_then(|v| v.as_str()) {
-                merged = merged
-                    .set("wal", wal)
-                    .set("recovered_sessions", sum_field(&responses, "recovered_sessions"));
+                merged = merged.set("wal", wal).set(
+                    "recovered_sessions",
+                    sum_field(&responses, "recovered_sessions"),
+                );
             }
             merged
         }
@@ -473,7 +320,10 @@ fn merge_control(request: &Json, mut responses: Vec<Json>) -> Json {
                     .set("wal_records", sum_field(&responses, "wal_records"))
                     .set("wal_bytes", sum_field(&responses, "wal_bytes"))
                     .set("wal_snapshots", sum_field(&responses, "wal_snapshots"))
-                    .set("recovered_sessions", sum_field(&responses, "recovered_sessions"));
+                    .set(
+                        "recovered_sessions",
+                        sum_field(&responses, "recovered_sessions"),
+                    );
             }
             let mut names: Vec<String> = responses
                 .iter()
@@ -522,7 +372,10 @@ mod tests {
         assert_eq!(pinned, [2, 1, 0, 3, 2, 1, 0, 3]);
         let spread: std::collections::BTreeSet<usize> =
             (0..64).map(|i| shard_of(&format!("s{i}"), 4)).collect();
-        assert!(spread.len() > 1, "64 sessions must not all hash to one shard");
+        assert!(
+            spread.len() > 1,
+            "64 sessions must not all hash to one shard"
+        );
     }
 
     #[test]
@@ -534,9 +387,9 @@ mod tests {
             sched.submit(line, Box::new(move |r| tx.send(r).unwrap()));
         };
         send(&sched, r#"{"op":"ping"}"#);
-        assert_eq!(rx.recv().unwrap().unwrap(), r#"{"ok":true,"op":"ping"}"#);
+        assert_eq!(rx.recv().unwrap(), r#"{"ok":true,"op":"ping"}"#);
         send(&sched, "not json");
-        let parse_err = rx.recv().unwrap().unwrap();
+        let parse_err = rx.recv().unwrap();
         assert!(parse_err.contains("\"parse\""), "{parse_err}");
         let merged = sched.shutdown(&Json::obj().set("op", "shutdown"));
         assert_eq!(
@@ -548,11 +401,10 @@ mod tests {
     #[test]
     fn multi_shard_control_frames_merge() {
         let gauge = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let servers: Vec<Server> = (0..4)
             .map(|_| {
                 let mut s = Server::new(ServerConfig::default());
-                s.share_admission(gauge.clone(), flag.clone());
+                s.share_admission(gauge.clone());
                 s
             })
             .collect();
@@ -561,13 +413,11 @@ mod tests {
         let program = "(literalize f x)(p r (f ^x 1) --> (make f ^x 2))";
         for name in ["a", "b", "c", "d", "e"] {
             let tx = tx.clone();
-            let line = format!(
-                r#"{{"op":"open","session":"{name}","program":"{program}"}}"#
-            );
+            let line = format!(r#"{{"op":"open","session":"{name}","program":"{program}"}}"#);
             sched.submit(&line, Box::new(move |r| tx.send(r).unwrap()));
         }
         for _ in 0..5 {
-            let r = rx.recv().unwrap().unwrap();
+            let r = rx.recv().unwrap();
             assert!(r.contains("\"ok\":true"), "{r}");
         }
         let tx2 = tx.clone();
@@ -575,7 +425,7 @@ mod tests {
             r#"{"op":"metrics"}"#,
             Box::new(move |r| tx2.send(r).unwrap()),
         );
-        let metrics = rx.recv().unwrap().unwrap();
+        let metrics = rx.recv().unwrap();
         let parsed = Json::parse(&metrics).unwrap();
         assert_eq!(parsed.get("sessions").and_then(Json::as_f64), Some(5.0));
         assert_eq!(

@@ -4,12 +4,13 @@
 //! owns everything the session has: its engine, inject queue, log handle
 //! and parked run.
 //!
-//! [`Server::handle_parsed`] is the whole protocol — [`Server::handle_line`]
-//! parses and calls it, the stdio pump and the scheduler's shard workers
-//! are thin loops around them, and tests drive them directly. One request
-//! frame in, one response frame out; the server never blocks inside a
-//! handler (injects queue, runs are bounded by the session's budgets and
-//! cycle limit).
+//! [`Server::submit`] and [`Server::advance`] are the whole protocol. The
+//! scheduler's shard workers are thin loops around them, [`Server::handle_line`]
+//! (the stdio pump, the benchmark) submits at quantum `0`, and tests
+//! drive them directly. One request frame in, one response frame out
+//! through its [`Reply`]; the server never blocks inside a handler
+//! (injects queue, runs are bounded by the session's budgets and cycle
+//! limit).
 //!
 //! Every `run` / `run-to-fixpoint` takes one path: it is admitted, then
 //! advanced by [`Engine::run_slice`] in slices of at most `quantum`
@@ -17,12 +18,13 @@
 //! The engine keeps the run's cycle cap, counts and wall-clock start
 //! between slices. At quantum `0` the first slice is the whole run, which
 //! is how [`Server::handle_line`] and WAL replay
-//! ([`Server::handle_frame`]) run; the scheduler passes its
-//! `--run-quantum` and drives a parked run on with
-//! [`Server::resume_run`] while other frames interleave. A parked run
-//! owns its session until it ends: every mutating frame for that session
-//! is refused with a `protocol` error (the scheduler defers them
-//! instead).
+//! ([`Server::handle_frame`]) run. At a nonzero quantum a run that goes
+//! on parks: its session keeps the reply, and [`Server::advance`] moves
+//! the parked runs on round-robin, one slice each. One policy holds
+//! every frame for a session with a parked run: the frame queues behind
+//! the run and executes, in order, once the run has answered. So slicing
+//! never reorders a session's frames, and a sliced run answers exactly
+//! as an unsliced one.
 //!
 //! Graceful degradation: verbs that advance a session's engine run
 //! behind `catch_unwind`. A budget trip or RHS failure surfaces as a
@@ -46,14 +48,22 @@ use crate::session::{engine_failure, ActiveRun, Session};
 use crate::wal::{SessionWal, WalConfig};
 use parulel_core::Delta;
 use parulel_engine::{
-    Budgets, Engine, EngineOptions, FiringPolicy, GuardMode, Json, MatcherKind,
-    MetricsLevel, Snapshot, Strategy,
+    Budgets, Engine, EngineOptions, FiringPolicy, GuardMode, Json, MatcherKind, MetricsLevel,
+    Snapshot, Strategy,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A response callback: called exactly once with the rendered response
+/// frame. Transports capture their connection/sequence bookkeeping in
+/// it; tests capture a channel sender.
+pub type Reply = Box<dyn FnOnce(String) + Send + 'static>;
+
+/// A request line as parsed, or the error parsing it produced.
+pub type ParsedFrame = Result<Json, String>;
 
 /// Server-wide policy knobs (CLI flags map onto this).
 #[derive(Clone, Debug)]
@@ -88,8 +98,8 @@ impl Default for ServerConfig {
 }
 
 /// Verbs that mutate session state and therefore hit the WAL
-/// (log-before-apply), and that a parked run refuses. `open` is handled
-/// separately: its log file does not exist until the open is accepted.
+/// (log-before-apply). `open` is handled separately: its log file does
+/// not exist until the open is accepted.
 const MUTATING_VERBS: [&str; 7] = [
     "inject",
     "step",
@@ -114,9 +124,11 @@ pub struct Server {
     peak_sessions: usize,
     frames: u64,
     errors: u64,
-    /// One flag for the whole daemon: every shard's server holds the
-    /// same `Arc` (see [`Server::share_admission`]).
-    shutdown: Arc<AtomicBool>,
+    /// Sessions whose run is parked, in the order [`Server::advance`]
+    /// moves them on (round-robin, starting in park order).
+    parked: VecDeque<String>,
+    /// Set once a `shutdown` frame has been accepted.
+    shutdown: bool,
     /// Durability configuration; `None` means the daemon runs exactly as
     /// before and nothing below touches disk.
     wal: Option<WalConfig>,
@@ -142,7 +154,8 @@ impl Server {
             peak_sessions: 0,
             frames: 0,
             errors: 0,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            parked: VecDeque::new(),
+            shutdown: false,
             wal: None,
             replaying: false,
             wal_records: 0,
@@ -183,16 +196,10 @@ impl Server {
         self.recovered += 1;
     }
 
-    /// True once a `shutdown` frame has been accepted; the stdio pump
-    /// stops when it sees it.
+    /// True once a `shutdown` frame has been accepted; the stdio pump and
+    /// the scheduler's shard loop stop when they see it.
     pub fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// A shared handle on the shutdown flag, for
-    /// [`share_admission`](Self::share_admission).
-    pub fn shutdown_signal(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        self.shutdown
     }
 
     /// The shared live-session gauge (admission control state).
@@ -201,14 +208,12 @@ impl Server {
     }
 
     /// Makes this server admit sessions against `gauge` instead of its
-    /// private one. The scheduler shares one gauge (and one shutdown
-    /// flag) across every shard's server so
-    /// `max_sessions` bounds the *daemon*, not each shard. Call before
-    /// any session is opened or recovered.
-    pub fn share_admission(&mut self, gauge: Arc<AtomicUsize>, shutdown: Arc<AtomicBool>) {
+    /// private one. The scheduler shares one gauge across every shard's
+    /// server so `max_sessions` bounds the *daemon*, not each shard. Call
+    /// before any session is opened or recovered.
+    pub fn share_admission(&mut self, gauge: Arc<AtomicUsize>) {
         debug_assert!(self.sessions.is_empty());
         self.admission = gauge;
-        self.shutdown = shutdown;
     }
 
     /// Live session count on this server (one shard's view when sharded).
@@ -216,35 +221,88 @@ impl Server {
         self.sessions.len()
     }
 
-    /// Handles one protocol line: parse, then [`handle_parsed`] at
-    /// quantum `0`. Returns `None` for blank lines (they are skipped, not
-    /// errors), otherwise exactly one rendered response frame.
+    /// True while some session's run is parked, waiting for
+    /// [`advance`](Self::advance).
+    pub fn has_parked_runs(&self) -> bool {
+        !self.parked.is_empty()
+    }
+
+    /// Handles one protocol line at quantum `0`. Returns `None` for blank
+    /// lines (they are skipped, not errors), otherwise exactly one
+    /// rendered response frame.
     ///
-    /// [`handle_parsed`]: Self::handle_parsed
+    /// A frame for a session whose run is parked first finishes that run
+    /// and then the frames queued behind it (their replies fire), and is
+    /// handled after them: the order a socket sees.
     pub fn handle_line(&mut self, line: &str) -> Option<String> {
         let line = line.trim();
         if line.is_empty() {
             return None;
         }
-        self.handle_parsed(&Json::parse(line), 0)
+        let frame = Json::parse(line);
+        let parked = session_of(&frame).and_then(|name| self.parked.iter().position(|p| p == name));
+        if let Some(name) = parked.and_then(|at| self.parked.remove(at)) {
+            self.slice(name, 0);
+        }
+        let response = self.answer(&frame, 0).unsliced();
+        Some(self.finish(response))
     }
 
-    /// Handles one parsed request frame, or the error that parsing it
-    /// produced. A `run` / `run-to-fixpoint` executes its first `quantum`
-    /// cycles (the whole run at quantum `0`); a run that has not finished
-    /// parks and `None` is returned — the caller drives it on with
-    /// [`resume_run`](Self::resume_run) while other frames interleave.
-    /// Every other frame returns its rendered response.
+    /// Submits one parsed request frame (or the error that parsing it
+    /// produced) whose response `reply` delivers.
     ///
-    /// WAL ordering does not depend on slicing: the run frame is logged
-    /// before its first cycle executes (log-before-apply).
-    pub fn handle_parsed(&mut self, frame: &Result<Json, String>, quantum: u64) -> Option<String> {
+    /// A frame for a session with a parked run queues behind that run.
+    /// Any other frame is dispatched: a `run` / `run-to-fixpoint`
+    /// executes its first `quantum` cycles (the whole run at quantum
+    /// `0`), and a run that goes on parks holding `reply`; every other
+    /// frame is answered at once. WAL ordering does not depend on
+    /// slicing: the run frame is logged before its first cycle executes
+    /// (log-before-apply).
+    pub fn submit(&mut self, frame: ParsedFrame, reply: Reply, quantum: u64) {
+        let parked = session_of(&frame).and_then(|name| self.sessions.get_mut(name)?.run.as_mut());
+        if let Some(run) = parked {
+            run.queued.push_back((frame, reply));
+            return;
+        }
+        match self.answer(&frame, quantum) {
+            Dispatched::Answer(response) => reply(self.finish(response)),
+            Dispatched::Parked { op, drained } => {
+                let name = session_of(&frame).expect("only a session's run parks");
+                let session = self
+                    .sessions
+                    .get_mut(name)
+                    .expect("a parked run's session is live");
+                session.run = Some(ActiveRun {
+                    op,
+                    drained,
+                    reply,
+                    queued: VecDeque::new(),
+                });
+                self.parked.push_back(name.to_string());
+            }
+        }
+    }
+
+    /// Advances the next parked run, round-robin, by one slice of at most
+    /// `quantum` cycles. A run that ends answers through its reply, and
+    /// the frames queued behind it are then submitted in order at
+    /// `quantum` (a queued run may park again). Does nothing when no run
+    /// is parked.
+    pub fn advance(&mut self, quantum: u64) {
+        if let Some(name) = self.parked.pop_front() {
+            self.slice(name, quantum);
+        }
+    }
+
+    /// Counts and dispatches one parsed frame.
+    fn answer(&mut self, frame: &ParsedFrame, quantum: u64) -> Dispatched {
         self.frames += 1;
-        let response = match frame {
-            Err(e) => Failure::new(kind::PARSE, format!("bad frame: {e}")).to_frame(None, None),
-            Ok(frame) => self.dispatch(frame, quantum)?,
-        };
-        Some(self.finish(response))
+        match frame {
+            Err(e) => Dispatched::Answer(
+                Failure::new(kind::PARSE, format!("bad frame: {e}")).to_frame(None, None),
+            ),
+            Ok(frame) => self.dispatch(frame, quantum),
+        }
     }
 
     /// Counts a failed response frame and renders it.
@@ -255,57 +313,65 @@ impl Server {
         response.render()
     }
 
-    /// Advances a parked run by at most `quantum` cycles. Returns the
-    /// rendered response frame when the run completes (or kills its
-    /// session), `None` while it stays parked or when `name` has no
-    /// parked run.
-    pub fn resume_run(&mut self, name: &str, quantum: u64) -> Option<String> {
-        let op = self.sessions.get(name)?.run.as_ref()?.op.clone();
-        let result = self.session_verb(&op, name, None, |_, session| {
-            run_slice(session, name, quantum)
-        });
-        let response = match result.transpose()? {
-            Ok(response) => response,
-            Err(failure) => failure.to_frame(Some(&op), Some(name)),
+    /// Runs one slice of `name`'s parked run (popped off the round-robin
+    /// order by the caller). A run that goes on parks again at the back;
+    /// a run that ends, or kills its session, answers through its reply,
+    /// and the frames queued behind it are submitted again at `quantum`.
+    fn slice(&mut self, name: String, quantum: u64) {
+        let Some(run) = self.sessions.get_mut(&name).and_then(|s| s.run.take()) else {
+            return;
         };
-        Some(self.finish(response))
+        let result = self.session_verb(&run.op, &name, None, |_, session| {
+            run_slice(session, &name, run.drained, quantum)
+        });
+        let response = match result {
+            Ok(None) => {
+                let session = self
+                    .sessions
+                    .get_mut(&name)
+                    .expect("a run that goes on is live");
+                session.run = Some(run);
+                self.parked.push_back(name);
+                return;
+            }
+            Ok(Some(response)) => response,
+            Err(failure) => failure.to_frame(Some(&run.op), Some(&name)),
+        };
+        (run.reply)(self.finish(response));
+        for (frame, reply) in run.queued {
+            self.submit(frame, reply, quantum);
+        }
     }
 
-    /// Drives every parked run to completion (one unbounded slice each),
-    /// returning `(session, response)` pairs in name order. The scheduler
-    /// calls this on shutdown so in-flight runs finish at a cycle
-    /// boundary and their responses are delivered *before* the server
-    /// persists — a shutdown never abandons a run mid-flight.
-    pub fn drain_runs(&mut self) -> Vec<(String, String)> {
-        let names: Vec<String> = self
-            .sessions
-            .iter()
-            .filter(|(_, session)| session.run.is_some())
-            .map(|(name, _)| name.clone())
-            .collect();
-        names
-            .into_iter()
-            .filter_map(|name| {
-                let response = self.resume_run(&name, 0)?;
-                Some((name, response))
-            })
-            .collect()
+    /// Finishes every parked run at quantum `0`, in name order: each run
+    /// answers through its reply, then the frames queued behind it run,
+    /// also at quantum `0`. The `shutdown` verb calls this so in-flight
+    /// runs end at a cycle boundary and their responses are delivered
+    /// *before* the server persists — a shutdown never abandons a run
+    /// mid-flight.
+    fn drain_runs(&mut self) {
+        let mut names: Vec<String> = self.parked.drain(..).collect();
+        names.sort();
+        for name in names {
+            self.slice(name, 0);
+        }
     }
 
     /// Dispatches one parsed frame, running a `run` to completion. Frame
     /// and error counters are left alone: WAL replay and the scheduler's
-    /// control broadcasts come through here.
+    /// control frames come through here.
     pub fn handle_frame(&mut self, frame: &Json) -> Json {
-        self.dispatch(frame, 0).expect("a run at quantum 0 never parks")
+        self.dispatch(frame, 0).unsliced()
     }
 
-    /// Dispatches one parsed frame; `None` means a run parked.
-    fn dispatch(&mut self, frame: &Json, quantum: u64) -> Option<Json> {
+    /// Dispatches one parsed frame at `quantum`.
+    fn dispatch(&mut self, frame: &Json, quantum: u64) -> Dispatched {
         let op = match frame.get("op").and_then(|v| v.as_str()) {
             Some(op) => op.to_string(),
             None => {
-                return Some(
-                    Failure::new(kind::PROTOCOL, "missing string field \"op\"").to_frame(None, None),
+                return Dispatched::Answer(
+                    Failure::new(kind::PROTOCOL, "missing string field \"op\"")
+                        .to_frame(None, None),
                 )
             }
         };
@@ -327,12 +393,10 @@ impl Server {
                 Ok(response)
             }
             "shutdown" => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                // Safety net for direct `handle_line` users: parked runs
-                // finish at a cycle boundary before anything persists.
-                // (The scheduler drains first via `drain_runs` so the
-                // responses are delivered too.)
-                let _ = self.drain_runs();
+                self.shutdown = true;
+                // Parked runs finish at a cycle boundary, and answer,
+                // before anything persists.
+                self.drain_runs();
                 let closed = self.sessions.len();
                 let mut response = ok_frame("shutdown").set("sessions_closed", closed);
                 if self.wal.is_some() && !self.replaying {
@@ -350,31 +414,37 @@ impl Server {
             "open" => self.open(frame, session.as_deref()),
             "inject" | "step" | "run" | "run-to-fixpoint" | "query" | "snapshot" | "restore"
             | "reload" | "metrics" | "trace" | "close" => {
-                let name = match session.as_deref() {
-                    Some(name) => name,
-                    None => {
-                        return Some(
-                            Failure::new(kind::PROTOCOL, "missing string field \"session\"")
-                                .to_frame(Some(&op), None),
-                        )
-                    }
+                let Some(name) = session.as_deref() else {
+                    return Dispatched::Answer(
+                        Failure::new(kind::PROTOCOL, "missing string field \"session\"")
+                            .to_frame(Some(&op), None),
+                    );
                 };
                 let result = self.session_verb(&op, name, Some(frame), |server, session| {
                     if !matches!(op.as_str(), "run" | "run-to-fixpoint") {
-                        return server.run_session_verb(&op, name, frame, session).map(Some);
+                        let response = server.run_session_verb(&op, name, frame, session)?;
+                        return Ok(Dispatched::Answer(response));
                     }
                     let drained = session.drain();
-                    session.run = Some(ActiveRun {
-                        op: op.clone(),
-                        drained,
-                    });
-                    run_slice(session, name, quantum)
+                    Ok(match run_slice(session, name, drained, quantum)? {
+                        Some(response) => Dispatched::Answer(response),
+                        None => Dispatched::Parked {
+                            op: op.clone(),
+                            drained,
+                        },
+                    })
                 });
-                result.transpose()?
+                match result {
+                    Ok(dispatched) => return dispatched,
+                    Err(failure) => Err(failure),
+                }
             }
-            other => Err(Failure::new(kind::PROTOCOL, format!("unknown verb {other:?}"))),
+            other => Err(Failure::new(
+                kind::PROTOCOL,
+                format!("unknown verb {other:?}"),
+            )),
         };
-        Some(match result {
+        Dispatched::Answer(match result {
             Ok(frame) => frame,
             Err(failure) => failure.to_frame(Some(&op), session.as_deref()),
         })
@@ -432,7 +502,11 @@ impl Server {
     /// The server-level `metrics` frame (no `session` field): admission
     /// and throughput counters plus the live session list.
     fn server_metrics(&self) -> Json {
-        let names: Vec<Json> = self.sessions.keys().map(|k| Json::from(k.as_str())).collect();
+        let names: Vec<Json> = self
+            .sessions
+            .keys()
+            .map(|k| Json::from(k.as_str()))
+            .collect();
         let mut response = ok_frame("metrics")
             .set("sessions", self.sessions.len())
             .set("peak_sessions", self.peak_sessions)
@@ -528,7 +602,9 @@ impl Server {
         self.sessions.insert(name.to_string(), session);
         // The gauge is the daemon-wide live count (it equals
         // `sessions.len()` when this server stands alone).
-        self.peak_sessions = self.peak_sessions.max(self.admission.load(Ordering::SeqCst));
+        self.peak_sessions = self
+            .peak_sessions
+            .max(self.admission.load(Ordering::SeqCst));
         Ok(response)
     }
 
@@ -581,12 +657,11 @@ impl Server {
     /// Runs `verb` on one existing session, taken out of the table while
     /// its engine runs, and keeps the session's log in step with it:
     ///
-    /// - a new mutating `frame` is refused while the session's run is
-    ///   parked, and is otherwise logged before `verb` applies it
+    /// - a new mutating `frame` is logged before `verb` applies it
     ///   (refused frames are logged too — they refuse identically on
     ///   replay, which drives this same dispatch with the same state);
     /// - a surviving session is reinserted, and its log compacted when
-    ///   due and no run is parked (a mid-run snapshot would drop the
+    ///   due and no run is in progress (a mid-run snapshot would drop the
     ///   logged run frame that recovery must replay);
     /// - a session that closed or died on an engine failure or panic is
     ///   dropped: it releases its admission slot (the gauge counts live
@@ -599,15 +674,18 @@ impl Server {
         frame: Option<&Json>,
         verb: impl FnOnce(&Self, &mut Session) -> Result<T, Failure>,
     ) -> Result<T, Failure> {
-        let mut session = self.sessions.remove(name).ok_or_else(|| unknown_session(name))?;
+        let mut session = self
+            .sessions
+            .remove(name)
+            .ok_or_else(|| unknown_session(name))?;
         if let Some(frame) = frame.filter(|_| MUTATING_VERBS.contains(&op)) {
-            if let Err(failure) = self.log_frame(&mut session, name, frame) {
+            if let Err(failure) = self.log_frame(&mut session, frame) {
                 self.sessions.insert(name.to_string(), session);
                 return Err(failure);
             }
         }
-        let result = catch_unwind(AssertUnwindSafe(|| verb(self, &mut session))).unwrap_or_else(
-            |_| {
+        let result =
+            catch_unwind(AssertUnwindSafe(|| verb(self, &mut session))).unwrap_or_else(|_| {
                 let mut failure = Failure::new(
                     kind::ENGINE,
                     format!("panic while serving {op:?}; session {name:?} closed"),
@@ -615,8 +693,7 @@ impl Server {
                 failure.engine = Some(("panic", 0));
                 failure.closed = true;
                 Err(failure)
-            },
-        );
+            });
         let survives = match &result {
             Ok(_) => op != "close",
             Err(failure) => !failure.closed,
@@ -624,7 +701,7 @@ impl Server {
         if survives {
             let every = self.wal.as_ref().map_or(0, |cfg| cfg.snapshot_every);
             let due = every > 0
-                && session.run.is_none()
+                && !session.engine.run_in_progress()
                 && session
                     .wal
                     .as_ref()
@@ -642,22 +719,8 @@ impl Server {
         result
     }
 
-    /// Log-before-apply for one mutating session frame. A parked run owns
-    /// its session, so the frame is refused — before logging, since
-    /// replay never parks and would apply a logged frame the live
-    /// session refused.
-    fn log_frame(
-        &mut self,
-        session: &mut Session,
-        name: &str,
-        frame: &Json,
-    ) -> Result<(), Failure> {
-        if session.run.is_some() {
-            return Err(Failure::new(
-                kind::PROTOCOL,
-                format!("session {name:?} already has a run in progress"),
-            ));
-        }
+    /// Log-before-apply for one mutating session frame.
+    fn log_frame(&mut self, session: &mut Session, frame: &Json) -> Result<(), Failure> {
         let Some(wal) = session.wal.as_mut() else {
             return Ok(());
         };
@@ -754,7 +817,9 @@ impl Server {
                     session.note_reload(frame.render());
                 }
                 let names = |v: &[String]| {
-                    v.iter().map(|n| Json::from(n.as_str())).collect::<Vec<Json>>()
+                    v.iter()
+                        .map(|n| Json::from(n.as_str()))
+                        .collect::<Vec<Json>>()
                 };
                 Ok(ok_frame("reload")
                     .set("session", name)
@@ -826,9 +891,7 @@ impl Server {
         let class = program
             .classes
             .id_of(program.interner.intern(class_name))
-            .ok_or_else(|| {
-                Failure::new(kind::PROTOCOL, format!("unknown class {class_name:?}"))
-            })?;
+            .ok_or_else(|| Failure::new(kind::PROTOCOL, format!("unknown class {class_name:?}")))?;
         let limit = protocol::opt_u64(frame, "limit")?.map(|n| n as usize);
         let interner = &program.interner;
         let mut rows: Vec<(String, Json)> = session
@@ -860,27 +923,53 @@ impl Server {
     }
 }
 
-/// Advances `session`'s parked run by one slice of at most `quantum`
-/// cycles: `None` while the run goes on, its `run` response once it ends.
-fn run_slice(session: &mut Session, name: &str, quantum: u64) -> Result<Option<Json>, Failure> {
+/// What became of a dispatched frame.
+enum Dispatched {
+    /// The frame's response.
+    Answer(Json),
+    /// A run's first slice ended before the run did. `drained` injects
+    /// were applied when the `op` run was admitted.
+    Parked { op: String, drained: usize },
+}
+
+impl Dispatched {
+    /// The response of a frame dispatched at quantum `0`, where no run
+    /// parks.
+    fn unsliced(self) -> Json {
+        match self {
+            Dispatched::Answer(response) => response,
+            Dispatched::Parked { .. } => unreachable!("a run at quantum 0 never parks"),
+        }
+    }
+}
+
+/// Advances `session`'s run by one slice of at most `quantum` cycles:
+/// `None` while the run goes on, its `run` response once it ends.
+fn run_slice(
+    session: &mut Session,
+    name: &str,
+    drained: usize,
+    quantum: u64,
+) -> Result<Option<Json>, Failure> {
     let outcome = session
         .engine
         .run_slice(quantum)
         .map_err(|e| engine_failure(&e))?;
-    let Some(outcome) = outcome else {
-        return Ok(None);
-    };
-    let run = session.run.take().expect("only a parked run is sliced");
-    Ok(Some(
+    Ok(outcome.map(|outcome| {
         ok_frame("run")
             .set("session", name)
-            .set("drained", run.drained)
+            .set("drained", drained)
             .set("status", outcome.status())
             .set("cycles", outcome.cycles)
             .set("firings", outcome.firings)
             .set("wm", session.engine.wm().len())
-            .set("fingerprint", session.fingerprint()),
-    ))
+            .set("fingerprint", session.fingerprint())
+    }))
+}
+
+/// The `session` field of a parsed frame.
+fn session_of(frame: &ParsedFrame) -> Option<&str> {
+    frame.as_ref().ok()?.get("session")?.as_str()
 }
 
 /// The `unknown_session` failure for `name`.

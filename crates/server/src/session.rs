@@ -2,7 +2,9 @@
 //!
 //! A session owns a long-lived [`Engine`], its bounded inject queue and
 //! lifetime counters, its write-ahead log handle when the daemon is
-//! durable, and its `run` while one is in progress between slices.
+//! durable, and its `run` while one is parked between slices: the reply
+//! that will carry the run's response, and the frames that arrived
+//! behind it.
 //!
 //! A session is the unit of isolation. Each owns a private engine
 //! (program, working memory, matcher, refraction, budgets, trace ring) —
@@ -14,6 +16,7 @@
 //! `step` or `run`, which is the only point the engine advances anyway.
 
 use crate::protocol::{self, Failure};
+use crate::server::{ParsedFrame, Reply};
 use crate::wal::{SessionWal, SnapshotRecord};
 use parulel_core::Delta;
 use parulel_engine::{Engine, EngineError};
@@ -49,17 +52,22 @@ pub struct Session {
     /// The session's write-ahead log; `None` when durability is off, and
     /// while recovery replays the log.
     pub(crate) wal: Option<SessionWal>,
-    /// The `run` in progress; its cycle count, cap and start instant
-    /// live in the engine ([`Engine::run_slice`]).
+    /// The parked `run`; its cycle count, cap and start instant live in
+    /// the engine ([`Engine::run_slice`]).
     pub(crate) run: Option<ActiveRun>,
 }
 
-/// A `run`/`run-to-fixpoint` admitted on a session and not yet ended.
+/// A `run`/`run-to-fixpoint` whose first slice ended before the run did.
 pub(crate) struct ActiveRun {
     /// The request's verb, echoed in error frames.
     pub(crate) op: String,
     /// Injects drained when the run was admitted.
     pub(crate) drained: usize,
+    /// Delivers the run's response when it ends.
+    pub(crate) reply: Reply,
+    /// Frames for this session that arrived while the run was parked, in
+    /// arrival order; they execute once it ends.
+    pub(crate) queued: VecDeque<(ParsedFrame, Reply)>,
 }
 
 impl Session {

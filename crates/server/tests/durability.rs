@@ -12,10 +12,11 @@
 
 use parulel_engine::Json;
 use parulel_server::wal::{self, Record, SessionWal, SnapshotRecord, WalFaults};
-use parulel_server::{recover, Server, ServerConfig, SyncPolicy, WalConfig};
+use parulel_server::{recover, Reply, Server, ServerConfig, SyncPolicy, WalConfig};
 use parulel_workloads::{closure::Closure, Scenario};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -226,14 +227,12 @@ fn close_and_engine_death_delete_the_wal() {
     );
     let sliced_path = dir.join(wal::wal_file_name("sliced"));
     assert_eq!(server.session_count(), 1);
+    let (tx, rx) = channel();
     let run = Json::parse(r#"{"op":"run","session":"sliced"}"#);
-    assert_eq!(server.handle_parsed(&run, 1), None, "the first slice parks");
+    server.submit(run, reply_to(&tx), 1);
+    assert!(server.has_parked_runs(), "the first slice parks");
     assert!(sliced_path.exists());
-    let death = loop {
-        if let Some(response) = server.resume_run("sliced", 1) {
-            break Json::parse(&response).unwrap();
-        }
-    };
+    let death = Json::parse(&finish_runs(&mut server, &rx)[0]).unwrap();
     let kind = death
         .get("error")
         .and_then(|e| e.get("kind"))
@@ -282,21 +281,36 @@ fn closure_session_after_a_step(server: &mut Server, session: &str) -> String {
     format!(r#"{{"op":"run","session":"{session}"}}"#)
 }
 
-/// Drives `session`'s parked run to its end one cycle at a time.
-fn finish_run(server: &mut Server, session: &str) -> String {
-    loop {
-        if let Some(response) = server.resume_run(session, 1) {
-            assert!(response.starts_with(r#"{"ok":true"#), "{response}");
-            break response;
-        }
-    }
+/// A reply that sends its response down `tx`.
+fn reply_to(tx: &Sender<String>) -> Reply {
+    let tx = tx.clone();
+    Box::new(move |response| tx.send(response).expect("the test holds the receiver"))
 }
 
-/// A parked run owns its session: a `restore` sent straight to the server
-/// (the scheduler would defer it) is refused before it is logged, so the
+/// Advances every parked run one cycle at a time until none is left;
+/// returns the responses delivered meanwhile, in delivery order.
+fn finish_runs(server: &mut Server, rx: &Receiver<String>) -> Vec<String> {
+    assert!(rx.try_recv().is_err(), "nothing answers while the run is parked");
+    while server.has_parked_runs() {
+        server.advance(1);
+    }
+    rx.try_iter().collect()
+}
+
+/// The responses `frames` get from a fresh non-durable server, unsliced,
+/// after `closure_session_after_a_step`.
+fn unsliced_after_a_step(session: &str, frames: &[&str]) -> Vec<String> {
+    let mut server = Server::new(ServerConfig::default());
+    closure_session_after_a_step(&mut server, session);
+    frames.iter().map(|f| server.handle_line(f).expect("response")).collect()
+}
+
+/// A `restore` that arrives while the session's run is parked waits
+/// behind the run: the run answers first, exactly as it does unsliced,
+/// then the restore answers as it does after an unsliced run, and the
 /// recovered session ends where the live one did.
 #[test]
-fn a_parked_run_refuses_a_restore_and_recovery_agrees() {
+fn a_restore_behind_a_parked_run_runs_after_it_and_recovery_agrees() {
     let dir = tmp_dir("parked-restore");
     let mut server = durable(&dir);
     let run = closure_session_after_a_step(&mut server, "p");
@@ -306,14 +320,13 @@ fn a_parked_run_refuses_a_restore_and_recovery_agrees() {
         .and_then(|s| s.as_str())
         .unwrap()
         .to_string();
-    assert_eq!(
-        server.handle_parsed(&Json::parse(&run), 1),
-        None,
-        "the run parks"
-    );
     let restore = format!(r#"{{"op":"restore","session":"p","snapshot":"{hex}"}}"#);
-    assert_eq!(err_kind(&mut server, &restore), "protocol");
-    finish_run(&mut server, "p");
+    let (tx, rx) = channel();
+    server.submit(Json::parse(&run), reply_to(&tx), 1);
+    assert!(server.has_parked_runs(), "the run parks");
+    server.submit(Json::parse(&restore), reply_to(&tx), 1);
+    let responses = finish_runs(&mut server, &rx);
+    assert_eq!(responses, unsliced_after_a_step("p", &[&run, &restore]));
     let live = fingerprint(&mut server, "p");
     drop(server);
 
@@ -324,9 +337,10 @@ fn a_parked_run_refuses_a_restore_and_recovery_agrees() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A frame that reads a parked session leaves its log alone even when a
-/// compaction is due: a snapshot taken mid-run would drop the logged
-/// `run` frame, and recovery would end at the half-run state.
+/// A run's slices leave its log alone even when a compaction is due: a
+/// snapshot taken mid-run would drop the logged `run` frame, and
+/// recovery would end at the half-run state. A read that arrives while
+/// the run is parked answers after the run does.
 #[test]
 fn a_read_during_a_parked_run_does_not_compact_its_log() {
     let dir = tmp_dir("parked-compact");
@@ -334,16 +348,13 @@ fn a_read_during_a_parked_run_does_not_compact_its_log() {
     cfg.snapshot_every = 1;
     let mut server = Server::with_wal(ServerConfig::default(), cfg.clone());
     let run = closure_session_after_a_step(&mut server, "q");
-    assert_eq!(
-        server.handle_parsed(&Json::parse(&run), 1),
-        None,
-        "the run parks"
-    );
-    ok(
-        &mut server,
-        r#"{"op":"query","session":"q","class":"reach"}"#,
-    );
-    finish_run(&mut server, "q");
+    let query = r#"{"op":"query","session":"q","class":"reach"}"#;
+    let (tx, rx) = channel();
+    server.submit(Json::parse(&run), reply_to(&tx), 1);
+    assert!(server.has_parked_runs(), "the run parks");
+    server.submit(Json::parse(query), reply_to(&tx), 1);
+    let responses = finish_runs(&mut server, &rx);
+    assert_eq!(responses, unsliced_after_a_step("q", &[&run, query]));
     let live = fingerprint(&mut server, "q");
     drop(server);
 

@@ -9,10 +9,11 @@
 //! hot-swapped, or sends a hostile `restore`.
 
 use parulel_engine::Json;
-use parulel_server::{spawn_sched_tcp, Server, ServerConfig};
+use parulel_server::{spawn_sched_tcp, Reply, Server, ServerConfig};
 use parulel_workloads::{closure::Closure, Scenario};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
@@ -71,13 +72,13 @@ fn solo_fingerprint(source: &str, edges: &[(i64, i64)]) -> String {
 }
 
 /// A sharded daemon on an ephemeral port, wired the way the CLI wires
-/// it: `workers` servers sharing one admission gauge and shutdown flag.
+/// it: `workers` servers sharing one admission gauge.
 fn start(config: ServerConfig, workers: usize) -> (SocketAddr, JoinHandle<()>) {
     let mut servers: Vec<Server> = Vec::with_capacity(workers);
     for _ in 0..workers {
         let mut server = Server::new(config.clone());
         if let Some(first) = servers.first() {
-            server.share_admission(first.admission_gauge(), first.shutdown_signal());
+            server.share_admission(first.admission_gauge());
         }
         servers.push(server);
     }
@@ -363,37 +364,59 @@ fn a_deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
     }
 }
 
-/// A parked run owns its session until it finishes. A second `run` sent
-/// straight to the server — the scheduler would defer it — is refused
-/// with a `protocol` error, and the parked run still answers exactly as
-/// the same run does unsliced.
-#[test]
-fn a_second_run_on_a_parked_session_is_refused() {
-    let scenario = Closure::new(12, 20, 5);
-    let frames = session_frames("s", scenario.source(), scenario.edges(), "");
-    let (run, setup) = (&frames[frames.len() - 2], &frames[..frames.len() - 2]);
-    let fresh = || {
-        let mut server = Server::new(ServerConfig::default());
-        for frame in setup {
-            server.handle_line(frame).expect("response");
-        }
-        server
-    };
-    let unsliced = fresh().handle_line(run).expect("response");
-    assert!(unsliced.contains(r#""status":"quiescent""#), "{unsliced}");
+/// A reply that sends its response down `tx`.
+fn reply_to(tx: &Sender<String>) -> Reply {
+    let tx = tx.clone();
+    Box::new(move |response| tx.send(response).expect("the test holds the receiver"))
+}
 
-    let mut server = fresh();
-    assert_eq!(server.handle_parsed(&Json::parse(run), 1), None, "the run parks");
-    let refusal = Json::parse(&server.handle_line(run).expect("response")).expect("JSON");
-    assert_eq!(refusal.get("ok"), Some(&Json::Bool(false)));
-    let err = refusal.get("error").expect("structured error");
-    assert_eq!(err.get("kind").and_then(|k| k.as_str()), Some("protocol"));
-    let response = loop {
-        if let Some(response) = server.resume_run("s", 1) {
-            break response;
-        }
-    };
-    assert_eq!(response, unsliced);
+/// Advances every parked run one cycle at a time until none is left;
+/// returns the responses delivered meanwhile, in delivery order.
+fn finish_runs(server: &mut Server, rx: &Receiver<String>) -> Vec<String> {
+    assert!(rx.try_recv().is_err(), "nothing answers while the run is parked");
+    while server.has_parked_runs() {
+        server.advance(1);
+    }
+    rx.try_iter().collect()
+}
+
+/// A server holding a closure session `s` with every edge injected, and
+/// the session's `run` frame.
+fn closure_session() -> (Server, String) {
+    let scenario = Closure::new(12, 20, 5);
+    let mut frames = session_frames("s", scenario.source(), scenario.edges(), "");
+    frames.pop();
+    let run = frames.pop().expect("the run frame");
+    let mut server = Server::new(ServerConfig::default());
+    for frame in &frames {
+        server.handle_line(frame).expect("response");
+    }
+    (server, run)
+}
+
+/// A second `run` that arrives while the session's run is parked waits
+/// behind it, through a submit and through `handle_line` alike: the
+/// parked run answers first, exactly as it does unsliced, then the second
+/// run answers as it does after an unsliced one.
+#[test]
+fn a_second_run_on_a_parked_session_runs_after_it() {
+    let (mut reference, run) = closure_session();
+    let unsliced: Vec<String> = (0..2).map(|_| reference.handle_line(&run).unwrap()).collect();
+    assert!(unsliced[0].contains(r#""status":"quiescent""#), "{}", unsliced[0]);
+
+    let (mut server, _) = closure_session();
+    let (tx, rx) = channel();
+    server.submit(Json::parse(&run), reply_to(&tx), 1);
+    assert!(server.has_parked_runs(), "the run parks");
+    server.submit(Json::parse(&run), reply_to(&tx), 1);
+    assert_eq!(finish_runs(&mut server, &rx), unsliced);
+
+    let (mut server, _) = closure_session();
+    server.submit(Json::parse(&run), reply_to(&tx), 1);
+    assert!(server.has_parked_runs(), "the run parks");
+    let second = server.handle_line(&run).expect("response");
+    assert_eq!(rx.try_iter().collect::<Vec<_>>(), unsliced[..1]);
+    assert_eq!(second, unsliced[1]);
 }
 
 /// Asserts `response` is a `protocol` refusal of the `open` frame.
@@ -446,26 +469,14 @@ fn ill_typed_open_options_are_refused() {
     assert!(reopen.expect("response").starts_with(r#"{"ok":true"#));
 }
 
-/// A parked run owns its session until it ends: sent straight to the
-/// server (the scheduler would defer them), every mutating verb is
-/// refused with a `protocol` error and changes nothing, while reads still
-/// answer. The run then answers exactly as it does unsliced.
+/// Every frame for a session whose run is parked — each mutating verb
+/// and the reads alike — waits behind the run and then executes in
+/// arrival order: the run answers first, exactly as it does unsliced,
+/// and every queued frame answers as it does after an unsliced run.
 #[test]
-fn every_mutating_frame_on_a_parked_session_is_refused() {
-    let scenario = Closure::new(12, 20, 5);
-    let frames = session_frames("s", scenario.source(), scenario.edges(), "");
-    let (run, setup) = (&frames[frames.len() - 2], &frames[..frames.len() - 2]);
-    let fresh = || {
-        let mut server = Server::new(ServerConfig::default());
-        for frame in setup {
-            server.handle_line(frame).expect("response");
-        }
-        server
-    };
-    let unsliced = fresh().handle_line(run).expect("response");
-
-    let mut server = fresh();
-    let snapshot = server
+fn every_frame_on_a_parked_session_waits_behind_the_run() {
+    let (mut reference, run) = closure_session();
+    let snapshot = reference
         .handle_line(r#"{"op":"snapshot","session":"s"}"#)
         .expect("response");
     let hex = Json::parse(&snapshot)
@@ -475,40 +486,33 @@ fn every_mutating_frame_on_a_parked_session_is_refused() {
         .as_str()
         .unwrap()
         .to_string();
-    assert_eq!(
-        server.handle_parsed(&Json::parse(run), 1),
-        None,
-        "the run parks"
-    );
-    let program = escape(scenario.source());
-    for frame in [
+    let program = escape(Closure::new(12, 20, 5).source());
+    let frames = [
+        run.clone(),
         r#"{"op":"inject","session":"s","adds":[{"class":"edge","fields":[0,1]}]}"#.to_string(),
+        r#"{"op":"query","session":"s","class":"reach"}"#.to_string(),
         r#"{"op":"step","session":"s"}"#.to_string(),
         r#"{"op":"run-to-fixpoint","session":"s"}"#.to_string(),
+        r#"{"op":"metrics","session":"s"}"#.to_string(),
         format!(r#"{{"op":"restore","session":"s","snapshot":"{hex}"}}"#),
         format!(r#"{{"op":"reload","session":"s","program":"{program}"}}"#),
         r#"{"op":"close","session":"s"}"#.to_string(),
-    ] {
-        let refusal = Json::parse(&server.handle_line(&frame).expect("response")).unwrap();
-        let kind = refusal.get("error").and_then(|e| e.get("kind")?.as_str());
-        assert_eq!(kind, Some("protocol"), "{frame} -> {}", refusal.render());
+    ];
+    let unsliced: Vec<String> = frames
+        .iter()
+        .map(|f| reference.handle_line(f).expect("response"))
+        .collect();
+    for (frame, response) in frames.iter().zip(&unsliced) {
+        assert!(response.starts_with(r#"{"ok":true"#), "{frame} -> {response}");
     }
-    for read in [
-        r#"{"op":"query","session":"s","class":"reach"}"#,
-        r#"{"op":"metrics","session":"s"}"#,
-    ] {
-        let response = server.handle_line(read).expect("response");
-        assert!(
-            response.starts_with(r#"{"ok":true"#),
-            "{read} -> {response}"
-        );
+
+    let (mut server, _) = closure_session();
+    let (tx, rx) = channel();
+    for frame in &frames {
+        server.submit(Json::parse(frame), reply_to(&tx), 1);
     }
-    let response = loop {
-        if let Some(response) = server.resume_run("s", 1) {
-            break response;
-        }
-    };
-    assert_eq!(response, unsliced);
+    assert_eq!(finish_runs(&mut server, &rx), unsliced);
+    assert_eq!(server.session_count(), 0, "the queued close ran");
 }
 
 /// The session `metrics` frame's `report` flag is read as a boolean:

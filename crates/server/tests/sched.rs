@@ -68,13 +68,13 @@ fn start(servers: Vec<Server>, quantum: u64) -> (SocketAddr, std::thread::JoinHa
 }
 
 /// `workers` servers wired the way the CLI wires them: one shared
-/// admission gauge and shutdown flag.
+/// admission gauge.
 fn shard_servers(config: &ServerConfig, workers: usize) -> Vec<Server> {
     let mut servers: Vec<Server> = Vec::with_capacity(workers);
     for _ in 0..workers {
         let mut server = Server::new(config.clone());
         if let Some(first) = servers.first() {
-            server.share_admission(first.admission_gauge(), first.shutdown_signal());
+            server.share_admission(first.admission_gauge());
         }
         servers.push(server);
     }
@@ -360,7 +360,7 @@ fn shutdown_drains_inflight_runs_before_persisting() {
         let mut server = Server::with_wal(config.clone(), wal.clone());
         if let Some(first) = servers.first() {
             let first: &Server = first;
-            server.share_admission(first.admission_gauge(), first.shutdown_signal());
+            server.share_admission(first.admission_gauge());
         }
         servers.push(server);
     }
