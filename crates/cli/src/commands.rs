@@ -1,6 +1,6 @@
 //! Implementations of the `run`, `check` and `fmt` subcommands.
 
-use crate::args::{EngineChoice, RunOpts, ServeOpts, ServeTransport};
+use crate::args::{RunOpts, ServeOpts, ServeTransport};
 use parulel_core::WorkingMemory;
 use parulel_engine::{
     Engine, EngineMetrics, EngineOptions, FiringPolicy, GuardMode, MetricsLevel, Outcome, RunStats,
@@ -97,11 +97,11 @@ pub fn run(opts: &RunOpts, out: &mut dyn Write) -> i32 {
     // budgets, checkpoint/resume, metrics, and traces work identically
     // for every policy.
     let policy = match opts.engine {
-        EngineChoice::Parallel => FiringPolicy::FireAll {
-            meta: true,
+        FiringPolicy::FireAll { meta, .. } => FiringPolicy::FireAll {
+            meta,
             guard: opts.guard,
         },
-        EngineChoice::Serial(strategy) => FiringPolicy::SelectOne(strategy),
+        select_one => select_one,
     };
     if matches!(policy, FiringPolicy::SelectOne(_)) && opts.guard != GuardMode::Off {
         let _ = writeln!(

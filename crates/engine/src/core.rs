@@ -195,7 +195,7 @@ impl Engine {
             refraction: Refraction::from_keys(keys),
             policy,
             opts,
-            stats: snapshot.stats.clone(),
+            stats: snapshot.stats.untimed(),
             log: snapshot.log.clone(),
             traces: snapshot.traces.clone(),
             halted: snapshot.halted,
@@ -409,7 +409,7 @@ impl Engine {
             next_wme_id: self.wm.next_id(),
             wmes,
             refraction,
-            stats: self.stats.clone(),
+            stats: self.stats.untimed(),
             log: self.log.clone(),
             traces: self.traces.clone(),
             rule_hashes: self.code.name_map(),

@@ -135,6 +135,52 @@ impl std::str::FromStr for MatcherKind {
     }
 }
 
+impl std::str::FromStr for GuardMode {
+    type Err = String;
+
+    /// Parses the CLI and protocol spelling: `off`, `ww` or
+    /// `serializable`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "off" => Ok(GuardMode::Off),
+            "ww" => Ok(GuardMode::WriteWrite),
+            "serializable" => Ok(GuardMode::Serializable),
+            _ => Err(format!("unknown guard '{s}' (want off|ww|serializable)")),
+        }
+    }
+}
+
+impl std::str::FromStr for MetricsLevel {
+    type Err = String;
+
+    /// Parses the CLI and protocol spelling: `off`, `rules` or `full`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "off" => Ok(MetricsLevel::Off),
+            "rules" => Ok(MetricsLevel::Rules),
+            "full" => Ok(MetricsLevel::Full),
+            _ => Err(format!("unknown metrics level '{s}' (want off|rules|full)")),
+        }
+    }
+}
+
+impl std::str::FromStr for FiringPolicy {
+    type Err = String;
+
+    /// Parses the CLI's `--engine` and the protocol's `policy`:
+    /// `parallel` is [`FiringPolicy::fire_all`] (meta-rules on, guard
+    /// off; callers set both from their own options), `lex` and `mea`
+    /// the OPS5 baselines.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "parallel" => Ok(FiringPolicy::fire_all()),
+            "lex" => Ok(FiringPolicy::SelectOne(Strategy::Lex)),
+            "mea" => Ok(FiringPolicy::SelectOne(Strategy::Mea)),
+            _ => Err(format!("unknown policy '{s}' (want parallel|lex|mea)")),
+        }
+    }
+}
+
 /// Run-time options for the unified [`Engine`] (any policy).
 ///
 /// Policy-specific configuration — meta-rule redaction and the

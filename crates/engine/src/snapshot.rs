@@ -99,7 +99,8 @@ pub struct Snapshot {
     pub wmes: Vec<SnapWme>,
     /// The refraction table, sorted.
     pub refraction: Vec<SnapKey>,
-    /// Aggregate run statistics.
+    /// Aggregate run statistics. [`crate::Engine::checkpoint`] writes
+    /// its phase times as zero, so equal states give equal bytes.
     pub stats: RunStats,
     /// Collected `write` output.
     pub log: Vec<String>,

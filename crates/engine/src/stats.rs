@@ -92,6 +92,20 @@ impl RunStats {
         }
     }
 
+    /// These counts with every phase time zero. Phase times are
+    /// wall-clock readings, so snapshots carry none: two engines in the
+    /// same state checkpoint to the same bytes, and a resumed engine
+    /// starts its phase timers at zero.
+    pub fn untimed(&self) -> RunStats {
+        RunStats {
+            match_time: Duration::ZERO,
+            redact_time: Duration::ZERO,
+            fire_time: Duration::ZERO,
+            apply_time: Duration::ZERO,
+            ..self.clone()
+        }
+    }
+
     /// Total time across the instrumented phases.
     pub fn total_time(&self) -> Duration {
         self.match_time + self.redact_time + self.fire_time + self.apply_time

@@ -20,14 +20,16 @@
 //!   `EngineError` machinery, and graceful degradation — a budget trip,
 //!   RHS failure, or panic kills one session with a structured error
 //!   frame, never the daemon.
+//! * [`front`] — the front end as one step function with no IO, threads
+//!   or locks: line splitting, per-connection answer order, routing,
+//!   broadcast merging, backpressure and the shutdown sequence.
 //! * [`sched`] — the sharded session scheduler: sessions hash across N
 //!   shared-nothing worker threads, each owning a whole [`Server`]; long
 //!   `run` frames execute in cooperative step-quantum slices so neighbor
 //!   sessions never wait behind a closure.
-//! * [`dispatch`] — the readiness-driven event loop (`poll(2)` + a
-//!   self-pipe): one dispatcher thread parses frames off every
-//!   connection, routes them to shard inboxes, and writes responses
-//!   back in per-connection request order.
+//! * [`dispatch`] — the readiness-driven socket driver (`poll(2)` + a
+//!   self-pipe): one thread moves bytes between sockets and [`front`],
+//!   and jobs between [`front`] and the shard inboxes.
 //! * [`transport`] — the stdin/stdout line pump over one owned
 //!   [`Server`], plus the SIGTERM/SIGINT handlers the dispatcher uses
 //!   for graceful shutdown.
@@ -52,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod dispatch;
+pub mod front;
 pub mod protocol;
 pub mod recovery;
 pub mod sched;
@@ -61,6 +64,7 @@ pub mod transport;
 pub mod wal;
 
 pub use dispatch::{serve_sched_unix, spawn_sched_tcp};
+pub use front::Front;
 pub use protocol::{fingerprint_hex, wm_fingerprint, Failure};
 pub use recovery::{recover, recover_shard, RecoveryReport};
 pub use sched::{shard_of, Sched};

@@ -47,12 +47,10 @@ use crate::protocol::{self, kind, ok_frame, Failure};
 use crate::session::{engine_failure, ActiveRun, Session};
 use crate::wal::{SessionWal, WalConfig};
 use parulel_core::Delta;
-use parulel_engine::{
-    Budgets, Engine, EngineOptions, FiringPolicy, GuardMode, Json, MatcherKind, MetricsLevel,
-    Snapshot, Strategy,
-};
+use parulel_engine::{Budgets, Engine, EngineOptions, FiringPolicy, Json, MetricsLevel, Snapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -358,8 +356,8 @@ impl Server {
     }
 
     /// Dispatches one parsed frame, running a `run` to completion. Frame
-    /// and error counters are left alone: WAL replay and the scheduler's
-    /// control frames come through here.
+    /// and error counters are left alone: WAL replay and a broadcast's
+    /// jobs on every shard but the first come through here.
     pub fn handle_frame(&mut self, frame: &Json) -> Json {
         self.dispatch(frame, 0).unsliced()
     }
@@ -624,22 +622,8 @@ impl Server {
         if let Some(n) = protocol::opt_u64(frame, "max_delta")? {
             budgets.max_delta = Some(n as usize);
         }
-        let matcher = match protocol::opt_str(frame, "matcher")? {
-            None => MatcherKind::Rete,
-            Some(s) => s.parse().map_err(|e| Failure::new(kind::PROTOCOL, e))?,
-        };
-        let metrics = match protocol::opt_str(frame, "metrics")? {
-            None => self.config.metrics,
-            Some("off") => MetricsLevel::Off,
-            Some("rules") => MetricsLevel::Rules,
-            Some("full") => MetricsLevel::Full,
-            Some(other) => {
-                return Err(Failure::new(
-                    kind::PROTOCOL,
-                    format!("unknown metrics level {other:?}"),
-                ))
-            }
-        };
+        let matcher = parse_opt(frame, "matcher")?.unwrap_or_default();
+        let metrics = parse_opt(frame, "metrics")?.unwrap_or(self.config.metrics);
         Ok(EngineOptions {
             matcher,
             metrics,
@@ -977,30 +961,21 @@ fn unknown_session(name: &str) -> Failure {
     Failure::new(kind::UNKNOWN_SESSION, format!("no session {name:?}"))
 }
 
+/// Parses an optional string field through its type's spelling table.
+fn parse_opt<T: FromStr<Err = String>>(frame: &Json, key: &str) -> Result<Option<T>, Failure> {
+    let value = protocol::opt_str(frame, key)?.map(str::parse).transpose();
+    value.map_err(|e| Failure::new(kind::PROTOCOL, e))
+}
+
 /// Parses the `open` frame's `policy`/`guard`/`meta` fields into a
 /// [`FiringPolicy`].
 fn parse_policy(frame: &Json) -> Result<FiringPolicy, Failure> {
-    let guard = match protocol::opt_str(frame, "guard")? {
-        None | Some("off") => GuardMode::Off,
-        Some("ww") => GuardMode::WriteWrite,
-        Some("serializable") => GuardMode::Serializable,
-        Some(other) => {
-            return Err(Failure::new(
-                kind::PROTOCOL,
-                format!("unknown guard {other:?}"),
-            ))
-        }
-    };
+    let guard = parse_opt(frame, "guard")?.unwrap_or_default();
     let meta = protocol::opt_bool(frame, "meta")?.unwrap_or(true);
-    match protocol::opt_str(frame, "policy")? {
-        None | Some("parallel") => Ok(FiringPolicy::FireAll { meta, guard }),
-        Some("lex") => Ok(FiringPolicy::SelectOne(Strategy::Lex)),
-        Some("mea") => Ok(FiringPolicy::SelectOne(Strategy::Mea)),
-        Some(other) => Err(Failure::new(
-            kind::PROTOCOL,
-            format!("unknown policy {other:?} (want parallel|lex|mea)"),
-        )),
-    }
+    Ok(match parse_opt(frame, "policy")?.unwrap_or_default() {
+        FiringPolicy::FireAll { .. } => FiringPolicy::FireAll { meta, guard },
+        select_one => select_one,
+    })
 }
 
 /// Parses an `inject` frame's `adds`/`removes` into a validated

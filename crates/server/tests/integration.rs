@@ -534,3 +534,30 @@ fn an_ill_typed_report_flag_is_refused() {
     let response = Json::parse(&server.handle_line(frame).expect("response")).unwrap();
     assert!(response.get("report").is_some(), "{}", response.render());
 }
+
+/// Snapshot bytes carry no wall-clock data: two sessions run to the same
+/// fingerprint answer `snapshot` with the same hex.
+#[test]
+fn sessions_in_the_same_state_snapshot_to_the_same_bytes() {
+    let scenario = Closure::new(12, 20, 5);
+    let mut server = Server::new(ServerConfig::default());
+    let mut snapshots = Vec::new();
+    for name in ["x", "y"] {
+        let mut frames = session_frames(name, scenario.source(), scenario.edges(), "");
+        frames.pop();
+        frames.push(format!(r#"{{"op":"snapshot","session":"{name}"}}"#));
+        let answers: Vec<String> = frames
+            .iter()
+            .map(|f| server.handle_line(f).unwrap())
+            .collect();
+        let (run, snapshot) = (&answers[answers.len() - 2], &answers[answers.len() - 1]);
+        let snapshot = Json::parse(snapshot).expect("JSON");
+        let hex = snapshot
+            .get("snapshot")
+            .and_then(Json::as_str)
+            .expect("hex");
+        snapshots.push((fingerprint_of(run), hex.to_string()));
+    }
+    assert!(snapshots[0].0.is_some());
+    assert_eq!(snapshots[0], snapshots[1]);
+}

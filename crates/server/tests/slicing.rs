@@ -11,10 +11,12 @@
 //! fingerprints. The execution order is the test input: a failing seed
 //! prints its script.
 //!
-//! `metrics` and `trace` are left out of the scripts: their answers
-//! carry timings. So do the bytes a `snapshot` answers with (the
-//! engine's phase times), so snapshot answers are compared without them.
+//! The scripts come from the generator in `common`, which the serve
+//! simulator shares.
 
+mod common;
+
+use common::{script, SESSIONS};
 use parulel_engine::Json;
 use parulel_server::{recover, Server, ServerConfig, SyncPolicy, WalConfig};
 use rand::rngs::SmallRng;
@@ -23,84 +25,6 @@ use std::fs;
 use std::sync::mpsc::channel;
 
 const SEEDS: u64 = 200;
-const SESSIONS: [&str; 3] = ["a", "b", "c"];
-const PROGRAM: &str = "(literalize edge from to)\n(literalize reach from to)\n\
-    (p seed (edge ^from <a> ^to <b>) -(reach ^from <a> ^to <b>) --> (make reach ^from <a> ^to <b>))\n\
-    (p close (reach ^from <a> ^to <b>) (edge ^from <b> ^to <c>) -(reach ^from <a> ^to <c>) --> \
-    (make reach ^from <a> ^to <c>))";
-
-/// One random frame for a random session. Restores reuse a snapshot an
-/// earlier frame of the script took, when there is one.
-fn random_frame(rng: &mut SmallRng, snapshots: &[String]) -> String {
-    let name = SESSIONS[rng.gen_range(0..SESSIONS.len())];
-    let program = PROGRAM.replace('\n', "\\n");
-    match rng.gen_range(0..12u32) {
-        0 => {
-            // Some sessions stop at a cycle limit or die on a WM budget
-            // in the middle of a sliced run.
-            let limits = match rng.gen_range(0..4u32) {
-                0 => r#","max_cycles":3"#,
-                1 => r#","max_wm":40"#,
-                _ => "",
-            };
-            format!(r#"{{"op":"open","session":"{name}","program":"{program}"{limits}}}"#)
-        }
-        1..=3 => {
-            let adds: Vec<String> = (0..rng.gen_range(1..6usize))
-                .map(|_| {
-                    let (from, to) = (rng.gen_range(0..8i64), rng.gen_range(0..8i64));
-                    format!(r#"{{"class":"edge","fields":[{from},{to}]}}"#)
-                })
-                .collect();
-            let removes = if rng.gen_bool(0.2) {
-                format!(r#","removes":[{}]"#, rng.gen_range(0..20u64))
-            } else {
-                String::new()
-            };
-            format!(
-                r#"{{"op":"inject","session":"{name}","adds":[{}]{removes}}}"#,
-                adds.join(",")
-            )
-        }
-        4 => format!(r#"{{"op":"step","session":"{name}"}}"#),
-        5 | 6 => format!(r#"{{"op":"run","session":"{name}"}}"#),
-        7 => format!(r#"{{"op":"run-to-fixpoint","session":"{name}"}}"#),
-        8 => format!(r#"{{"op":"query","session":"{name}","class":"reach","limit":5}}"#),
-        9 => format!(r#"{{"op":"snapshot","session":"{name}"}}"#),
-        10 => {
-            let hex = match snapshots.len() {
-                0 => "00".to_string(),
-                n => snapshots[rng.gen_range(0..n)].clone(),
-            };
-            format!(r#"{{"op":"restore","session":"{name}","snapshot":"{hex}"}}"#)
-        }
-        _ => format!(r#"{{"op":"close","session":"{name}"}}"#),
-    }
-}
-
-/// A random script and the responses `handle_line` gives it at quantum 0.
-fn script(rng: &mut SmallRng) -> (Vec<String>, Vec<String>) {
-    let mut reference = Server::new(ServerConfig::default());
-    let mut snapshots = Vec::new();
-    let (mut frames, mut responses) = (Vec::new(), Vec::new());
-    for _ in 0..rng.gen_range(10..40usize) {
-        let frame = random_frame(rng, &snapshots);
-        let response = reference.handle_line(&frame).expect("one response");
-        let snapshot = Json::parse(&response).expect("JSON").get("snapshot").cloned();
-        snapshots.extend(snapshot.as_ref().and_then(Json::as_str).map(str::to_string));
-        frames.push(frame);
-        responses.push(response);
-    }
-    (frames, responses)
-}
-
-/// `response` without a snapshot's bytes, which carry phase times.
-fn untimed(response: &str) -> &str {
-    match response.find(r#","snapshot":""#) {
-        Some(at) => &response[..at],
-        None => response,
-    }
-}
 
 /// The live sessions' fingerprints, in name order.
 fn fingerprints(server: &mut Server) -> Vec<(String, String)> {
@@ -162,7 +86,7 @@ fn check(seed: u64) -> Result<(), String> {
         }
     }
     for (i, response) in &delivered {
-        if untimed(response) != untimed(&expected[*i]) {
+        if *response != expected[*i] {
             return Err(format!(
                 "frame {i} answered\n  {response}\nunsliced\n  {}",
                 expected[*i]
