@@ -446,7 +446,8 @@ impl SessionWal {
 
     /// Appends one rendered protocol frame, then applies the sync
     /// policy. Must be called *before* the frame is applied to the
-    /// session (log-before-apply).
+    /// session (log-before-apply). On an error the log is cut back to its
+    /// last whole record, so the refused frame leaves nothing behind.
     pub fn append_frame(&mut self, line: &str) -> io::Result<()> {
         self.appends += 1;
         let mut w = Writer::with_capacity(line.len() + 9);
@@ -455,11 +456,28 @@ impl SessionWal {
         // Torn-write injection: only a prefix of the record reaches the
         // file, exactly as if the process died mid-write.
         let n = self.faults.torn_write_len(self.appends, rec.len());
-        self.file.write_all(&rec[..n])?;
+        if let Err(e) = self
+            .file
+            .write_all(&rec[..n])
+            .and_then(|()| self.maybe_sync())
+        {
+            self.rewind();
+            return Err(e);
+        }
         self.bytes += n as u64;
-        self.maybe_sync()?;
         self.records_since_snapshot += 1;
         Ok(())
+    }
+
+    /// Cuts the file back to the end of its last whole record after a
+    /// failed append, and appends from there. A write that fails part way
+    /// (a full disk) leaves part of its record behind, and recovery stops
+    /// at the first record that does not decode: without the cut, every
+    /// frame acknowledged after it would be lost, and the refused frame
+    /// itself, once whole, would replay.
+    fn rewind(&mut self) {
+        let _ = self.file.set_len(self.bytes);
+        let _ = self.file.seek(SeekFrom::Start(self.bytes));
     }
 
     fn maybe_sync(&mut self) -> io::Result<()> {
@@ -569,6 +587,33 @@ mod tests {
             vec![
                 Record::Frame("{\"op\":\"open\"}".into()),
                 Record::Frame("{\"op\":\"inject\",\"adds\":[1]}".into()),
+            ]
+        );
+        assert_eq!(scan.valid_len, wal.bytes);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_partial_record() {
+        let dir = tmp_dir("rewind");
+        let cfg = config(&dir);
+        let path = dir.join(wal_file_name("s1"));
+        let mut wal = SessionWal::create(&cfg, "s1", "{\"op\":\"open\"}").unwrap();
+        wal.append_frame("{\"op\":\"open\"}").unwrap();
+        // What a write that fails part way leaves in the file.
+        let mut w = Writer::with_capacity(32);
+        put_record(&mut w, KIND_FRAME, b"{\"op\":\"refused\"}");
+        let rec = w.into_bytes();
+        wal.file.write_all(&rec[..rec.len() / 2]).unwrap();
+        wal.rewind();
+        wal.append_frame("{\"op\":\"step\"}").unwrap();
+        let scan = scan(&path, &WalFaults::none()).unwrap();
+        assert!(!scan.truncated);
+        assert_eq!(
+            scan.records,
+            vec![
+                Record::Frame("{\"op\":\"open\"}".into()),
+                Record::Frame("{\"op\":\"step\"}".into()),
             ]
         );
         assert_eq!(scan.valid_len, wal.bytes);
