@@ -10,6 +10,7 @@ use crate::hash::FxHashMap;
 use crate::ir::RuleId;
 use crate::value::Value;
 use crate::wme::{Wme, WmeId};
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -68,6 +69,14 @@ impl Instantiation {
             rule: self.rule,
             wmes: self.wmes.iter().map(|w| w.id).collect(),
         }
+    }
+
+    /// Compares the identity keys of two instantiations without building
+    /// them: the same order as [`InstKey`]'s `Ord` (rule, then the matched
+    /// WME ids lexicographically). Every instantiation sort uses it.
+    pub fn key_cmp(&self, other: &Self) -> Ordering {
+        (self.rule.cmp(&other.rule))
+            .then_with(|| (self.wmes.iter().map(|w| w.id)).cmp(other.wmes.iter().map(|w| w.id)))
     }
 
     /// Whether this instantiation matched the WME with id `id`.
@@ -171,6 +180,13 @@ impl ConflictSet {
         self.by_key.values()
     }
 
+    /// Iterates the entries with their stored keys, in arbitrary order: a
+    /// caller that filters or orders by identity borrows the key instead
+    /// of building one per instantiation.
+    pub fn entries(&self) -> impl Iterator<Item = (&InstKey, &Instantiation)> {
+        self.by_key.iter()
+    }
+
     /// Removes every instantiation that matched `id` (retraction support:
     /// when a WME dies, so do all matches that used it). Returns how many
     /// were removed.
@@ -219,7 +235,7 @@ impl ConflictSet {
     /// A deterministic, sorted snapshot of the instantiations (by key).
     pub fn sorted(&self) -> Vec<Instantiation> {
         let mut v: Vec<Instantiation> = self.by_key.values().cloned().collect();
-        v.sort_by_key(|inst| inst.key());
+        v.sort_unstable_by(Instantiation::key_cmp);
         v
     }
 
@@ -322,7 +338,10 @@ mod tests {
     #[test]
     fn journal_records_only_real_membership_changes() {
         let mut cs = ConflictSet::new();
-        assert!(cs.drain_journal_or_enable().is_none(), "first drain enables");
+        assert!(
+            cs.drain_journal_or_enable().is_none(),
+            "first drain enables"
+        );
         cs.insert(inst(1, &[1]));
         cs.insert(inst(1, &[1])); // duplicate: no event
         cs.remove(&inst(9, &[9]).key()); // absent: no event

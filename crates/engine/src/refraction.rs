@@ -25,14 +25,15 @@ impl Refraction {
     }
 
     /// The eligible (unrefracted) instantiations of `cs`, sorted by key
-    /// for deterministic downstream processing.
+    /// for deterministic downstream processing. Filters on the conflict
+    /// set's stored keys and sorts with [`Instantiation::key_cmp`], so no
+    /// key is built per entry or per comparison.
     pub fn eligible(&self, cs: &ConflictSet) -> Vec<Instantiation> {
-        let mut v: Vec<Instantiation> = cs
-            .iter()
-            .filter(|i| !self.fired.contains(&i.key()))
-            .cloned()
+        let mut v: Vec<Instantiation> = (cs.entries())
+            .filter(|(key, _)| !self.fired.contains(*key))
+            .map(|(_, inst)| inst.clone())
             .collect();
-        v.sort_by_key(|inst| inst.key());
+        v.sort_unstable_by(Instantiation::key_cmp);
         v
     }
 
@@ -77,6 +78,7 @@ impl Refraction {
 mod tests {
     use super::*;
     use parulel_core::{ClassId, RuleId, Value, Wme, WmeId};
+    use proptest::prelude::*;
 
     fn inst(rule: u32, ids: &[u64]) -> Instantiation {
         let wmes: Vec<Wme> = ids
@@ -138,5 +140,29 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    proptest! {
+        /// The borrowed-key sort agrees with `InstKey`'s own order: the
+        /// eligible set comes out in `sorted_keys()` order, minus the
+        /// refracted keys, and `sorted()` in exactly that order.
+        #[test]
+        fn eligible_order_is_sorted_keys_order(
+            insts in prop::collection::vec((0u32..3, prop::collection::vec(0u64..6, 1..4)), 0..24),
+            fired in prop::collection::vec(any::<bool>(), 24),
+        ) {
+            let cs: ConflictSet = insts.iter().map(|(r, ids)| inst(*r, ids)).collect();
+            let all = cs.sorted_keys();
+            let got: Vec<InstKey> = cs.sorted().iter().map(Instantiation::key).collect();
+            prop_assert_eq!(&got, &all);
+            let fired: Vec<InstKey> = (all.iter().zip(&fired))
+                .filter(|(_, &f)| f)
+                .map(|(k, _)| k.clone())
+                .collect();
+            let r = Refraction::from_keys(fired.iter().cloned());
+            let want: Vec<InstKey> = all.into_iter().filter(|k| !fired.contains(k)).collect();
+            let got: Vec<InstKey> = r.eligible(&cs).iter().map(Instantiation::key).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }
