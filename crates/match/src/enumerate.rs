@@ -191,9 +191,18 @@ impl JoinPlan {
     }
 
     /// Does `wme`, a member of negative CE `k`'s node, block a token
-    /// with bindings `env`?
-    pub(crate) fn blocks(&self, k: usize, env: &[Value], wme: &Wme) -> bool {
-        self.rule.ces[k].run_beta(wme, &mut env.to_vec())
+    /// with bindings `env`? The CE's tests bind into `scratch`, a copy of
+    /// `env` the caller reuses across checks.
+    pub(crate) fn blocks(
+        &self,
+        k: usize,
+        env: &[Value],
+        wme: &Wme,
+        scratch: &mut Vec<Value>,
+    ) -> bool {
+        scratch.clear();
+        scratch.extend_from_slice(env);
+        self.rule.ces[k].run_beta(wme, scratch)
     }
 
     /// Appends every instantiation of the rule to `out`, only those using
