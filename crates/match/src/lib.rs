@@ -171,7 +171,7 @@ pub trait Matcher: Send {
         }
     }
 
-    /// Seeds the network from an initial working memory.
+    /// Seeds a freshly built matcher from an initial working memory.
     fn seed(&mut self, wm: &WorkingMemory) {
         for w in wm.iter() {
             self.add_wme(w);
