@@ -5,7 +5,8 @@
 //! oracle's; this file pins what the conflict set cannot show: how many
 //! beta tokens and negative-count entries RETE keeps, how many alpha
 //! members both networks hold, how often a shared alpha test fanned out,
-//! and how often TREAT re-enumerated a rule. A refactor of the join code
+//! and how often TREAT re-enumerated a rule (at most once per rule per
+//! `apply` batch). A refactor of the join code
 //! must leave every number here unchanged.
 
 use parulel_core::{fnv1a, ClassId, ConflictSet, Program, Value, Wme, WorkingMemory};
@@ -207,8 +208,8 @@ fn token_population_is_pinned() {
             vec![
                 p([80, 40, 80, 40], [80, 40, 0], (40, 14134443487932405391)),
                 p([89, 44, 102, 68], [102, 68, 0], (31, 6789080261940592121)),
-                p([86, 42, 91, 73], [91, 73, 14], (37, 2949049154935266031)),
-                p([78, 38, 88, 84], [88, 84, 18], (30, 488581525423715245)),
+                p([86, 42, 91, 73], [91, 73, 2], (37, 2949049154935266031)),
+                p([78, 38, 88, 84], [88, 84, 4], (30, 488581525423715245)),
             ],
         ),
         (
@@ -224,22 +225,22 @@ fn token_population_is_pinned() {
             "leading-negative",
             vec![
                 p([13, 14, 49, 36], [49, 36, 0], (0, 14695981039346656037)),
-                p([67, 15, 52, 48], [52, 48, 4], (39, 8708781347051981839)),
-                p([83, 17, 60, 60], [60, 60, 6], (51, 10927097114283623583)),
-                p([74, 16, 56, 66], [56, 66, 9], (44, 11785273405920299329)),
+                p([67, 15, 52, 48], [52, 48, 2], (39, 8708781347051981839)),
+                p([83, 17, 60, 60], [60, 60, 3], (51, 10927097114283623583)),
+                p([74, 16, 56, 66], [56, 66, 4], (44, 11785273405920299329)),
             ],
         ),
         (
             "self-join",
             vec![
                 p([114, 28, 84, 72], [84, 72, 0], (34, 18345432052444666127)),
-                p([134, 34, 91, 96], [91, 96, 3], (40, 15496303104950933165)),
+                p([134, 34, 91, 96], [91, 96, 1], (40, 15496303104950933165)),
                 p(
                     [206, 51, 112, 126],
-                    [112, 126, 5],
+                    [112, 126, 2],
                     (72, 12426956604810099315),
                 ),
-                p([200, 40, 98, 138], [98, 138, 9], (92, 10431686734184026895)),
+                p([200, 40, 98, 138], [98, 138, 3], (92, 10431686734184026895)),
             ],
         ),
     ];
