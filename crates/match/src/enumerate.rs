@@ -33,6 +33,7 @@ use parulel_core::{
     ConditionElement, FieldCheck, FieldTest, Instantiation, Polarity, PredOp, Rule, Value, VarId,
     Wme,
 };
+use std::sync::Arc;
 
 /// Where one probe key value comes from.
 #[derive(Clone, Copy)]
@@ -366,7 +367,7 @@ impl<H> Sink<H> for Collect<'_> {
 
     fn token(&mut self, k: usize, _: &(), _: &[H], wmes: &[&Wme], env: &[Value]) -> Option<()> {
         if k + 1 == self.rule.ces.len() {
-            let wmes: Vec<Wme> = wmes.iter().map(|&w| w.clone()).collect();
+            let wmes: Arc<[Wme]> = wmes.iter().map(|&w| w.clone()).collect();
             self.out.push(Instantiation::new(self.rule.id, wmes, env));
         }
         Some(())
