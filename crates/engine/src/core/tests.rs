@@ -335,15 +335,20 @@ fn metrics_collect_per_rule_counters_and_peaks() {
     assert_eq!(m.redacted_guard, 0);
     assert_eq!(e.metrics().peak_wm, 3);
     assert_eq!(e.metrics().peak_conflict_set, 2);
-    assert!(e.metrics().peak_alpha_wmes > 0, "Full level samples the matcher");
+    assert!(
+        e.metrics().peak_alpha_wmes > 0,
+        "Full level samples the matcher"
+    );
     // The lifetime totals agree with RunStats.
     let fired_total: u64 = e.metrics().per_rule.iter().map(|r| r.fired).sum();
     assert_eq!(fired_total, e.stats().firings);
     // And a default-options engine collects nothing.
-    assert!(Engine::new(&p, WorkingMemory::new(&p.classes), Default::default())
-        .metrics()
-        .per_rule
-        .is_empty());
+    assert!(
+        Engine::new(&p, WorkingMemory::new(&p.classes), Default::default())
+            .metrics()
+            .per_rule
+            .is_empty()
+    );
 }
 
 #[test]
@@ -369,7 +374,11 @@ fn trace_events_record_spans_and_run_end() {
         .count();
     assert_eq!(spans, 12);
     match buf.events().last().unwrap() {
-        TraceEvent::RunEnd { cycles, firings, status } => {
+        TraceEvent::RunEnd {
+            cycles,
+            firings,
+            status,
+        } => {
             assert_eq!((*cycles, *firings), (3, 3));
             assert_eq!(*status, "quiescent");
         }
@@ -558,7 +567,9 @@ fn resume_rejects_foreign_programs() {
     let snap = e.checkpoint();
     let other = compile("(literalize other x)").unwrap();
     assert_eq!(
-        Engine::resume(&other, &snap, EngineOptions::default()).err().unwrap(),
+        Engine::resume(&other, &snap, EngineOptions::default())
+            .err()
+            .unwrap(),
         crate::snapshot::SnapshotError::UnknownClass("count".into())
     );
     // A rule whose firing keeps its own support leaves a live
@@ -567,13 +578,19 @@ fn resume_rejects_foreign_programs() {
     let src = "(literalize count n)
          (literalize out v)
          (p mk (count ^n <n>) --> (make out ^v <n>))";
-    let mut e = engine(src, &[("count", vec![Value::Int(0)])], EngineOptions::default());
+    let mut e = engine(
+        src,
+        &[("count", vec![Value::Int(0)])],
+        EngineOptions::default(),
+    );
     e.step().unwrap();
     let snap = e.checkpoint();
     assert!(!snap.refraction.is_empty());
     let no_rule = compile("(literalize count n) (literalize out v)").unwrap();
     assert_eq!(
-        Engine::resume(&no_rule, &snap, EngineOptions::default()).err().unwrap(),
+        Engine::resume(&no_rule, &snap, EngineOptions::default())
+            .err()
+            .unwrap(),
         crate::snapshot::SnapshotError::UnknownRule("mk".into())
     );
 }
@@ -597,14 +614,22 @@ fn wm_budget_trips_with_cycle_number_and_checkpoint() {
     // (2, 3, 4, 5, 6) and trips after cycle 5.
     let err = e.run().unwrap_err();
     match err {
-        EngineError::WmBudget { cycle, size, budget } => {
+        EngineError::WmBudget {
+            cycle,
+            size,
+            budget,
+        } => {
             assert_eq!((cycle, size, budget), (5, 6, 5));
         }
         other => panic!("wrong variant: {other:?}"),
     }
     let snap = e.latest_checkpoint().expect("trip stores a checkpoint");
     assert_eq!(snap.cycle, 5);
-    assert_eq!(snap.wmes.len(), 6, "checkpoint captures the committed state");
+    assert_eq!(
+        snap.wmes.len(),
+        6,
+        "checkpoint captures the committed state"
+    );
 }
 
 #[test]
@@ -628,13 +653,21 @@ fn conflict_set_and_delta_budgets_trip_before_any_mutation() {
         },
     );
     match e.run().unwrap_err() {
-        EngineError::ConflictSetBudget { cycle, width, budget, rules } => {
+        EngineError::ConflictSetBudget {
+            cycle,
+            width,
+            budget,
+            rules,
+        } => {
             assert_eq!((cycle, width, budget), (1, 3, 2));
             assert_eq!(rules, vec!["bump"]);
         }
         other => panic!("wrong variant: {other:?}"),
     }
-    assert!(e.wm().iter().all(|w| w.field(1) == Value::Int(0)), "nothing fired");
+    assert!(
+        e.wm().iter().all(|w| w.field(1) == Value::Int(0)),
+        "nothing fired"
+    );
 
     let mut e = engine(
         src,
@@ -649,13 +682,21 @@ fn conflict_set_and_delta_budgets_trip_before_any_mutation() {
     );
     match e.run().unwrap_err() {
         // 3 modifies = 3 removes + 3 adds = 6 changes > 5.
-        EngineError::DeltaBudget { cycle, size, budget, rules } => {
+        EngineError::DeltaBudget {
+            cycle,
+            size,
+            budget,
+            rules,
+        } => {
             assert_eq!((cycle, size, budget), (1, 6, 5));
             assert_eq!(rules, vec!["bump"]);
         }
         other => panic!("wrong variant: {other:?}"),
     }
-    assert!(e.wm().iter().all(|w| w.field(1) == Value::Int(0)), "delta not applied");
+    assert!(
+        e.wm().iter().all(|w| w.field(1) == Value::Int(0)),
+        "delta not applied"
+    );
     // The stored checkpoint is the pre-cycle state and can resume.
     let snap = e.latest_checkpoint().unwrap().clone();
     assert_eq!(snap.cycle, 0);
