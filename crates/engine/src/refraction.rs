@@ -37,10 +37,19 @@ impl Refraction {
         v
     }
 
-    /// Records that `insts` fired this cycle.
-    pub fn record<'a>(&mut self, insts: impl IntoIterator<Item = &'a Instantiation>) {
+    /// Records that `insts` fired this cycle, once `cs` holds the cycle's
+    /// changes: each one still present is refracted under the key `cs`
+    /// stores (cloned, not rebuilt), and one that left is not recorded,
+    /// as [`prune`](Self::prune) would drop it.
+    pub fn record<'a>(
+        &mut self,
+        cs: &ConflictSet,
+        insts: impl IntoIterator<Item = &'a Instantiation>,
+    ) {
         for i in insts {
-            self.fired.insert(i.key());
+            if let Some(key) = cs.stored_key(i) {
+                self.fired.insert(key.clone());
+            }
         }
     }
 
@@ -96,9 +105,9 @@ mod tests {
         let mut r = Refraction::new();
         let e = r.eligible(&cs);
         assert_eq!(e.len(), 2);
-        r.record(e.iter().take(1));
+        r.record(&cs, e.iter().take(1));
         assert_eq!(r.eligible(&cs).len(), 1);
-        r.record(r.eligible(&cs).iter());
+        r.record(&cs, r.eligible(&cs).iter());
         assert!(r.eligible(&cs).is_empty());
     }
 
@@ -107,7 +116,7 @@ mod tests {
         let mut cs = ConflictSet::new();
         cs.insert(inst(0, &[1]));
         let mut r = Refraction::new();
-        r.record(r.eligible(&cs).iter());
+        r.record(&cs, r.eligible(&cs).iter());
         assert_eq!(r.len(), 1);
         cs.remove(&inst(0, &[1]).key());
         r.prune(&cs);
@@ -123,7 +132,7 @@ mod tests {
         cs.insert(inst(0, &[1]));
         cs.insert(inst(1, &[2]));
         let mut r = Refraction::new();
-        r.record(r.eligible(&cs).iter());
+        r.record(&cs, r.eligible(&cs).iter());
         let restored = Refraction::from_keys(r.keys().cloned());
         assert_eq!(restored.len(), 2);
         assert!(restored.eligible(&cs).is_empty());
