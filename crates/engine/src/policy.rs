@@ -185,22 +185,13 @@ pub(crate) fn counts_by_rule(insts: &[Instantiation], num_rules: usize) -> Vec<u
 /// Compares two instantiations under the strategy; `Greater` wins.
 fn prefer(program: &Program, strategy: Strategy, a: &Instantiation, b: &Instantiation) -> Ordering {
     let lex = |a: &Instantiation, b: &Instantiation| -> Ordering {
-        let (ra, rb) = (a.recency(), b.recency());
-        for (x, y) in ra.iter().zip(rb.iter()) {
-            match x.cmp(y) {
-                Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        // More timestamps (deeper match) dominates on a tie.
-        match ra.len().cmp(&rb.len()) {
-            Ordering::Equal => {
-                let sa = program.rule(a.rule).specificity();
-                let sb = program.rule(b.rule).specificity();
-                sa.cmp(&sb)
-            }
-            other => other,
-        }
+        // Lexicographic on the recency vectors: when one is a prefix of
+        // the other, more timestamps (deeper match) dominates.
+        (a.recency().cmp(b.recency())).then_with(|| {
+            let sa = program.rule(a.rule).specificity();
+            let sb = program.rule(b.rule).specificity();
+            sa.cmp(&sb)
+        })
     };
     let primary = match strategy {
         Strategy::Lex => lex(a, b),
