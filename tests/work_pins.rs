@@ -93,12 +93,18 @@ struct Work {
 /// One fire-all run of `s` under `matcher`, validated, with its
 /// allocation count.
 fn run(s: &dyn Scenario, matcher: MatcherKind) -> (Work, u64, u64) {
+    run_policy(s, FiringPolicy::fire_all(), matcher)
+}
+
+/// One run of `s` under `policy` and `matcher`, validated, with its
+/// allocation count.
+fn run_policy(s: &dyn Scenario, policy: FiringPolicy, matcher: MatcherKind) -> (Work, u64, u64) {
     let opts = EngineOptions {
         matcher,
         ..Default::default()
     };
     counted(|| {
-        let mut e = Engine::new(s.program(), s.initial_wm(), opts);
+        let mut e = Engine::with_policy(s.program(), s.initial_wm(), policy, opts);
         let out = e.run().expect("engine run failed");
         s.validate(e.wm())
             .unwrap_or_else(|err| panic!("{}: validation failed: {err}", s.name()));
@@ -150,7 +156,7 @@ fn closure_rete() {
         "closure rete",
         run(&closure(), MatcherKind::Rete),
         want,
-        286_998,
+        275_137,
     );
 }
 
@@ -170,7 +176,7 @@ fn closure_treat() {
         "closure treat",
         run(&closure(), MatcherKind::Treat),
         want,
-        161_460,
+        149_599,
     );
 }
 
@@ -190,7 +196,7 @@ fn market_rete() {
         "market rete",
         run(&market(), MatcherKind::Rete),
         want,
-        20_197,
+        17_714,
     );
 }
 
@@ -210,7 +216,33 @@ fn market_treat() {
         "market treat",
         run(&market(), MatcherKind::Treat),
         want,
-        11_486,
+        9_007,
+    );
+}
+
+/// Select-one LEX, the OPS5 baseline table2 compares against: one firing
+/// per cycle, each chosen by comparing recency over the eligible set.
+#[cfg_attr(debug_assertions, ignore = "release builds only")]
+#[test]
+fn market_select_one_lex() {
+    let want = Work {
+        cycles: 111,
+        firings: 111,
+        redactions: 0,
+        meta_rounds: 0,
+        conflict_set: 0,
+        beta_tokens: 49,
+        reenumerations: 0,
+    };
+    pin(
+        "market select-one lex",
+        run_policy(
+            &market(),
+            FiringPolicy::SelectOne(Strategy::Lex),
+            MatcherKind::Rete,
+        ),
+        want,
+        18_988,
     );
 }
 
@@ -253,7 +285,7 @@ fn seed_closure_rete() {
         "seed closure rete",
         seed_only(&closure(), MatcherKind::Rete),
         want,
-        2_573,
+        2_445,
     );
 }
 
@@ -273,6 +305,6 @@ fn seed_market_treat() {
         "seed market treat",
         seed_only(&market(), MatcherKind::Treat),
         want,
-        7_824,
+        6_211,
     );
 }
