@@ -6,7 +6,7 @@
 //! all current instantiations — in PARULEL it is a first-class object that
 //! meta-rules match over and redact from.
 
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::ir::RuleId;
 use crate::value::Value;
 use crate::wme::{Wme, WmeId};
@@ -207,11 +207,10 @@ pub enum CsEvent {
     Remove(InstKey),
 }
 
-/// The conflict set: all current instantiations, indexed by identity.
-///
-/// Maintains a by-rule index so meta-rule evaluation can enumerate
-/// candidates for a [`MetaCe`](crate::ir::MetaCe) without scanning
-/// everything.
+/// The conflict set: all current instantiations, indexed by identity
+/// only. Nothing is indexed by rule: a caller that wants one rule's
+/// entries (meta-rule evaluation, a rule rebuild) filters a walk of the
+/// whole set.
 ///
 /// An optional **journal** records membership changes as [`CsEvent`]s once
 /// [`drain_journal_or_enable`](Self::drain_journal_or_enable) has been
@@ -291,21 +290,10 @@ impl ConflictSet {
         self.by_key.iter()
     }
 
-    /// Removes every instantiation that matched any WME in `ids`
-    /// (retraction support: when WMEs die, so do all matches that used
-    /// them), in one sweep however many died. Returns how many were
-    /// removed.
-    pub fn retract_wmes(&mut self, ids: &FxHashSet<WmeId>) -> usize {
-        self.retract_where(|inst| inst.wmes.iter().any(|w| ids.contains(&w.id)))
-    }
-
-    /// Removes every instantiation of `rule` (a matcher dropping or
-    /// rebuilding the rule). Returns how many were removed.
-    pub fn retract_rule(&mut self, rule: RuleId) -> usize {
-        self.retract_where(|inst| inst.rule == rule)
-    }
-
-    fn retract_where(&mut self, dead: impl Fn(&Instantiation) -> bool) -> usize {
+    /// Removes every instantiation `dead` picks, in one sweep of the set
+    /// (a matcher drops the users of a batch of removed WMEs, or every
+    /// entry of a rule it rebuilds). Returns how many were removed.
+    pub fn retract(&mut self, dead: impl Fn(&Instantiation) -> bool) -> usize {
         let before = self.by_key.len();
         match &mut self.journal {
             None => self.by_key.retain(|_, inst| !dead(inst)),
@@ -416,23 +404,28 @@ mod tests {
         assert_eq!(cs.len(), 1);
     }
 
-    fn ids(ids: &[u64]) -> FxHashSet<WmeId> {
-        ids.iter().map(|&id| WmeId(id)).collect()
+    /// A retract predicate: the instantiation used any WME in `ids`.
+    fn uses(ids: &[u64]) -> impl Fn(&Instantiation) -> bool + '_ {
+        |inst| inst.wmes.iter().any(|w| ids.contains(&w.id.0))
     }
 
     #[test]
-    fn retract_wmes_removes_all_users() {
+    fn retract_removes_what_the_predicate_picks() {
         let mut cs = ConflictSet::new();
         cs.insert(inst(1, &[1, 2]));
         cs.insert(inst(1, &[2, 3]));
         cs.insert(inst(2, &[3]));
-        assert_eq!(cs.retract_wmes(&ids(&[2])), 2);
+        assert_eq!(cs.retract(uses(&[2])), 2);
         assert_eq!(cs.len(), 1);
         assert!(cs.contains(&inst(2, &[3]).key()));
-        // One sweep takes the users of every id in the set.
+        // One sweep takes the users of every id and a whole rule.
         cs.insert(inst(1, &[4, 5]));
         cs.insert(inst(2, &[5]));
-        assert_eq!(cs.retract_wmes(&ids(&[3, 5, 9])), 3);
+        cs.insert(inst(3, &[6]));
+        assert_eq!(
+            cs.retract(|i| uses(&[3, 5, 9])(i) || i.rule == RuleId(3)),
+            4
+        );
         assert!(cs.is_empty());
     }
 
@@ -493,13 +486,13 @@ mod tests {
     }
 
     #[test]
-    fn journal_covers_retract_wmes() {
+    fn journal_covers_retract() {
         let mut cs = ConflictSet::new();
         cs.drain_journal_or_enable();
         cs.insert(inst(1, &[1, 2]));
         cs.insert(inst(2, &[3]));
         cs.drain_journal_or_enable();
-        cs.retract_wmes(&ids(&[2]));
+        cs.retract(uses(&[2]));
         let events = cs.drain_journal_or_enable().unwrap();
         assert_eq!(events, vec![CsEvent::Remove(inst(1, &[1, 2]).key())]);
     }
