@@ -587,19 +587,6 @@ impl Program {
     pub fn rule_name(&self, id: RuleId) -> String {
         self.interner.resolve(self.rule(id).name).to_string()
     }
-
-    /// A copy of this program with every meta-rule removed — used by the
-    /// ablations that measure what the interference guard can salvage when
-    /// the program's declarative conflict resolution is taken away.
-    pub fn without_metas(&self) -> Program {
-        Program {
-            interner: self.interner.clone(),
-            classes: self.classes.clone(),
-            rules: self.rules.clone(),
-            metas: Vec::new(),
-            rule_by_name: self.rule_by_name.clone(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -358,11 +358,6 @@ impl AlphaNetwork {
             .map(|idx| idx.map.values().map(|b| b.len()).sum())
     }
 
-    /// Dense walk over every stored WME.
-    pub fn store_iter(&self) -> impl Iterator<Item = (WmeRef, &Wme)> {
-        self.store.iter()
-    }
-
     /// Stored WMEs (= working-memory size for a seeded matcher).
     pub fn store_len(&self) -> usize {
         self.store.len()

@@ -73,11 +73,6 @@ impl Closure {
     pub fn edges(&self) -> &[(i64, i64)] {
         &self.edges
     }
-
-    /// Size of the reference closure (row count of the answer).
-    pub fn expected_len(&self) -> usize {
-        self.expected.len()
-    }
 }
 
 /// Reference closure by BFS from every source.

@@ -71,11 +71,6 @@ impl Seating {
             guests,
         }
     }
-
-    /// Number of tables (the available parallelism).
-    pub fn table_count(&self) -> usize {
-        self.tables
-    }
 }
 
 impl Scenario for Seating {

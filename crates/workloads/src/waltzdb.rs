@@ -159,11 +159,6 @@ impl WaltzDb {
     pub fn expected_candidates(&self) -> usize {
         self.expected.iter().map(|s| s.len()).sum()
     }
-
-    /// Grid dimensions.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.w, self.h)
-    }
 }
 
 /// Reference arc consistency on arbitrary topology.
