@@ -77,10 +77,8 @@ pub struct RunOpts {
     pub guard: GuardMode,
     /// Cycle limit.
     pub max_cycles: u64,
-    /// Print per-cycle traces.
-    pub trace: bool,
-    /// Write a structured JSONL trace to this file (`--trace FILE`).
-    pub trace_out: Option<String>,
+    /// Where the trace ring goes, if `--trace` was given.
+    pub trace: Option<TraceSink>,
     /// Print run statistics.
     pub stats: bool,
     /// Write the metrics report (per-rule counters, peaks, matcher
@@ -99,6 +97,15 @@ pub struct RunOpts {
     /// Resume from this checkpoint file instead of the program's `(wm …)`
     /// facts.
     pub resume: Option<String>,
+}
+
+/// Where `run --trace` sends the trace ring.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum TraceSink {
+    /// Bare `--trace`: one human-readable line per cycle on stdout.
+    Stdout,
+    /// `--trace FILE`: the structured JSONL trace, written to FILE.
+    File(String),
 }
 
 /// Where `serve` listens.
@@ -212,8 +219,7 @@ impl Command {
                     matcher: MatcherKind::Rete,
                     guard: GuardMode::Off,
                     max_cycles: 1_000_000,
-                    trace: false,
-                    trace_out: None,
+                    trace: None,
                     stats: false,
                     metrics_out: None,
                     dump_wm: false,
@@ -236,15 +242,17 @@ impl Command {
                                 .parse()
                                 .map_err(|_| "--max-cycles needs an integer".to_string())?
                         }
-                        // `--trace` keeps its original bare-flag meaning
-                        // (human-readable per-cycle lines); an optional
-                        // non-flag value names a JSONL sink instead.
-                        "--trace" => match it.clone().next() {
-                            Some(next) if !next.starts_with('-') => {
-                                opts.trace_out = Some(next_val(&mut it, flag)?);
-                            }
-                            _ => opts.trace = true,
-                        },
+                        // Bare `--trace` prints human-readable per-cycle
+                        // lines; an optional non-flag value names a JSONL
+                        // sink instead.
+                        "--trace" => {
+                            opts.trace = Some(match it.clone().next() {
+                                Some(next) if !next.starts_with('-') => {
+                                    TraceSink::File(next_val(&mut it, flag)?)
+                                }
+                                _ => TraceSink::Stdout,
+                            })
+                        }
                         "--stats" => opts.stats = true,
                         "--metrics-out" => opts.metrics_out = Some(next_val(&mut it, flag)?),
                         "--dump-wm" => opts.dump_wm = true,
@@ -407,7 +415,7 @@ mod tests {
         assert_eq!(o.file, "prog.pll");
         assert_eq!(o.engine, FiringPolicy::fire_all());
         assert_eq!(o.matcher, MatcherKind::Rete);
-        assert!(!o.trace && !o.stats && !o.dump_wm && !o.no_log);
+        assert!(o.trace.is_none() && !o.stats && !o.dump_wm && !o.no_log);
     }
 
     #[test]
@@ -434,7 +442,8 @@ mod tests {
         assert_eq!(o.matcher, MatcherKind::PartitionedRete(4));
         assert_eq!(o.guard, GuardMode::Serializable);
         assert_eq!(o.max_cycles, 99);
-        assert!(o.trace && o.stats && o.dump_wm && o.no_log);
+        assert_eq!(o.trace, Some(TraceSink::Stdout));
+        assert!(o.stats && o.dump_wm && o.no_log);
     }
 
     #[test]
@@ -473,19 +482,18 @@ mod tests {
         let Ok(Command::Run(o)) = parse(&["run", "x", "--trace", "--stats"]) else {
             panic!()
         };
-        assert!(o.trace && o.stats);
-        assert!(o.trace_out.is_none());
+        assert_eq!(o.trace, Some(TraceSink::Stdout));
+        assert!(o.stats);
         // Trailing bare flag.
         let Ok(Command::Run(o)) = parse(&["run", "x", "--trace"]) else {
             panic!()
         };
-        assert!(o.trace && o.trace_out.is_none());
+        assert_eq!(o.trace, Some(TraceSink::Stdout));
         // With a path: JSONL sink, no human trace.
         let Ok(Command::Run(o)) = parse(&["run", "x", "--trace", "t.jsonl"]) else {
             panic!()
         };
-        assert!(!o.trace);
-        assert_eq!(o.trace_out.as_deref(), Some("t.jsonl"));
+        assert_eq!(o.trace, Some(TraceSink::File("t.jsonl".into())));
     }
 
     #[test]

@@ -21,11 +21,11 @@
 
 use crate::fire::{self, EngineError};
 use crate::meta::MetaLevel;
-use crate::metrics::{EngineMetrics, Phase, RuleMetrics, TraceBuffer, TraceEvent};
+use crate::metrics::{EngineMetrics, RuleMetrics, TraceBuffer, TraceEvent};
 use crate::policy::{counts_by_rule, FiringPolicy};
 use crate::refraction::Refraction;
 use crate::snapshot::{SnapKey, SnapValue, SnapWme, Snapshot, SnapshotError};
-use crate::stats::{CycleStats, CycleTrace, Outcome, RunStats};
+use crate::stats::{CycleStats, Outcome, RunStats};
 use crate::EngineOptions;
 use parulel_core::{InstKey, Program, RuleId, Value, Wme, WmeId, WorkingMemory};
 use parulel_match::{Matcher, MatcherMetrics};
@@ -48,7 +48,6 @@ pub struct Engine {
     opts: EngineOptions,
     stats: RunStats,
     log: Vec<String>,
-    traces: Vec<CycleTrace>,
     halted: bool,
     latest_checkpoint: Option<Snapshot>,
     metrics: EngineMetrics,
@@ -97,7 +96,6 @@ impl Engine {
             opts,
             stats: RunStats::default(),
             log,
-            traces: Vec::new(),
             halted: false,
             latest_checkpoint: None,
             metrics,
@@ -118,10 +116,11 @@ impl Engine {
 
     /// Rebuilds an engine from a [`Snapshot`], continuing the captured
     /// run exactly: working memory keeps its WME ids and id counter, the
-    /// refraction table is restored, and statistics/log/traces continue
-    /// from the captured values. The matcher is *reseeded* from the
-    /// restored working memory (a snapshot never stores matcher state —
-    /// the conflict set is a pure function of working memory), so any
+    /// refraction table is restored, and statistics and the log continue
+    /// from the captured values; metrics and the trace ring start empty.
+    /// The matcher is *reseeded* from the restored working memory (a
+    /// snapshot never stores matcher state — the conflict set is a pure
+    /// function of working memory), so any
     /// [`MatcherKind`](crate::MatcherKind) may be chosen for the
     /// continuation. The snapshot's [`policy`](Snapshot::policy) tag
     /// records what produced it, but the continuation runs whatever
@@ -202,7 +201,6 @@ impl Engine {
             opts,
             stats: snapshot.stats.untimed(),
             log: snapshot.log.clone(),
-            traces: snapshot.traces.clone(),
             halted: snapshot.halted,
             latest_checkpoint: None,
             metrics,
@@ -428,7 +426,6 @@ impl Engine {
             refraction,
             stats: self.stats.untimed(),
             log: self.log.clone(),
-            traces: self.traces.clone(),
             rule_hashes: self.code.name_map(),
         }
     }
@@ -490,11 +487,6 @@ impl Engine {
         &self.log
     }
 
-    /// Per-cycle traces (empty unless `EngineOptions::trace` was set).
-    pub fn traces(&self) -> &[CycleTrace] {
-        &self.traces
-    }
-
     /// Observability counters collected so far (all-zero when
     /// `EngineOptions::metrics` is [`crate::MetricsLevel::Off`]).
     pub fn metrics(&self) -> &EngineMetrics {
@@ -507,8 +499,9 @@ impl Engine {
         self.matcher.metrics()
     }
 
-    /// The structured event ring (populated only when
-    /// `EngineOptions::trace_events` is set).
+    /// The structured event ring, with one [`TraceEvent::Cycle`] per
+    /// cycle that fired (present only when `EngineOptions::trace_events`
+    /// is set).
     pub fn trace_events(&self) -> Option<&TraceBuffer> {
         self.trace_buf.as_ref()
     }
@@ -672,54 +665,13 @@ impl Engine {
 
         self.log.extend(fired.log);
         self.halted |= fired.halt;
-        if self.opts.trace {
-            let mut by_rule: parulel_core::FxHashMap<parulel_core::RuleId, usize> =
-                parulel_core::FxHashMap::default();
-            for inst in &surviving {
-                *by_rule.entry(inst.rule).or_default() += 1;
-            }
-            let mut fired_rules: Vec<(String, usize)> = by_rule
-                .into_iter()
-                .map(|(r, n)| (self.program.rule_name(r), n))
-                .collect();
-            fired_rules.sort();
-            self.traces.push(CycleTrace {
-                cycle: self.stats.cycles + 1,
-                eligible: cycle.eligible,
-                redacted_meta: cycle.redacted_meta,
-                redacted_guard: cycle.redacted_guard,
-                fired_rules,
-                adds: cycle.adds,
-                removes: cycle.removes,
-            });
-        }
         self.stats.absorb(&cycle);
         if let Some(buf) = &mut self.trace_buf {
-            let c = self.stats.cycles;
-            buf.push(TraceEvent::Span {
-                cycle: c,
-                phase: Phase::Match,
-                dur: cycle.match_time,
-                items: cycle.eligible,
-            });
-            buf.push(TraceEvent::Span {
-                cycle: c,
-                phase: Phase::Redact,
-                dur: cycle.redact_time,
-                items: cycle.redacted_meta + cycle.redacted_guard,
-            });
-            buf.push(TraceEvent::Span {
-                cycle: c,
-                phase: Phase::Fire,
-                dur: cycle.fire_time,
-                items: cycle.fired,
-            });
-            buf.push(TraceEvent::Span {
-                cycle: c,
-                phase: Phase::Apply,
-                dur: cycle.apply_time,
-                items: cycle.adds + cycle.removes,
-            });
+            // The fired set is in key order, so each rule's firings are
+            // one run.
+            let fired = (surviving.chunk_by(|a, b| a.rule == b.rule))
+                .map(|run| (self.program.rule(run[0].rule).name, run.len()));
+            buf.push(TraceEvent::cycle(cycle_no, &cycle, fired));
         }
         self.opts
             .budgets

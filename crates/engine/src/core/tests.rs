@@ -352,7 +352,7 @@ fn metrics_collect_per_rule_counters_and_peaks() {
 }
 
 #[test]
-fn trace_events_record_spans_and_run_end() {
+fn trace_events_record_cycles_and_run_end() {
     use crate::metrics::TraceEvent;
     let mut e = engine(
         "(literalize count n)
@@ -365,14 +365,16 @@ fn trace_events_record_spans_and_run_end() {
     );
     e.run().unwrap();
     let buf = e.trace_events().expect("ring enabled");
-    // 3 cycles x 4 spans + run-end.
-    assert_eq!(buf.len(), 13);
+    // One event per cycle + run-end.
+    assert_eq!(buf.events().count(), 4);
     assert_eq!(buf.dropped(), 0);
-    let spans = buf
-        .events()
-        .filter(|ev| matches!(ev, TraceEvent::Span { .. }))
-        .count();
-    assert_eq!(spans, 12);
+    let cycles: Vec<u64> = (buf.events())
+        .filter_map(|ev| match ev {
+            TraceEvent::Cycle { cycle, .. } => Some(*cycle),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(cycles, [1, 2, 3]);
     match buf.events().last().unwrap() {
         TraceEvent::RunEnd {
             cycles,
@@ -384,7 +386,7 @@ fn trace_events_record_spans_and_run_end() {
         }
         other => panic!("expected run-end, got {other:?}"),
     }
-    let jsonl = buf.to_jsonl();
+    let jsonl = buf.to_jsonl(e.program());
     for line in jsonl.lines() {
         crate::json::Json::parse(line).expect("every trace line parses");
     }
@@ -443,6 +445,7 @@ fn shard_count_reported_is_the_one_in_effect() {
 
 #[test]
 fn trace_records_fired_rules_per_cycle() {
+    use crate::metrics::TraceEvent;
     let mut e = engine(
         "(literalize count n)
          (p step (count ^n <n>) (test (< <n> 3)) --> (modify 1 ^n (+ <n> 1)))",
@@ -451,18 +454,21 @@ fn trace_records_fired_rules_per_cycle() {
             ("count", vec![Value::Int(1)]),
         ],
         EngineOptions {
-            trace: true,
+            trace_events: Some(64),
             ..Default::default()
         },
     );
     e.run().unwrap();
-    let traces = e.traces();
-    assert!(!traces.is_empty());
-    assert_eq!(traces[0].cycle, 1);
-    assert_eq!(traces[0].fired_rules, vec![("step".to_string(), 2)]);
-    let rendered = traces[0].to_string();
+    let ring = e.trace_events().expect("ring enabled");
+    let Some(first @ TraceEvent::Cycle { cycle, fired, .. }) = ring.events().next() else {
+        panic!("the first event is a cycle");
+    };
+    assert_eq!(*cycle, 1);
+    let step = e.program().rule(RuleId(0)).name;
+    assert_eq!(**fired, [(step, 2)]);
+    let rendered = first.cycle_line(e.program()).unwrap();
     assert!(rendered.contains("stepx2"), "{rendered}");
-    // trace off by default
+    // The ring is off by default.
     let mut quiet = engine(
         "(literalize count n)
          (p step (count ^n <n>) (test (< <n> 3)) --> (modify 1 ^n (+ <n> 1)))",
@@ -470,7 +476,7 @@ fn trace_records_fired_rules_per_cycle() {
         EngineOptions::default(),
     );
     quiet.run().unwrap();
-    assert!(quiet.traces().is_empty());
+    assert!(quiet.trace_events().is_none());
 }
 
 #[test]

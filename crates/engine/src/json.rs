@@ -192,6 +192,11 @@ impl From<usize> for Json {
         Json::Num(x as f64)
     }
 }
+impl From<u32> for Json {
+    fn from(x: u32) -> Json {
+        Json::Num(x.into())
+    }
+}
 impl From<u64> for Json {
     fn from(x: u64) -> Json {
         Json::Num(x as f64)

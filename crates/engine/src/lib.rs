@@ -68,7 +68,7 @@ pub use json::Json;
 pub use metrics::{EngineMetrics, MetricsLevel, RuleMetrics, TraceBuffer, TraceEvent};
 pub use policy::{FiringPolicy, Strategy};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use stats::{CycleStats, CycleTrace, Outcome, RunStats};
+pub use stats::{CycleStats, Outcome, RunStats};
 
 pub use core::ReloadReport;
 
@@ -202,16 +202,13 @@ pub struct EngineOptions {
     pub max_cycles: u64,
     /// Keep `write` action output in the run log.
     pub collect_log: bool,
-    /// Record a [`CycleTrace`] per cycle (costs a name resolution per
-    /// fired rule; off by default).
-    pub trace: bool,
     /// Observability collection level ([`MetricsLevel::Off`] by default:
     /// the hot path is bit-identical to an uninstrumented run).
     pub metrics: MetricsLevel,
     /// Capacity of the structured [`TraceBuffer`] ring: `Some(cap)`
-    /// records typed cycle events (phase spans, budget trips, checkpoint
-    /// writes, injections) keeping the newest `cap`; `None` (default)
-    /// records nothing.
+    /// records typed events (one per cycle that fired, budget trips,
+    /// checkpoint writes, injections, run ends) keeping the newest `cap`;
+    /// `None` (default) records nothing.
     pub trace_events: Option<usize>,
     /// Resource budgets checked at cycle boundaries (any policy).
     /// Default: unlimited.
@@ -234,7 +231,6 @@ impl Default for EngineOptions {
             matcher: MatcherKind::Rete,
             max_cycles: 1_000_000,
             collect_log: true,
-            trace: false,
             metrics: MetricsLevel::Off,
             trace_events: None,
             budgets: Budgets::unlimited(),

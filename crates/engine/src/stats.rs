@@ -112,41 +112,6 @@ impl RunStats {
     }
 }
 
-/// A human-readable record of one cycle, collected when
-/// `EngineOptions::trace` is on. Rule names are resolved strings so the
-/// trace survives the engine.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CycleTrace {
-    /// 1-based cycle number.
-    pub cycle: u64,
-    /// Eligible (unrefracted) instantiations at cycle start.
-    pub eligible: usize,
-    /// Redacted by meta-rules.
-    pub redacted_meta: usize,
-    /// Redacted by the interference guard.
-    pub redacted_guard: usize,
-    /// `(rule name, firings)` for every rule that fired, sorted by name.
-    pub fired_rules: Vec<(String, usize)>,
-    /// WMEs asserted by the cycle's merged delta.
-    pub adds: usize,
-    /// WMEs retracted by the cycle's merged delta.
-    pub removes: usize,
-}
-
-impl std::fmt::Display for CycleTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cycle {:>4}: eligible {:>4}, redacted {}+{}, fired",
-            self.cycle, self.eligible, self.redacted_meta, self.redacted_guard
-        )?;
-        for (rule, n) in &self.fired_rules {
-            write!(f, " {rule}x{n}")?;
-        }
-        write!(f, "  (+{} -{})", self.adds, self.removes)
-    }
-}
-
 /// How a run ended, plus its headline numbers.
 #[derive(Clone, Debug)]
 pub struct Outcome {

@@ -811,7 +811,7 @@ mod tests {
     }
 
     /// A real RETE engine capture and the program it came from: every
-    /// value tag, refraction keys, a `write` log and traces.
+    /// value tag, refraction keys and a `write` log.
     fn rete_capture() -> (parulel_core::Program, parulel_engine::Snapshot) {
         use parulel_core::{Value, WorkingMemory};
         use parulel_engine::{Engine, EngineOptions};
@@ -829,16 +829,12 @@ mod tests {
         for (a, b) in [(1, 2), (2, 3), (3, 1)] {
             wm.insert(edge, vec![Value::Int(a), Value::Int(b), red, Value::Float(a as f64 / 2.0)]);
         }
-        let opts = EngineOptions {
-            trace: true,
-            ..EngineOptions::default()
-        };
-        let mut engine = Engine::new(&program, wm, opts);
+        let mut engine = Engine::new(&program, wm, EngineOptions::default());
         for _ in 0..2 {
             engine.step().unwrap();
         }
         let snap = engine.checkpoint();
-        assert!(!snap.refraction.is_empty() && !snap.log.is_empty() && !snap.traces.is_empty());
+        assert!(!snap.refraction.is_empty() && !snap.log.is_empty());
         (program, snap)
     }
 
@@ -878,31 +874,6 @@ mod tests {
         }
         let took = started.elapsed();
         assert!(took < Duration::from_secs(2), "decoder loop took {took:?}");
-    }
-
-    #[test]
-    fn decode_refuses_a_nonempty_split_slot() {
-        // The slot before the encoding tag is always empty. A count of 1
-        // followed by a rule name and a split factor must be refused at
-        // decode time, before anything can act on it.
-        use parulel_engine::{Snapshot, SnapshotError};
-        let (_, snap) = rete_capture();
-        let bytes = snap.to_bytes();
-        let hashes: usize = snap.rule_hashes.iter().map(|(n, _)| 4 + n.len() + 8).sum();
-        let slot = bytes.len() - hashes - 8 - (4 + "bytecode".len()) - 8;
-        assert_eq!(bytes[slot..slot + 8], 0u64.to_le_bytes());
-        assert!(Snapshot::from_bytes(&bytes).is_ok());
-
-        let mut patched = bytes[..slot].to_vec();
-        patched.extend_from_slice(&1u64.to_le_bytes());
-        patched.extend_from_slice(&4u32.to_le_bytes());
-        patched.extend_from_slice(b"mark");
-        patched.extend_from_slice(&2u32.to_le_bytes());
-        patched.extend_from_slice(&bytes[slot + 8..]);
-        assert!(matches!(
-            Snapshot::from_bytes(&patched),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     #[test]

@@ -391,7 +391,8 @@ fn metrics_report_and_trace_are_available_per_session() {
     let r = server.handle_line(r#"{"op":"trace","session":"s1"}"#).unwrap();
     let doc = parulel_engine::Json::parse(&r).unwrap();
     let jsonl = doc.get("jsonl").unwrap().as_str().unwrap();
-    assert!(jsonl.lines().next().unwrap().contains("parulel-trace/v1"));
+    assert!(jsonl.lines().next().unwrap().contains("parulel-trace/v2"));
+    assert!(jsonl.contains(r#""ev":"cycle""#), "{jsonl}");
     assert!(doc.get("events").unwrap().as_f64().unwrap() > 0.0);
 }
 

@@ -1,7 +1,7 @@
 //! Extracting per-cycle work profiles from a real engine run.
 
 use parulel_core::{Program, WorkingMemory};
-use parulel_engine::{Engine, EngineError, EngineOptions};
+use parulel_engine::{Engine, EngineError, EngineOptions, TraceEvent};
 
 /// The work one PARULEL cycle performed, in abstract operations.
 ///
@@ -25,19 +25,15 @@ pub struct CycleProfile {
 }
 
 impl CycleProfile {
-    /// Total match ops across rules.
-    pub fn match_ops(&self) -> u64 {
-        self.match_ops_per_rule.iter().sum()
-    }
-
     /// Total fire ops across rules.
     pub fn fire_ops(&self) -> u64 {
         self.fire_ops_per_rule.iter().sum()
     }
 }
 
-/// Runs `program` on the real engine (with tracing) and derives one
-/// [`CycleProfile`] per executed cycle.
+/// Runs `program` on the real engine, with a trace ring sized to the
+/// whole run, and derives one [`CycleProfile`] per cycle event (one per
+/// cycle that fired).
 ///
 /// Attribution model:
 /// * every rule scans the whole broadcast delta: `delta` ops each;
@@ -53,46 +49,57 @@ pub fn profile_run(
     wm: WorkingMemory,
     opts: EngineOptions,
 ) -> Result<Vec<CycleProfile>, EngineError> {
+    // The ring grows as it fills, so an unbounded one costs only the
+    // events the run records.
     let opts = EngineOptions {
-        trace: true,
+        trace_events: Some(usize::MAX),
         ..opts
     };
     let initial_delta = wm.len() as u64;
     let mut engine = Engine::new(program, wm, opts);
     engine.run()?;
+    let ring = engine.trace_events().expect("the ring is on");
+    assert_eq!(ring.dropped(), 0, "the ring covers the whole run");
     let num_rules = program.rules().len();
 
     let mut profiles = Vec::new();
     let mut prev_delta = initial_delta;
-    for trace in engine.traces() {
+    for event in ring.events() {
+        let TraceEvent::Cycle {
+            eligible,
+            redacted_meta,
+            adds,
+            removes,
+            fired,
+            ..
+        } = event
+        else {
+            continue;
+        };
         let mut match_ops_per_rule = vec![prev_delta; num_rules];
         let mut fire_ops_per_rule = vec![0u64; num_rules];
-        let fired_total: usize = trace.fired_rules.iter().map(|(_, n)| n).sum();
-        for (name, n) in &trace.fired_rules {
-            let rid = program
-                .rule_by_name(program.interner.intern(name))
-                .expect("traced rule exists");
+        let fired_total: u64 = fired.iter().map(|&(_, n)| u64::from(n)).sum();
+        for &(name, n) in fired.iter() {
+            let rid = program.rule_by_name(name).expect("traced rule exists");
             const JOIN_WEIGHT: u64 = 4;
             // Joins for fired insts, plus this rule's proportional share
             // of the redacted surplus (eligible - fired).
-            let surplus = (trace.eligible.saturating_sub(fired_total)) as u64;
-            let share = if fired_total == 0 {
-                0
-            } else {
-                surplus * (*n as u64) / fired_total as u64
-            };
-            match_ops_per_rule[rid.index()] += JOIN_WEIGHT * (*n as u64 + share);
-            fire_ops_per_rule[rid.index()] += *n as u64;
+            let surplus = u64::from(*eligible).saturating_sub(fired_total);
+            let share = (surplus * u64::from(n))
+                .checked_div(fired_total)
+                .unwrap_or(0);
+            match_ops_per_rule[rid.index()] += JOIN_WEIGHT * (u64::from(n) + share);
+            fire_ops_per_rule[rid.index()] += u64::from(n);
         }
-        let redact_rounds = 1 + trace.redacted_meta.min(4) as u64;
+        let redact_rounds = 1 + u64::from(*redacted_meta).min(4);
         profiles.push(CycleProfile {
             delta: prev_delta,
             match_ops_per_rule,
-            gathered: trace.eligible as u64,
-            redact_ops: trace.eligible as u64 * redact_rounds,
+            gathered: u64::from(*eligible),
+            redact_ops: u64::from(*eligible) * redact_rounds,
             fire_ops_per_rule,
         });
-        prev_delta = (trace.adds + trace.removes) as u64;
+        prev_delta = u64::from(*adds) + u64::from(*removes);
     }
     Ok(profiles)
 }
