@@ -170,6 +170,13 @@ fn recover_file(
     let open_line = match replay {
         Ok(open_line) => open_line,
         Err(why) => {
+            // A skipped session is not served: drop whatever the replay
+            // opened before it failed. No log is attached yet, so the
+            // close leaves the file alone.
+            let close = Json::obj()
+                .set("op", "close")
+                .set("session", session.as_str());
+            server.handle_frame(&close);
             report.sessions_skipped += 1;
             report.notes.push(format!("{file_name}: {why}; left in place"));
             return;

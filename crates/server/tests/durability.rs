@@ -598,6 +598,58 @@ fn recovery_edge_cases_refuse_cleanly() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// An empty run's engine snapshot in the v4 layout: v5's fields plus four
+/// phase durations, a trace count, the empty slot and a `"bytecode"` tag.
+fn v4_engine_snapshot() -> Vec<u8> {
+    let mut w = parulel_core::Writer::default();
+    w.raw(b"PLSN");
+    w.u32(4);
+    w.str("fire-all");
+    w.u64(0); // cycle
+    w.u8(0); // halted
+    // Next WME id, WMEs, refraction keys, nine counts, four durations,
+    // log, traces and the empty slot.
+    (0..19).for_each(|_| w.u64(0));
+    w.str("bytecode");
+    w.u64(0); // rule hashes
+    w.into_bytes()
+}
+
+#[test]
+fn a_v4_snapshot_record_is_skipped_reported_and_left_on_disk() {
+    let dir = tmp_dir("v4");
+    let cfg = wal_config(&dir);
+    let open_line = Json::parse(&closure_frames("old")[0]).unwrap().render();
+    let mut wal = SessionWal::create(&cfg, "old", &open_line).unwrap();
+    wal.compact(&SnapshotRecord {
+        open_line,
+        snapshot: v4_engine_snapshot(),
+        injected_adds: 0,
+        injected_removes: 0,
+        pending: Vec::new(),
+        reloads: Vec::new(),
+    })
+    .unwrap();
+    wal.sync().unwrap();
+    drop(wal);
+    let path = dir.join(wal::wal_file_name("old"));
+    let before = fs::read(&path).unwrap();
+
+    let mut restored = durable(&dir);
+    let report = recover(&mut restored, &cfg);
+    assert_eq!(report.sessions_recovered, 0, "{:?}", report.notes);
+    assert_eq!(report.sessions_skipped, 1, "{:?}", report.notes);
+    let notes = report.notes.join("\n");
+    assert!(notes.contains("unsupported snapshot version 4"), "{notes}");
+    assert!(notes.contains("left in place"), "{notes}");
+    assert_eq!(fs::read(&path).unwrap(), before, "the log is left as it was");
+    // Nor is the session half-open: the partial replay is dropped.
+    assert_eq!(restored.session_count(), 0);
+    let metrics = r#"{"op":"metrics","session":"old"}"#;
+    assert_eq!(err_kind(&mut restored, metrics), "unknown-session");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn snapshot_with_no_tail_and_tail_with_no_snapshot_both_recover() {
     // Tail with no snapshot: compaction disabled entirely.
